@@ -47,11 +47,12 @@ print("\nrecovered canonical form:")
 for (i, j), mult in form.sorted_labels():
     print(f"  L({i},{j}) x {mult}")
 
-print("\nper-step staircase bookkeeping (strip sizes -> revealed block sizes):")
+print(f"\nrank threshold for every step (from the whole input): {trace.threshold:.2e}")
+print("per-step staircase bookkeeping (strip sizes -> revealed block sizes):")
 for step in trace.steps:
     print(
         f"  arrow {step.r} ({step.orientation}): strips {step.strip_sizes}"
-        f" -> blocks {step.block_sizes},  threshold {step.threshold:.2e}"
+        f" -> blocks {step.block_sizes}"
     )
 
 print(f"\nlargest entry the staircase had to declare zero: {trace.residual:.2e}")

@@ -63,5 +63,5 @@ a = np.array([[1.0, 1.0], [1.0, 1.0 + 3e-9]])
 print("\nnumerical_rank of a nearly rank-1 matrix:")
 for rel in (1e-8, 1e-10):
     tol = qs.TolerancePolicy(rel_factor=rel)
-    print(f"  rel_factor {rel:0.0e}: rank {qs.numerical_rank(a, tol)}"
-          f" (threshold {tol.threshold(a):.2e})")
+    tau = tol.threshold(a)
+    print(f"  rel_factor {rel:0.0e}: rank {qs.numerical_rank(a, tau)} (threshold {tau:.2e})")

@@ -81,23 +81,20 @@ class ChainStep:
     strip_starts: list[int]
     strip_sizes: list[int]
     block_sizes: list[int]
-    threshold: float
 
 
 @dataclass
 class ChainTrace:
-    """Accumulated per-vertex unitaries plus per-step bookkeeping."""
+    """Accumulated per-vertex unitaries, the run's rank threshold, and per-step bookkeeping."""
 
     vertex_transforms: list[np.ndarray]
+    threshold: float
     steps: list[ChainStep] = field(default_factory=list)
     residual: float = 0.0
 
 
 def canon_chain(
-    a: Representation,
-    tol: TolerancePolicy = DEFAULT_TOL,
-    *,
-    threshold: float | None = None,
+    a: Representation, tol: TolerancePolicy = DEFAULT_TOL
 ) -> tuple[ChainCanonicalForm, ChainTrace]:
     """Canonical multiset of interval summands of a chain representation.
 
@@ -107,10 +104,9 @@ def canon_chain(
     to vanish (measured after transformation, so it reflects the rank
     decisions actually taken).
 
-    By default each step derives its rank threshold from the matrix it is
-    reducing; ``threshold`` overrides that for every step, which callers use
-    when the chain is a piece of a larger problem whose scale should govern
-    (a matrix consisting purely of noise must not count as full rank).
+    Every step decides ranks against one threshold, ``tol.threshold`` of all
+    the input's matrices, so a matrix consisting purely of noise does not
+    count as full rank; the trace reports it.
 
     Numeric failures propagate with the step index attached.
     """
@@ -118,8 +114,9 @@ def canon_chain(
         raise ValidationError("canon_chain needs a chain representation")
     t = a.shape.t
     counts: Counter = Counter()
+    tau = tol.threshold(*a.matrices)
     trace = ChainTrace(
-        vertex_transforms=[np.eye(d, dtype=np.complex128) for d in a.dims]
+        vertex_transforms=[np.eye(d, dtype=np.complex128) for d in a.dims], threshold=tau
     )
     if t == 1:
         if a.dims[0]:
@@ -135,8 +132,7 @@ def canon_chain(
         sizes = [k for _, k in strips]
         axis = VERTICAL if clockwise else HORIZONTAL
         try:
-            tau = tol.threshold(cur) if threshold is None else float(threshold)
-            outer, per_strip, ls = staircase_reduce(cur, sizes, axis, tol, threshold=tau)
+            outer, per_strip, ls = staircase_reduce(cur, sizes, axis, tau)
         except QuiverError as exc:
             raise type(exc)(f"chain step {r}: {exc}") from exc
         if clockwise:
@@ -172,7 +168,6 @@ def canon_chain(
                 strip_starts=[p for p, _ in survivors],
                 strip_sizes=sizes,
                 block_sizes=ls,
-                threshold=tau,
             )
         )
 

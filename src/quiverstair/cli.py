@@ -5,10 +5,12 @@ regularizing decomposition), ``gen`` (write a planted instance plus ground
 truth), ``verify`` (decompose and compare against ground truth).
 
 Exit codes: 0 success, 1 verification mismatch, 2 input/validation error,
-3 numeric/internal error.  Default tolerances (abs 1e-12, rel 1e-8) can be
+3 numeric/internal error.  The default tolerances of ``DEFAULT_TOL`` can be
 overridden by the environment variables ``QUIVERSTAIR_TOL_ABS`` /
 ``QUIVERSTAIR_TOL_REL`` (lowest precedence) or the ``--tol-abs`` /
-``--tol-rel`` flags; every report echoes the values used.
+``--tol-rel`` flags; a value that is not a finite nonnegative number exits
+with code 2.  Every report echoes the values used; ``canon`` and
+``regularize`` also report the one rank threshold they gave for the input.
 """
 
 import argparse
@@ -28,7 +30,7 @@ from .files import (
     save_plant_spec,
     save_representation,
 )
-from .linalg import TolerancePolicy
+from .linalg import DEFAULT_TOL, TolerancePolicy
 from .oracle import PlantSpec, plant, verify
 from .quiver import CHAIN, CYCLE, QuiverShape, g_label_dims
 
@@ -40,16 +42,22 @@ EXIT_NUMERIC = 3
 ENV_TOL_ABS = "QUIVERSTAIR_TOL_ABS"
 ENV_TOL_REL = "QUIVERSTAIR_TOL_REL"
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
+
+
+def _env_float(name: str, default: float) -> float:
+    text = os.environ.get(name)
+    if not text:
+        return default
+    try:
+        return float(text)
+    except ValueError:
+        raise ValidationError(f"{name}={text!r} is not a number") from None
 
 
 def _tolerance(args) -> TolerancePolicy:
-    abs_floor = 1e-12
-    rel_factor = 1e-8
-    if os.environ.get(ENV_TOL_ABS):
-        abs_floor = float(os.environ[ENV_TOL_ABS])
-    if os.environ.get(ENV_TOL_REL):
-        rel_factor = float(os.environ[ENV_TOL_REL])
+    abs_floor = _env_float(ENV_TOL_ABS, DEFAULT_TOL.abs_floor)
+    rel_factor = _env_float(ENV_TOL_REL, DEFAULT_TOL.rel_factor)
     if args.tol_abs is not None:
         abs_floor = args.tol_abs
     if args.tol_rel is not None:
@@ -96,7 +104,7 @@ def _cmd_canon(args) -> int:
         "labels": [{"kind": "L", "low": i, "high": j, "count": m} for (i, j), m in form.sorted_labels()],
         "dimension_check": dims_ok,
         "residual": trace.residual,
-        "step_thresholds": [s.threshold for s in trace.steps],
+        "threshold": trace.threshold,
     }
     lines = [f"chain canonical form (t={rep.shape.t}, orientations {rep.shape.orientations})"]
     for (i, j), m in form.sorted_labels():
@@ -104,8 +112,7 @@ def _cmd_canon(args) -> int:
     lines.append(f"dimension check: {'ok' if dims_ok else 'FAILED'}")
     lines.append(f"residual: {trace.residual:.3e}")
     lines.append(
-        "thresholds: " + ", ".join(f"{s.threshold:.3e}" for s in trace.steps)
-        + f" (abs {tol.abs_floor:g}, rel {tol.rel_factor:g})"
+        f"threshold: {trace.threshold:.3e} (abs {tol.abs_floor:g}, rel {tol.rel_factor:g})"
     )
     _emit(args, lines, payload)
     return EXIT_OK if dims_ok else EXIT_NUMERIC

@@ -43,8 +43,7 @@ from .quiver import (
     Representation,
     apply_isomorphism,
     direct_sum,
-    is_regular,
-    representation_threshold,
+    regularity_defect,
     transpose_rep,
     zero_representation,
 )
@@ -105,21 +104,22 @@ def _check_cycle(a: Representation, who: str):
 def shave(a: Representation, tol: TolerancePolicy = DEFAULT_TOL) -> ShaveResult:
     """Split a cycle representation into a shaved chain and a reduced cycle.
 
-    Uses a single rank threshold computed from the whole representation so
-    that strips consisting purely of noise compress to rank zero.  Raises
+    Uses a single rank threshold, ``tol.threshold`` of all the input's
+    matrices, so that strips consisting purely of noise compress to rank
+    zero; ``threshold`` on the result reports it.  Raises
     :class:`InconsistencyError` if the walk exceeds its dimension-based step
     cap, which would indicate contradictory rank decisions.
     """
     _check_cycle(a, "shave")
     shape = a.shape
     t = shape.t
-    tau = representation_threshold(a, tol)
+    tau = tol.threshold(*a.matrices)
 
     l = t + 1
     for i in range(1, t + 1):
         if shape.is_clockwise(i):
             m = a.matrices[i - 1]
-            if numerical_rank(m, tol, threshold=tau) < m.shape[0]:
+            if numerical_rank(m, tau) < m.shape[0]:
                 l = i
                 break
 
@@ -164,7 +164,7 @@ def shave(a: Representation, tol: TolerancePolicy = DEFAULT_TOL) -> ShaveResult:
 
         if cw:
             # cur: d[vtx] x d[src]; shave off the row-deficient top part of vtx
-            q, k = row_compress(cur, tol, threshold=tau)
+            q, k = row_compress(cur, tau)
             moved = q @ cur
             shaved = cur.shape[0] - k
             zeroed = float(np.linalg.norm(moved[:shaved, :]))
@@ -174,7 +174,7 @@ def shave(a: Representation, tol: TolerancePolicy = DEFAULT_TOL) -> ShaveResult:
             s_new = q
         else:
             # cur: d[tgt] x d[vtx]; the pending strip sits above it (rows)
-            w, k = col_compress(pending, tol, threshold=tau)
+            w, k = col_compress(pending, tau)
             lifted = pending @ w
             shaved = k
             zeroed = float(np.linalg.norm(lifted[:, shaved:]))
@@ -370,10 +370,14 @@ def monodromy(
     each clockwise arrow and the inverse of each counterclockwise one.  The
     eigenvalues of the product classify the regular representation; they are
     reported as a multiset, with no claim about Jordan structure.
+
+    Raises :class:`ValidationError`, naming the defect, if ``p`` is not
+    regular at ``tol.threshold`` of all its matrices.
     """
     _check_cycle(p, "monodromy")
-    if not is_regular(p, tol):
-        raise ValidationError("monodromy needs a regular representation")
+    defect = regularity_defect(p, tol.threshold(*p.matrices))
+    if defect:
+        raise ValidationError(f"monodromy needs a regular representation: {defect}")
     d = p.dims[0]
     out = np.eye(d, dtype=np.complex128)
     for i in range(1, p.shape.t + 1):
@@ -434,42 +438,34 @@ def regularize(
     walk summand its push-down produces; what survives both shaves is the
     regular part, whose monodromy eigenvalues are reported.
 
-    Raises :class:`InconsistencyError` if the surviving part fails the
-    nonsingularity check, naming the offending arrow and its smallest
-    singular value; that signals tolerance trouble rather than a silent
+    The first shave fixes the rank threshold from the whole input; every
+    later decision (second shave, both chain stages, the regularity check)
+    reuses that number.
+
+    Raises :class:`InconsistencyError` if the surviving part is not regular,
+    naming the offending arrow and its smallest singular value, or the
+    uneven dimensions; that signals tolerance trouble rather than a silent
     misclassification.
     """
     _check_cycle(a, "regularize")
     first = shave(a, tol)
-    second = shave(transpose_rep(first.a_tilde), tol)
+    fixed = TolerancePolicy(abs_floor=first.threshold, rel_factor=0.0)
+    second = shave(transpose_rep(first.a_tilde), fixed)
     regular = transpose_rep(second.a_tilde)
-
-    if len(set(regular.dims)) > 1:
-        raise InconsistencyError(
-            f"regular part has uneven dimensions {regular.dims}; rank decisions disagree"
-        )
-    if regular.dims and regular.dims[0]:
-        for i, m in enumerate(regular.matrices, start=1):
-            s = singular_values(m)
-            smin = float(s[-1]) if s.size else 0.0
-            if smin <= tol.from_sigma(s[0] if s.size else 0.0):
-                raise InconsistencyError(
-                    f"regular part is singular at arrow {i}: sigma_min={smin:.6g}"
-                )
 
     by_pass = []
     for res in (first, second):
         if res.a_prime is None:
             by_pass.append(Counter())
         else:
-            # The shaved chain inherits the cycle's scale; a chain matrix made
-            # purely of noise must compress to rank zero, so the shave's
-            # representation-level threshold governs here too.
-            form, _ = canon_chain(res.a_prime, tol, threshold=res.threshold)
+            form, _ = canon_chain(res.a_prime, fixed)
             by_pass.append(_chain_labels_to_walks(a.shape, res.l, form.counts))
     summands = by_pass[0] + by_pass[1]
 
-    mono, eigs = monodromy(regular, tol)
+    try:
+        mono, eigs = monodromy(regular, fixed)
+    except ValidationError as exc:
+        raise InconsistencyError(f"regular part: {exc}") from exc
     if eigs.size:
         tau_m = tol.threshold(mono)
         small = np.abs(eigs).min()
@@ -493,6 +489,6 @@ def regularize(
         monodromy_eigenvalues=eigs,
         trace=trace,
         residual=max(first.residual, second.residual),
-        threshold=max(first.threshold, second.threshold),
+        threshold=first.threshold,
         shaves=(first, second),
     )

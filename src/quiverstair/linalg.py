@@ -8,6 +8,7 @@ inputs yield empty/identity transforms and rank 0 without caller-side special
 cases.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,25 +104,36 @@ def jordan_block(n: int, lam: complex) -> np.ndarray:
 class TolerancePolicy:
     """Rank-decision thresholds.
 
-    The threshold for a matrix ``A`` is ``max(abs_floor, rel_factor *
-    sigma_max(A))`` with ``sigma_max`` of an empty matrix taken as 0.  Every
-    reduction reports the threshold it used so borderline decisions can be
-    audited.
+    The threshold for an input ``A_1, ..., A_n`` is ``max(abs_floor,
+    rel_factor * sigma_max)`` with ``sigma_max`` the largest singular value
+    over all the ``A_i`` (0 when they are all empty).  Each entry point
+    derives it once from its whole input and every rank decision below uses
+    that number, so a matrix made purely of noise is not promoted to full
+    rank by its own tiny scale.  Every result reports the threshold it used.
     """
 
     abs_floor: float = 1e-12
     rel_factor: float = 1e-8
 
     def __post_init__(self):
+        if not (math.isfinite(self.abs_floor) and math.isfinite(self.rel_factor)):
+            raise ValidationError("tolerance parameters must be finite")
         if self.abs_floor < 0 or self.rel_factor < 0:
             raise ValidationError("tolerance parameters must be nonnegative")
 
     def from_sigma(self, sigma_max: float) -> float:
         return max(self.abs_floor, self.rel_factor * float(sigma_max))
 
-    def threshold(self, a) -> float:
-        s = singular_values(a)
-        return self.from_sigma(s[0] if s.size else 0.0)
+    def threshold(self, *mats) -> float:
+        """The rank threshold for the input made of ``mats``.
+
+        Takes no SVD when ``rel_factor`` is 0: the threshold is then
+        ``abs_floor`` whatever the input.
+        """
+        if self.rel_factor == 0:
+            return self.abs_floor
+        sigma_max = max((s[0] for s in map(singular_values, mats) if s.size), default=0.0)
+        return self.from_sigma(sigma_max)
 
 
 DEFAULT_TOL = TolerancePolicy()
@@ -174,58 +186,39 @@ def svd_inverse(a, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     return vh.conj().T @ np.diag(1.0 / s) @ u.conj().T
 
 
-def _rank_from_sigma(s: np.ndarray, tol: TolerancePolicy, threshold) -> tuple[int, float]:
-    tau = tol.from_sigma(s[0] if s.size else 0.0) if threshold is None else float(threshold)
-    return int(np.sum(s > tau)), tau
+def numerical_rank(a, threshold: float) -> int:
+    """Number of singular values above ``threshold``."""
+    return int(np.sum(singular_values(a) > threshold))
 
 
-def numerical_rank(a, tol: TolerancePolicy = DEFAULT_TOL, *, threshold: float | None = None) -> int:
-    """Number of singular values above the rank threshold.
-
-    ``threshold`` overrides the per-matrix threshold; callers reducing a
-    strip of a larger matrix pass the enclosing matrix's threshold so that
-    strip-local noise is not mistaken for signal.
-    """
-    k, _ = _rank_from_sigma(singular_values(a), tol, threshold)
-    return k
-
-
-def row_compress(
-    a, tol: TolerancePolicy = DEFAULT_TOL, *, threshold: float | None = None
-) -> tuple[np.ndarray, int]:
+def row_compress(a, threshold: float) -> tuple[np.ndarray, int]:
     """Unitary ``q`` with ``q @ a = [0; r]``, ``r`` of full row rank ``k``.
 
     The zero block sits on top and has ``rows - k`` rows.
     """
     m = as_matrix(a)
-    u, s, _ = svd(m)
-    k, _ = _rank_from_sigma(s, tol, threshold)
+    u, s = svd(m)[:2]  # drop vh now, not at return: it is as large as the result
+    k = int(np.sum(s > threshold))
     order = list(range(k, m.shape[0])) + list(range(k))
     q = u[:, order].conj().T
     return q, k
 
 
-def col_compress(
-    a, tol: TolerancePolicy = DEFAULT_TOL, *, threshold: float | None = None
-) -> tuple[np.ndarray, int]:
+def col_compress(a, threshold: float) -> tuple[np.ndarray, int]:
     """Unitary ``w`` with ``a @ w = [c | 0]``, ``c`` of full column rank ``k``."""
-    m = as_matrix(a)
-    _, s, vh = svd(m)
-    k, _ = _rank_from_sigma(s, tol, threshold)
-    return vh.conj().T, k
+    s, vh = svd(a)[1:]  # drop u now, not at return: it is as large as the result
+    return vh.conj().T, int(np.sum(s > threshold))
 
 
-def two_sided_reduce(
-    a, tol: TolerancePolicy = DEFAULT_TOL, *, threshold: float | None = None
-) -> tuple[np.ndarray, np.ndarray, int]:
+def two_sided_reduce(a, threshold: float) -> tuple[np.ndarray, np.ndarray, int]:
     """Unitary ``p``, ``s`` with ``p^H @ a @ s = [[0, h], [0, 0]]``.
 
     The ``k x k`` block ``h`` is nonsingular (its smallest singular value
-    exceeds the threshold) and sits in the top-right corner.
+    exceeds ``threshold``) and sits in the top-right corner.
     """
     m = as_matrix(a)
     u, sig, vh = svd(m)
-    k, _ = _rank_from_sigma(sig, tol, threshold)
+    k = int(np.sum(sig > threshold))
     n = m.shape[1]
     order = list(range(k, n)) + list(range(k))
     s_mat = vh.conj().T[:, order]
@@ -233,12 +226,7 @@ def two_sided_reduce(
 
 
 def staircase_reduce(
-    a,
-    strip_sizes,
-    strip_axis: str,
-    tol: TolerancePolicy = DEFAULT_TOL,
-    *,
-    threshold: float | None = None,
+    a, strip_sizes, strip_axis: str, threshold: float
 ) -> tuple[np.ndarray, list[np.ndarray], list[int]]:
     """Reduce ``a`` to echelon-of-nonsingular-blocks form, strip by strip.
 
@@ -256,8 +244,7 @@ def staircase_reduce(
     - horizontal: ``block_diag(*per_strip) @ a @ outer``
 
     so ``per_strip`` transforms act only within their strip and ``outer``
-    acts on the orthogonal axis.  One rank threshold, computed from the full
-    matrix, is shared by all strips.
+    acts on the orthogonal axis.  All strips share the one ``threshold``.
     """
     m = as_matrix(a)
     sizes = [int(x) for x in strip_sizes]
@@ -270,8 +257,6 @@ def staircase_reduce(
         raise ValidationError(
             f"strip sizes sum to {sum(sizes)}, expected {along} for {strip_axis} strips"
         )
-    tau = tol.threshold(m) if threshold is None else float(threshold)
-
     work = m.copy()
     ls = [0] * len(sizes)
     per_strip: list[np.ndarray] = [np.zeros((0, 0))] * len(sizes)
@@ -282,7 +267,7 @@ def staircase_reduce(
         pinned = 0
         for i, sz in enumerate(sizes):
             c0, c1 = bounds[i], bounds[i + 1]
-            p, s_mat, k = two_sided_reduce(work[pinned:, c0:c1], tol, threshold=tau)
+            p, s_mat, k = two_sided_reduce(work[pinned:, c0:c1], threshold)
             work[pinned:, :] = p.conj().T @ work[pinned:, :]
             work[:, c0:c1] = work[:, c0:c1] @ s_mat
             outer[pinned:, :] = p.conj().T @ outer[pinned:, :]
@@ -294,7 +279,7 @@ def staircase_reduce(
         avail = m.shape[1]
         for i in range(len(sizes) - 1, -1, -1):
             r0, r1 = bounds[i], bounds[i + 1]
-            p, s_mat, k = two_sided_reduce(work[r0:r1, :avail], tol, threshold=tau)
+            p, s_mat, k = two_sided_reduce(work[r0:r1, :avail], threshold)
             work[r0:r1, :] = p.conj().T @ work[r0:r1, :]
             work[:, :avail] = work[:, :avail] @ s_mat
             outer[:, :avail] = outer[:, :avail] @ s_mat

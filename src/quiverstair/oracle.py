@@ -15,7 +15,7 @@ import numpy as np
 from .chain import ChainCanonicalForm, ChainTrace
 from .cycle import RegularizingDecomposition
 from .errors import ValidationError
-from .linalg import DEFAULT_TOL, TolerancePolicy, jordan_block, unitarity_defect
+from .linalg import DEFAULT_TOL, TolerancePolicy, unitarity_defect
 from .quiver import (
     CHAIN,
     CYCLE,
@@ -127,13 +127,8 @@ def random_invertible(n: int, seed, max_condition: float = 1e3) -> np.ndarray:
 def _regular_summand(shape: QuiverShape, eigs) -> Representation:
     nd = len(eigs)
     mats = [np.eye(nd, dtype=np.complex128) for _ in range(shape.t)]
-    blocks = [jordan_block(1, z) for z in eigs]
-    x = np.zeros((nd, nd), dtype=np.complex128)
-    for i, b in enumerate(blocks):
-        x[i, i] = b[0, 0]
-    if not shape.is_clockwise(shape.t):
-        x = np.diag(1.0 / np.diagonal(x))
-    mats[shape.t - 1] = x
+    diag = np.asarray(eigs, dtype=np.complex128)
+    mats[shape.t - 1] = np.diag(diag if shape.is_clockwise(shape.t) else 1.0 / diag)
     return Representation(shape, (nd,) * shape.t, tuple(mats))
 
 
@@ -258,23 +253,33 @@ def verify(
     """
     if a.shape != truth.shape:
         raise ValidationError("representation and truth have different shapes")
-    checks: list[CheckResult] = []
+    is_chain = isinstance(result, ChainCanonicalForm)
+    if is_chain:
+        counts, dims = result.counts, np.asarray(result.dims())
+    elif isinstance(result, RegularizingDecomposition):
+        counts = result.summands
+        dims = np.asarray(result.summand_dims()) + result.regular_dim()
+    else:
+        raise ValidationError(f"cannot verify result of type {type(result).__name__}")
     scale = representation_scale(a)
     truth_counts = truth.label_counts()
+    got = Counter({lab: m for lab, m in counts.items() if m})
+    labels_ok = got == truth_counts
+    mismatched = sum((got - truth_counts).values()) + sum((truth_counts - got).values())
+    checks = [CheckResult("labels_match", labels_ok, float(mismatched), 0.0)]
+    if not is_chain:
+        reg_gap = abs(result.regular_dim() - len(truth.regular_eigs))
+        checks.append(CheckResult("regular_dimension", reg_gap == 0, float(reg_gap), 0.0))
+    dim_gap = int(np.abs(dims - np.asarray(a.dims)).max())
+    checks.append(CheckResult("dimension_conservation", dim_gap == 0, float(dim_gap), 0.0))
+    ubound = 1e-12 * max(a.dims, default=1)
 
-    if isinstance(result, ChainCanonicalForm):
-        got = Counter({lab: m for lab, m in result.counts.items() if m})
-        labels_ok = got == truth_counts
-        mismatched = sum((got - truth_counts).values()) + sum((truth_counts - got).values())
-        checks.append(CheckResult("labels_match", labels_ok, float(mismatched), 0.0))
-        dim_gap = max(abs(x - y) for x, y in zip(result.dims(), a.dims))
-        checks.append(CheckResult("dimension_conservation", dim_gap == 0, float(dim_gap), 0.0))
+    if is_chain:
         residual = trace.residual if trace is not None else 0.0
         udef = 0.0
         if trace is not None:
             udef = max(unitarity_defect(s) for s in trace.vertex_transforms)
             checks.append(CheckResult("residual", residual <= 1e-8 * scale, residual, 1e-8 * scale))
-            ubound = 1e-12 * max(a.dims, default=1)
             checks.append(CheckResult("unitarity", udef <= ubound, udef, ubound))
         return VerificationReport(
             labels_match=labels_ok,
@@ -284,38 +289,21 @@ def verify(
             checks=checks,
         )
 
-    if isinstance(result, RegularizingDecomposition):
-        got = Counter({lab: m for lab, m in result.summands.items() if m})
-        labels_ok = got == truth_counts
-        mismatched = sum((got - truth_counts).values()) + sum((truth_counts - got).values())
-        checks.append(CheckResult("labels_match", labels_ok, float(mismatched), 0.0))
+    eig_scale = max([1.0] + [abs(z) for z in truth.regular_eigs])
+    haus = hausdorff_distance(result.monodromy_eigenvalues, truth.regular_eigs)
+    pair = _matched_distance(result.monodromy_eigenvalues, truth.regular_eigs)
+    eig_bound = 1e-6 * eig_scale
+    checks.append(CheckResult("eigenvalues", pair <= eig_bound, pair, eig_bound))
 
-        want_reg = len(truth.regular_eigs)
-        reg_gap = abs(result.regular_dim() - want_reg)
-        checks.append(CheckResult("regular_dimension", reg_gap == 0, float(reg_gap), 0.0))
+    res_bound = 1e-8 * scale
+    checks.append(CheckResult("residual", result.residual <= res_bound, result.residual, res_bound))
 
-        total = np.asarray(result.summand_dims()) + result.regular_dim()
-        dim_gap = int(np.abs(total - np.asarray(a.dims)).max()) if a.dims else 0
-        checks.append(CheckResult("dimension_conservation", dim_gap == 0, float(dim_gap), 0.0))
-
-        eig_scale = max([1.0] + [abs(z) for z in truth.regular_eigs])
-        haus = hausdorff_distance(result.monodromy_eigenvalues, truth.regular_eigs)
-        pair = _matched_distance(result.monodromy_eigenvalues, truth.regular_eigs)
-        eig_bound = 1e-6 * eig_scale
-        checks.append(CheckResult("eigenvalues", pair <= eig_bound, pair, eig_bound))
-
-        res_bound = 1e-8 * scale
-        checks.append(CheckResult("residual", result.residual <= res_bound, result.residual, res_bound))
-
-        udef = max(unitarity_defect(s) for s in result.trace) if result.trace else 0.0
-        ubound = 1e-12 * max(a.dims, default=1)
-        checks.append(CheckResult("unitarity", udef <= ubound, udef, ubound))
-        return VerificationReport(
-            labels_match=labels_ok,
-            residual=result.residual,
-            unitarity_defect=udef,
-            eigenvalue_distance=haus if np.isfinite(haus) else float("inf"),
-            checks=checks,
-        )
-
-    raise ValidationError(f"cannot verify result of type {type(result).__name__}")
+    udef = max(unitarity_defect(s) for s in result.trace) if result.trace else 0.0
+    checks.append(CheckResult("unitarity", udef <= ubound, udef, ubound))
+    return VerificationReport(
+        labels_match=labels_ok,
+        residual=result.residual,
+        unitarity_defect=udef,
+        eigenvalue_distance=haus if np.isfinite(haus) else float("inf"),
+        checks=checks,
+    )

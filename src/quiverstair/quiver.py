@@ -34,7 +34,6 @@ __all__ = [
     "Representation",
     "zero_representation",
     "representation_scale",
-    "representation_threshold",
     "direct_sum",
     "transpose_rep",
     "apply_isomorphism",
@@ -43,6 +42,7 @@ __all__ = [
     "make_G",
     "walk_positions",
     "g_label_dims",
+    "regularity_defect",
     "is_regular",
 ]
 
@@ -167,16 +167,6 @@ def representation_scale(rep: Representation) -> float:
         if s.size:
             best = max(best, float(s[0]))
     return best
-
-
-def representation_threshold(rep: Representation, tol: TolerancePolicy = DEFAULT_TOL) -> float:
-    """One rank threshold for the whole representation.
-
-    Computed from the largest singular value over all arrows, so that a strip
-    consisting purely of noise is not promoted to full rank by its own tiny
-    scale.
-    """
-    return tol.from_sigma(representation_scale(rep))
 
 
 def direct_sum(a: Representation, b: Representation) -> Representation:
@@ -320,16 +310,28 @@ def make_G(l: int, r: int, shape: QuiverShape) -> Representation:
     return Representation(shape, dims, tuple(mats))
 
 
+def regularity_defect(a: Representation, threshold: float) -> str | None:
+    """Why the cycle representation ``a`` is not regular, or ``None`` if it is.
+
+    Regular means that all vertex dimensions agree and that every matrix has
+    its smallest singular value above ``threshold``.
+    """
+    if len(set(a.dims)) > 1:
+        return f"uneven dimensions {a.dims}"
+    if a.dims[0]:
+        for i, m in enumerate(a.matrices, start=1):
+            smin = float(singular_values(m)[-1])
+            if smin <= threshold:
+                return f"singular at arrow {i}: sigma_min={smin:.6g} <= threshold {threshold:.6g}"
+    return None
+
+
 def is_regular(a: Representation, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
-    """True iff all vertex dimensions agree and every matrix is nonsingular."""
+    """True iff all vertex dimensions agree and every matrix is nonsingular.
+
+    Nonsingularity is judged against one threshold taken from the scale of
+    the whole representation, not of each matrix.
+    """
     if a.shape.kind != CYCLE:
         raise ValidationError("is_regular applies to cycle representations")
-    if len(set(a.dims)) > 1:
-        return False
-    if a.dims[0] == 0:
-        return True
-    for m in a.matrices:
-        s = singular_values(m)
-        if s[-1] <= tol.from_sigma(s[0]):
-            return False
-    return True
+    return regularity_defect(a, tol.threshold(*a.matrices)) is None

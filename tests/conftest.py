@@ -103,3 +103,15 @@ def primed_chain_for_walk(shape, i, j):
     )
     chain = qs.chain_shape(length, orient)
     return qs.make_L(1, length, chain), l0, n0
+
+
+def noise_arrow_chain():
+    """The chain ``C^4 -I-> C^4 -E-> C^4`` with ``E`` complex noise of scale 1e-9.
+
+    Judged at the scale of the whole input, ``E`` is zero: the canonical form
+    is ``L(1,2) x 4 + L(3,3) x 4``.  Judged at its own scale it would be full
+    rank.
+    """
+    rng = np.random.default_rng(0)
+    noise = 1e-9 * random_complex(rng, 4, 4)
+    return qs.Representation(qs.chain_shape(3, ">>"), (4, 4, 4), (np.eye(4), noise))

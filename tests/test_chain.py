@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import quiverstair as qs
-from conftest import random_chain_spec
+from conftest import noise_arrow_chain, random_chain_spec
 from quiverstair.errors import ValidationError
 
 
@@ -54,6 +54,12 @@ class TestCanonChainBasics:
         rep = qs.Representation(shape, (4,), ())
         form, _ = qs.canon_chain(rep)
         assert form.counts == Counter({(1, 1): 4})
+
+    def test_noise_arrow_is_judged_at_the_input_scale(self):
+        rep = noise_arrow_chain()
+        form, trace = qs.canon_chain(rep)
+        assert form.counts == Counter({(1, 2): 4, (3, 3): 4})
+        assert trace.threshold == qs.DEFAULT_TOL.threshold(*rep.matrices)
 
     def test_rejects_cycles(self):
         with pytest.raises(ValidationError):

@@ -342,6 +342,50 @@ class TestRegularize:
             except InconsistencyError:
                 pass  # documented outcome on near-degenerate input
 
+    def test_second_shave_keeps_the_first_threshold(self):
+        # A walk at scale 1e6 beside a regular part at scale 1e-5: at the
+        # input's scale the small part is noise and splits into G(v,v) pieces;
+        # it must not be glued into a longer walk by a smaller second threshold.
+        shape = qs.cycle_shape(3, "<><")
+
+        def scaled(spec, factor):
+            rep, _ = qs.plant(spec)
+            return qs.Representation(shape, rep.dims, tuple(factor * m for m in rep.matrices))
+
+        walk = scaled(qs.PlantSpec(shape=shape, labels=(((3, 8), 1),), seed=76), 1e6)
+        small = scaled(qs.PlantSpec(shape=shape, labels=(), regular_eigs=(1.5,), seed=0), 1e-5)
+        dec = qs.regularize(qs.direct_sum(walk, small))
+        assert dec.summands == Counter({(1, 1): 1, (2, 2): 1, (3, 3): 1, (3, 8): 1})
+        assert dec.regular_dim() == 0
+        assert dec.shaves[0].threshold == dec.shaves[1].threshold == dec.threshold
+
+    @pytest.mark.parametrize(
+        "dims, mats, message",
+        [
+            ((2, 2), (np.eye(2), qs.jordan_block(2, 0)), "arrow 2: sigma_min=0"),
+            ((1, 2), (np.ones((2, 1)), np.ones((2, 1))), r"uneven dimensions \(1, 2\)"),
+        ],
+        ids=["singular", "uneven"],
+    )
+    def test_irregular_leftover_raises_inconsistency(self, monkeypatch, dims, mats, message):
+        from quiverstair import cycle
+
+        def no_shave(a, tol=qs.DEFAULT_TOL):
+            return cycle.ShaveResult(
+                a_prime=None,
+                a_tilde=a,
+                l=a.shape.t + 1,
+                n=a.shape.t,
+                trace=[np.eye(d, dtype=complex) for d in a.dims],
+                residual=0.0,
+                threshold=tol.threshold(*a.matrices),
+            )
+
+        monkeypatch.setattr(cycle, "shave", no_shave)
+        rep = qs.Representation(qs.cycle_shape(2, "><"), dims, mats)
+        with pytest.raises(InconsistencyError, match=message):
+            qs.regularize(rep)
+
     def test_rejects_chains(self):
         with pytest.raises(ValidationError):
             qs.regularize(qs.zero_representation(qs.chain_shape(2, ">")))

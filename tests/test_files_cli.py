@@ -7,7 +7,7 @@ import quiverstair as qs
 from quiverstair import cli, files
 from quiverstair.errors import ValidationError
 
-from conftest import random_complex, random_cycle_spec
+from conftest import noise_arrow_chain, random_complex, random_cycle_spec
 
 
 def make_rep(seed=0):
@@ -143,6 +143,21 @@ class TestCli:
         assert got == {(1, 4): 1, (2, 3): 1}
         assert payload["tolerance"] == {"abs_floor": 1e-12, "rel_factor": 1e-8}
 
+    def test_canon_reports_one_input_threshold(self, tmp_path, capsys):
+        rep = noise_arrow_chain()
+        path = tmp_path / "noise.json"
+        files.save_representation(path, rep)
+        assert cli.main(["canon", str(path), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["report_version"] == 2
+        got = {(row["low"], row["high"]): row["count"] for row in payload["labels"]}
+        assert got == {(1, 2): 4, (3, 3): 4}
+        assert payload["threshold"] == qs.DEFAULT_TOL.threshold(*rep.matrices)
+        assert "step_thresholds" not in payload
+        assert cli.main(["canon", str(path)]) == 0
+        text = capsys.readouterr().out
+        assert sum(line.startswith("threshold: ") for line in text.splitlines()) == 1
+
     def test_regularize_text_report(self, tmp_path, capsys):
         out = tmp_path / "cyc.json"
         cli.main(
@@ -228,6 +243,29 @@ class TestCli:
         cli.main(["canon", str(out), "--json", "--tol-rel", "1e-7"])
         payload = json.loads(capsys.readouterr().out)
         assert payload["tolerance"]["rel_factor"] == 1e-7
+
+    @pytest.mark.parametrize(
+        "env, flags",
+        [
+            ({cli.ENV_TOL_REL: "abc"}, []),
+            ({cli.ENV_TOL_ABS: "1e-12x"}, []),
+            ({cli.ENV_TOL_ABS: "inf"}, []),
+            ({}, ["--tol-rel", "nan"]),
+            ({}, ["--tol-abs", "inf"]),
+            ({}, ["--tol-rel=-1e-8"]),
+        ],
+        ids=["env-rel-text", "env-abs-text", "env-abs-inf", "flag-rel-nan", "flag-abs-inf",
+             "flag-rel-negative"],
+    )
+    def test_bad_tolerance_exits_2(self, tmp_path, capsys, monkeypatch, env, flags):
+        path = tmp_path / "noise.json"
+        files.save_representation(path, noise_arrow_chain())
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert cli.main(["canon", str(path), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
 
     def test_output_flag_writes_file(self, tmp_path):
         out = tmp_path / "chain.json"

@@ -51,6 +51,25 @@ class TestTolerancePolicy:
             linalg.TolerancePolicy(abs_floor=-1.0)
 
 
+    @pytest.mark.parametrize(
+        "params", [{"abs_floor": float("inf")}, {"rel_factor": float("nan")}]
+    )
+    def test_non_finite_params_rejected(self, params):
+        with pytest.raises(ValidationError, match="finite"):
+            linalg.TolerancePolicy(**params)
+
+    def test_threshold_spans_every_matrix(self):
+        tol = linalg.TolerancePolicy()
+        assert tol.threshold(np.eye(2), 300.0 * np.eye(3), np.zeros((0, 2))) == pytest.approx(3e-6)
+        assert tol.threshold() == 1e-12
+
+    def test_zero_rel_factor_takes_no_svd(self, monkeypatch):
+        def forbidden(a):
+            raise AssertionError("no SVD expected")
+
+        monkeypatch.setattr(linalg, "singular_values", forbidden)
+        assert linalg.TolerancePolicy(abs_floor=0.5, rel_factor=0.0).threshold(np.eye(3)) == 0.5
+
 class TestSvd:
     def test_identity(self):
         _, s, _ = linalg.svd(np.eye(3))
@@ -86,46 +105,46 @@ class TestSvd:
 
 class TestNumericalRank:
     def test_identity(self):
-        assert linalg.numerical_rank(np.eye(4)) == 4
+        assert linalg.numerical_rank(np.eye(4), TOL.threshold(np.eye(4))) == 4
 
     def test_zero(self):
-        assert linalg.numerical_rank(np.zeros((3, 3))) == 0
+        assert linalg.numerical_rank(np.zeros((3, 3)), TOL.threshold(np.zeros((3, 3)))) == 0
 
     def test_empty(self):
-        assert linalg.numerical_rank(np.zeros((0, 5))) == 0
+        assert linalg.numerical_rank(np.zeros((0, 5)), TOL.threshold(np.zeros((0, 5)))) == 0
 
     def test_f3_against_elimination_oracle(self):
         f3 = linalg.f_block(3)
         assert bareiss_rank(f3.real.astype(int)) == 2
-        assert linalg.numerical_rank(f3) == 2
+        assert linalg.numerical_rank(f3, TOL.threshold(f3)) == 2
 
     def test_random_integer_matrices_against_oracle(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             m, n = rng.integers(1, 9, size=2)
             a = rng.integers(-3, 4, size=(m, n))
-            assert linalg.numerical_rank(a.astype(complex)) == bareiss_rank(a)
+            assert linalg.numerical_rank(a.astype(complex), TOL.threshold(a.astype(complex))) == bareiss_rank(a)
 
 
 class TestRowCompress:
     def test_zero(self):
-        q, k = linalg.row_compress(np.zeros((3, 2)))
+        q, k = linalg.row_compress(np.zeros((3, 2)), TOL.threshold(np.zeros((3, 2))))
         assert k == 0
         assert np.allclose(q @ np.zeros((3, 2)), 0)
         assert linalg.unitarity_defect(q) <= 1e-12 * 3
 
     def test_identity(self):
-        q, k = linalg.row_compress(np.eye(2))
+        q, k = linalg.row_compress(np.eye(2), TOL.threshold(np.eye(2)))
         assert k == 2
 
     def test_rank_one(self):
         a = np.array([[1, 1], [1, 1]], dtype=complex)
-        q, k = linalg.row_compress(a)
+        q, k = linalg.row_compress(a, TOL.threshold(a))
         assert k == 1
         tau = TOL.threshold(a)
         moved = q @ a
         assert np.linalg.norm(moved[0, :]) <= tau
-        assert linalg.numerical_rank(moved[1:, :]) == 1
+        assert linalg.numerical_rank(moved[1:, :], TOL.threshold(moved[1:, :])) == 1
 
     def test_rank_invariant_under_unitary_scrambles(self):
         from quiverstair import random_unitary
@@ -133,48 +152,48 @@ class TestRowCompress:
         rng = np.random.default_rng(3)
         a = random_complex(rng, 4, 6)
         a[:, 3:] = a[:, :3] @ random_complex(rng, 3, 3)  # rank <= 4 anyway; force structure
-        base = linalg.row_compress(a)[1]
+        base = linalg.row_compress(a, TOL.threshold(a))[1]
         for trial in range(20):
             left = random_unitary(4, [8, trial])
             right = random_unitary(6, [9, trial])
-            assert linalg.row_compress(left @ a @ right)[1] == base
+            assert linalg.row_compress(left @ a @ right, TOL.threshold(left @ a @ right))[1] == base
 
 
 class TestColCompress:
     def test_zero(self):
-        w, k = linalg.col_compress(np.zeros((2, 3)))
+        w, k = linalg.col_compress(np.zeros((2, 3)), TOL.threshold(np.zeros((2, 3))))
         assert k == 0
 
     def test_identity(self):
-        w, k = linalg.col_compress(np.eye(2))
+        w, k = linalg.col_compress(np.eye(2), TOL.threshold(np.eye(2)))
         assert k == 2
 
     def test_rank_one_transposed_oracle(self):
         # Mirror of the row_compress case through transposition.
         a = np.array([[1, 1], [1, 1]], dtype=complex)
-        w, k = linalg.col_compress(a)
+        w, k = linalg.col_compress(a, TOL.threshold(a))
         assert k == 1
         moved = a @ w
         assert np.linalg.norm(moved[:, 1]) <= TOL.threshold(a)
-        q, k_row = linalg.row_compress(a.T)
+        q, k_row = linalg.row_compress(a.T, TOL.threshold(a.T))
         assert k_row == k
 
 
 class TestTwoSidedReduce:
     def test_zero(self):
-        p, s, k = linalg.two_sided_reduce(np.zeros((2, 2)))
+        p, s, k = linalg.two_sided_reduce(np.zeros((2, 2)), TOL.threshold(np.zeros((2, 2))))
         assert k == 0
         assert np.allclose(p.conj().T @ np.zeros((2, 2)) @ s, 0)
 
     def test_identity(self):
-        p, s, k = linalg.two_sided_reduce(np.eye(3))
+        p, s, k = linalg.two_sided_reduce(np.eye(3), TOL.threshold(np.eye(3)))
         assert k == 3
         h = (p.conj().T @ np.eye(3) @ s)[:3, :]
         assert np.linalg.norm(np.abs(np.linalg.svd(h, compute_uv=False)) - 1) < 1e-12
 
     def test_diag_2_0(self):
         a = np.diag([2.0, 0.0]).astype(complex)
-        p, s, k = linalg.two_sided_reduce(a)
+        p, s, k = linalg.two_sided_reduce(a, TOL.threshold(a))
         assert k == 1
         red = p.conj().T @ a @ s
         h = red[:1, 1:]
@@ -188,7 +207,7 @@ class TestTwoSidedReduce:
             m, n = rng.integers(1, 7, size=2)
             r = int(rng.integers(0, min(m, n) + 1))
             a = random_complex(rng, m, r) @ random_complex(rng, r, n) if r else np.zeros((m, n), complex)
-            p, s, k = linalg.two_sided_reduce(a)
+            p, s, k = linalg.two_sided_reduce(a, TOL.threshold(a))
             red = p.conj().T @ a @ s
             tau = TOL.threshold(a)
             # everything outside the top-right k x k block vanishes
@@ -203,7 +222,7 @@ class TestTwoSidedReduce:
         for _ in range(50):
             m, n = rng.integers(1, 9, size=2)
             a = rng.integers(-2, 3, size=(m, n))
-            _, _, k = linalg.two_sided_reduce(a.astype(complex))
+            _, _, k = linalg.two_sided_reduce(a.astype(complex), TOL.threshold(a.astype(complex)))
             assert k == bareiss_rank(a)
 
 
@@ -211,8 +230,8 @@ class TestStaircase:
     def test_single_strip_degenerates_to_two_sided(self):
         rng = np.random.default_rng(2)
         a = random_complex(rng, 4, 3)
-        outer, per_strip, ls = linalg.staircase_reduce(a, [3], linalg.VERTICAL)
-        _, _, k = linalg.two_sided_reduce(a)
+        outer, per_strip, ls = linalg.staircase_reduce(a, [3], linalg.VERTICAL, TOL.threshold(a))
+        _, _, k = linalg.two_sided_reduce(a, TOL.threshold(a))
         assert ls == [k]
         red = outer @ a @ per_strip[0]
         mask = linalg.staircase_zero_mask(red.shape, [3], ls, linalg.VERTICAL)
@@ -221,10 +240,10 @@ class TestStaircase:
     def test_zero_width_strips_are_carried(self):
         rng = np.random.default_rng(4)
         a = random_complex(rng, 3, 4)
-        outer, per_strip, ls = linalg.staircase_reduce(a, [0, 4, 0], linalg.VERTICAL)
+        outer, per_strip, ls = linalg.staircase_reduce(a, [0, 4, 0], linalg.VERTICAL, TOL.threshold(a))
         assert ls[0] == 0 and ls[2] == 0
         assert per_strip[0].shape == (0, 0)
-        _, _, k = linalg.two_sided_reduce(a)
+        _, _, k = linalg.two_sided_reduce(a, TOL.threshold(a))
         assert ls[1] == k
 
     def test_planted_echelon_recovery(self):
@@ -241,7 +260,7 @@ class TestStaircase:
         q = random_unitary(4, 21)
         w = linalg.block_diag(random_unitary(3, 22), random_unitary(2, 23))
         a = q @ b @ w
-        outer, per_strip, ls = linalg.staircase_reduce(a, [3, 2], linalg.VERTICAL)
+        outer, per_strip, ls = linalg.staircase_reduce(a, [3, 2], linalg.VERTICAL, TOL.threshold(a))
         assert ls == [2, 1]
         red = outer @ a @ linalg.block_diag(*per_strip)
         mask = linalg.staircase_zero_mask((4, 5), [3, 2], ls, linalg.VERTICAL)
@@ -257,8 +276,8 @@ class TestStaircase:
             sizes = [cuts[0], cuts[1] - cuts[0], along - cuts[1]]
             r = int(rng.integers(0, min(m, n) + 1))
             a = random_complex(rng, m, r) @ random_complex(rng, r, n) if r else np.zeros((m, n), complex)
-            outer, per_strip, ls = linalg.staircase_reduce(a, sizes, axis)
-            assert sum(ls) == linalg.numerical_rank(a)
+            outer, per_strip, ls = linalg.staircase_reduce(a, sizes, axis, TOL.threshold(a))
+            assert sum(ls) == linalg.numerical_rank(a, TOL.threshold(a))
             assert linalg.unitarity_defect(outer) <= 1e-12 * max(1, max(a.shape))
             for s in per_strip:
                 assert linalg.unitarity_defect(s) <= 1e-12 * max(1, max(a.shape))
@@ -273,9 +292,9 @@ class TestStaircase:
 
     def test_strip_size_mismatch_raises(self):
         with pytest.raises(ValidationError):
-            linalg.staircase_reduce(np.eye(3), [2, 2], linalg.VERTICAL)
+            linalg.staircase_reduce(np.eye(3), [2, 2], linalg.VERTICAL, TOL.threshold(np.eye(3)))
         with pytest.raises(ValidationError):
-            linalg.staircase_reduce(np.eye(3), [1, 2], "diagonal")
+            linalg.staircase_reduce(np.eye(3), [1, 2], "diagonal", TOL.threshold(np.eye(3)))
 
 
 class TestInverse:

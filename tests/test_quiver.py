@@ -301,3 +301,10 @@ class TestIsRegular:
         shape = qs.cycle_shape(2, "><")
         rep = qs.Representation(shape, (1, 2), (np.zeros((2, 1)), np.zeros((2, 1))))
         assert not qs.is_regular(rep)
+
+    def test_judged_at_the_whole_input_scale(self):
+        # 1e-3 * I is nonsingular at its own scale but zero beside 1e6 * I.
+        shape = qs.cycle_shape(2, "><")
+        rep = qs.Representation(shape, (2, 2), (1e6 * np.eye(2), 1e-3 * np.eye(2)))
+        assert not qs.is_regular(rep)
+        assert qs.is_regular(rep, qs.TolerancePolicy(rel_factor=1e-10))
