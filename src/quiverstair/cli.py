@@ -178,10 +178,14 @@ def _parse_labels(text: str):
         fields = piece.strip().split(":")
         if len(fields) not in (3, 4):
             raise ValidationError(f"label {piece!r}: expected KIND:low:high[:count]")
-        tag, lo, hi = fields[0], int(fields[1]), int(fields[2])
+        tag = fields[0]
         if tag not in ("L", "G"):
             raise ValidationError(f"label {piece!r}: kind must be L or G")
-        count = int(fields[3]) if len(fields) == 4 else 1
+        try:
+            lo, hi = int(fields[1]), int(fields[2])
+            count = int(fields[3]) if len(fields) == 4 else 1
+        except ValueError:
+            raise ValidationError(f"label {piece!r}: low, high, count must be integers") from None
         out.append(((lo, hi), count))
     return out
 
@@ -189,7 +193,14 @@ def _parse_labels(text: str):
 def _parse_eigs(text: str):
     if not text:
         return ()
-    return tuple(complex(p.strip().replace("i", "j")) for p in text.split(","))
+    out = []
+    for piece in text.split(","):
+        p = piece.strip()
+        try:  # '1+1i' is complex('1+1j'); 'inf' keeps its own 'i'
+            out.append(complex(p[:-1] + "j" if p.endswith("i") else p))
+        except ValueError:
+            raise ValidationError(f"regular eigenvalue {piece!r} is not a number") from None
+    return tuple(out)
 
 
 def _cmd_gen(args) -> int:
@@ -299,7 +310,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValidationError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID
     except (NumericError, InconsistencyError) as exc:

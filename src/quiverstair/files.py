@@ -1,10 +1,16 @@
 """JSON interchange format for representations and planted ground truth.
 
 Matrices carry explicit ``rows``/``cols`` fields so the degenerate ``0 x n``
-and ``n x 0`` cases are unambiguous; entries are row-major ``[re, im]``
-pairs.  Round trips are bit-exact for float64 data.
+and ``n x 0`` cases are unambiguous.  In format version 2, which the writers
+emit, a matrix's ``data`` is the standard padded base64 of its row-major
+entries as little-endian IEEE-754 complex128, so round trips are bit-exact
+for every float64 pattern, ``-0.0`` and subnormals included.  Version 1
+files, whose matrices list row-major ``[re, im]`` number pairs under
+``entries``, still load; that form is convenient to write by hand.  Plant
+specs read the same in both versions.
 """
 
+import base64
 import json
 from collections import Counter
 
@@ -26,39 +32,102 @@ __all__ = [
     "load_plant_spec",
 ]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+_READABLE_VERSIONS = (1, 2)
+_ENTRY_DTYPE = np.dtype("<c16")
 
 
 def _matrix_to_dict(m: np.ndarray) -> dict:
+    raw = np.ascontiguousarray(m, dtype=_ENTRY_DTYPE).tobytes()
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
-        "entries": [[float(z.real), float(z.imag)] for z in m.ravel(order="C")],
+        "data": base64.b64encode(raw).decode("ascii"),
     }
 
 
-def _matrix_from_dict(d: dict, where: str) -> np.ndarray:
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return _is_int(x) or isinstance(x, float)
+
+
+def _count_error(where: str, rows: int, cols: int, got: str) -> ValidationError:
+    return ValidationError(
+        f"{where}: expected {rows * cols} entries for a {rows}x{cols} matrix, got {got}"
+    )
+
+
+def _entries_v1(entries, rows: int, cols: int, where: str) -> np.ndarray:
+    """Version 1 ``[re, im]`` pairs as a C-ordered ``(rows * cols, 2)`` float64 array."""
+    n = rows * cols
+    if not isinstance(entries, list):
+        raise ValidationError(f"{where}: 'entries' must be a list of [re, im] pairs")
+    if len(entries) != n:
+        raise _count_error(where, rows, cols, str(len(entries)))
+    for k, pair in enumerate(entries):
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                and all(map(_is_number, pair))):
+            raise ValidationError(f"{where}: entry {k} is not a [re, im] pair")
+    try:  # integers beyond float64 range
+        return np.array(entries, dtype=np.float64).reshape(n, 2)
+    except OverflowError:
+        raise ValidationError(f"{where}: non-finite entries") from None
+
+
+def _entries_v2(data, rows: int, cols: int, where: str) -> np.ndarray:
+    """Version 2 base64 ``data`` as ``rows * cols`` complex128 entries."""
+    if not isinstance(data, str):
+        raise ValidationError(f"{where}: 'data' must be a base64 string")
     try:
-        rows, cols = int(d["rows"]), int(d["cols"])
-        entries = d["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"{where}: missing or malformed rows/cols/entries") from exc
+        raw = base64.b64decode(data, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII string
+        raise ValidationError(f"{where}: 'data' is not valid base64 ({exc})") from None
+    got, stray = divmod(len(raw), _ENTRY_DTYPE.itemsize)
+    if (got, stray) != (rows * cols, 0):
+        extra = f" and {stray} stray bytes" if stray else ""
+        raise _count_error(where, rows, cols, f"{got}{extra}")
+    return np.frombuffer(raw, _ENTRY_DTYPE).astype(np.complex128)
+
+
+def _matrix_from_dict(d, where: str, version: int) -> np.ndarray:
+    if not isinstance(d, dict):
+        raise ValidationError(f"{where}: a matrix must be a JSON object")
+    rows, cols = d.get("rows"), d.get("cols")
+    if not (_is_int(rows) and _is_int(cols)):
+        raise ValidationError(f"{where}: rows/cols must be integers, got {rows!r}/{cols!r}")
     if rows < 0 or cols < 0:
         raise ValidationError(f"{where}: negative matrix size {rows}x{cols}")
-    if len(entries) != rows * cols:
-        raise ValidationError(
-            f"{where}: expected {rows * cols} entries for a {rows}x{cols} matrix, "
-            f"got {len(entries)}"
-        )
-    out = np.zeros((rows, cols), dtype=np.complex128)
-    flat = out.ravel()
-    for k, pair in enumerate(entries):
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ValidationError(f"{where}: entry {k} is not a [re, im] pair")
-        flat[k] = complex(float(pair[0]), float(pair[1]))
-    if out.size and not np.all(np.isfinite(out)):
+    key = "entries" if version == 1 else "data"
+    if key not in d:
+        raise ValidationError(f"{where}: a version {version} matrix needs '{key}'")
+    if version == 1:
+        out = _entries_v1(d[key], rows, cols, where).view(np.complex128)
+    else:
+        out = _entries_v2(d[key], rows, cols, where)
+    out = out.reshape(rows, cols)
+    if not np.isfinite(out).all():
         raise ValidationError(f"{where}: non-finite entries")
     return out
+
+
+def _version(d: dict) -> int:
+    version = d.get("version")
+    if not (_is_int(version) and version in _READABLE_VERSIONS):
+        raise ValidationError(f"unsupported format version {version!r}")
+    return version
+
+
+def _read_json(path):
+    try:
+        with open(path, "r", encoding="utf-8") as fp:
+            return json.load(fp)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: invalid JSON at line {exc.lineno}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
 
 
 def representation_to_dict(rep: Representation) -> dict:
@@ -75,26 +144,26 @@ def representation_to_dict(rep: Representation) -> dict:
 def representation_from_dict(d: dict) -> Representation:
     if not isinstance(d, dict):
         raise ValidationError("representation file must hold a JSON object")
-    version = d.get("version")
-    if version != FORMAT_VERSION:
-        raise ValidationError(f"unsupported format version {version!r}")
+    version = _version(d)
     kind = d.get("kind")
     if kind not in (CHAIN, CYCLE):
         raise ValidationError(f"field 'kind' must be 'chain' or 'cycle', got {kind!r}")
     try:
-        t = int(d["t"])
+        t = d["t"]
         orientations = str(d["orientations"])
-        dims = tuple(int(x) for x in d["dims"])
+        dims = tuple(d["dims"])
         raw_mats = d["matrices"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ValidationError(f"missing or malformed field: {exc}") from exc
+    if not (_is_int(t) and all(map(_is_int, dims))):
+        raise ValidationError(f"fields 't'/'dims' must be integers, got {t!r}/{list(dims)!r}")
     shape = QuiverShape(kind, t, orientations)
     if len(raw_mats) != shape.arrow_count:
         raise ValidationError(
             f"field 'matrices': expected {shape.arrow_count} matrices, got {len(raw_mats)}"
         )
     mats = tuple(
-        _matrix_from_dict(md, f"matrices[{k}]") for k, md in enumerate(raw_mats)
+        _matrix_from_dict(md, f"matrices[{k}]", version) for k, md in enumerate(raw_mats)
     )
     return Representation(shape, dims, mats)
 
@@ -106,12 +175,7 @@ def save_representation(path, rep: Representation):
 
 
 def load_representation(path) -> Representation:
-    with open(path, "r", encoding="utf-8") as fp:
-        try:
-            data = json.load(fp)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid JSON at line {exc.lineno}") from exc
-    return representation_from_dict(data)
+    return representation_from_dict(_read_json(path))
 
 
 def plant_spec_to_dict(spec: PlantSpec) -> dict:
@@ -132,8 +196,7 @@ def plant_spec_to_dict(spec: PlantSpec) -> dict:
 def plant_spec_from_dict(d: dict) -> PlantSpec:
     if not isinstance(d, dict):
         raise ValidationError("plant spec file must hold a JSON object")
-    if d.get("version") != FORMAT_VERSION:
-        raise ValidationError(f"unsupported format version {d.get('version')!r}")
+    _version(d)
     try:
         shape = QuiverShape(str(d["kind"]), int(d["t"]), str(d["orientations"]))
         raw_labels = d.get("labels", [])
@@ -168,9 +231,4 @@ def save_plant_spec(path, spec: PlantSpec):
 
 
 def load_plant_spec(path) -> PlantSpec:
-    with open(path, "r", encoding="utf-8") as fp:
-        try:
-            data = json.load(fp)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid JSON at line {exc.lineno}") from exc
-    return plant_spec_from_dict(data)
+    return plant_spec_from_dict(_read_json(path))

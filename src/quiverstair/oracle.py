@@ -7,6 +7,7 @@ draws from ``numpy.random.default_rng([seed, v])``, so plants are
 reproducible bit for bit and vertices use independent substreams.
 """
 
+import cmath
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -82,6 +83,8 @@ class PlantSpec:
         if self.shape.kind == CHAIN and self.regular_eigs:
             raise ValidationError("chains have no regular part")
         for z in self.regular_eigs:
+            if not cmath.isfinite(z):
+                raise ValidationError(f"regular eigenvalue {z} is not finite")
             if abs(z) <= 1e-9:
                 raise ValidationError(f"regular eigenvalue {z} too close to zero")
 

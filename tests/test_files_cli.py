@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -19,6 +20,74 @@ def make_rep(seed=0):
         u, v = shape.arrow_ends(i)
         mats.append(random_complex(rng, dims[v - 1], dims[u - 1]))
     return qs.Representation(shape, dims, tuple(mats))
+
+
+def v1_dict(rep):
+    """``rep`` in format version 1: row-major ``[re, im]`` pairs under ``entries``."""
+    d = files.representation_to_dict(rep)
+    d["version"] = 1
+    for md, m in zip(d["matrices"], rep.matrices):
+        md.pop("data", None)
+        md["entries"] = [[z.real, z.imag] for z in m.ravel()]
+    return d
+
+
+def write_json(path, d):
+    path.write_text(json.dumps(d, indent=1))
+    return path
+
+
+def payload(md):
+    return np.frombuffer(base64.b64decode(md["data"]), "<c16").copy()
+
+
+def set_payload(md, entries):
+    md["data"] = base64.b64encode(np.asarray(entries, "<c16").tobytes()).decode("ascii")
+
+
+def bits(m):
+    """The raw float64 bit patterns of a complex matrix (``-0.0`` differs from ``0.0``)."""
+    return np.ascontiguousarray(m).view(np.uint64)
+
+
+MAX = 1.7976931348623157e308
+
+# A version 1 file exactly as json.dump(..., indent=1) wrote it.
+V1_FIXTURE = """{
+ "version": 1,
+ "kind": "chain",
+ "t": 2,
+ "orientations": ">",
+ "dims": [
+  2,
+  2
+ ],
+ "matrices": [
+  {
+   "rows": 2,
+   "cols": 2,
+   "entries": [
+    [
+     -0.0,
+     5e-324
+    ],
+    [
+     0.1,
+     -0.0
+    ],
+    [
+     1.7976931348623157e+308,
+     -1.7976931348623157e+308
+    ],
+    [
+     -2.5e-310,
+     3.0
+    ]
+   ]
+  }
+ ]
+}
+"""
 
 
 class TestFiles:
@@ -52,20 +121,156 @@ class TestFiles:
     def test_malformed_entry_count(self, tmp_path):
         rep = make_rep()
         d = files.representation_to_dict(rep)
-        d["matrices"][0]["entries"] = d["matrices"][0]["entries"][:-1]
+        set_payload(d["matrices"][0], payload(d["matrices"][0])[:-1])
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(d))
+        with pytest.raises(ValidationError, match="matrices\\[0\\]"):
+            files.load_representation(path)
+
+    def test_malformed_entry_count_v1(self, tmp_path):
+        d = v1_dict(make_rep())
+        d["matrices"][0]["entries"] = d["matrices"][0]["entries"][:-1]
+        path = write_json(tmp_path / "bad.json", d)
         with pytest.raises(ValidationError, match="matrices\\[0\\]"):
             files.load_representation(path)
 
     def test_non_finite_rejected(self, tmp_path):
         rep = make_rep()
         d = files.representation_to_dict(rep)
-        d["matrices"][0]["entries"][0] = [float("nan"), 0.0]
+        entries = payload(d["matrices"][0])
+        entries[0] = complex(float("nan"), 0.0)
+        set_payload(d["matrices"][0], entries)
         path = tmp_path / "nan.json"
         path.write_text(json.dumps(d))
         with pytest.raises(ValidationError, match="non-finite"):
             files.load_representation(path)
+
+    def test_non_finite_rejected_v1(self, tmp_path):
+        d = v1_dict(make_rep())
+        d["matrices"][0]["entries"][0] = [float("nan"), 0.0]
+        path = write_json(tmp_path / "nan.json", d)
+        with pytest.raises(ValidationError, match="non-finite"):
+            files.load_representation(path)
+
+    def test_roundtrip_bit_patterns(self, tmp_path):
+        special = np.array(
+            [
+                [complex(-0.0, -0.0), complex(5e-324, -5e-324)],
+                [complex(MAX, -MAX), complex(-MAX, 0.0)],
+                [complex(0.0, -0.0), complex(-5e-324, 2.2250738585072014e-308)],
+            ]
+        )
+        shape = qs.chain_shape(4, ">>>")
+        mats = (special.T, np.zeros((0, 2)), np.zeros((3, 0)))
+        rep = qs.Representation(shape, (3, 2, 0, 3), mats)
+        path = tmp_path / "bits.json"
+        files.save_representation(path, rep)
+        assert json.loads(path.read_text())["version"] == 2
+        back = files.load_representation(path)
+        assert [m.shape for m in back.matrices] == [(2, 3), (0, 2), (3, 0)]
+        for x, y in zip(back.matrices, rep.matrices):
+            assert np.array_equal(bits(x), bits(y))
+        # Representation stores C-ordered copies; the codec also takes a strided view.
+        assert not special.T.flags.c_contiguous
+        back = files._matrix_from_dict(files._matrix_to_dict(special.T), "m", 2)
+        assert np.array_equal(bits(back), bits(special.T))
+
+    def test_roundtrip_random_bit_patterns(self, tmp_path):
+        rng = np.random.default_rng(4)
+        raw = rng.integers(0, 2**64, size=(40, 100), dtype=np.uint64)
+        m = raw.view(np.complex128)
+        m[~np.isfinite(m)] = complex(-0.0, 5e-324)
+        rep = qs.Representation(qs.chain_shape(2, "<"), (40, 50), (m,))
+        path = tmp_path / "random.json"
+        files.save_representation(path, rep)
+        back = files.load_representation(path)
+        assert np.array_equal(bits(back.matrices[0]), bits(m))
+
+    def test_v1_fixture_loads_bit_identically(self, tmp_path):
+        path = tmp_path / "v1.json"
+        path.write_text(V1_FIXTURE)
+        rep = files.load_representation(path)
+        want = np.array(
+            [
+                [complex(-0.0, 5e-324), complex(0.1, -0.0)],
+                [complex(MAX, -MAX), complex(-2.5e-310, 3.0)],
+            ]
+        )
+        assert (rep.shape.kind, rep.dims) == ("chain", (2, 2))
+        assert np.array_equal(bits(rep.matrices[0]), bits(want))
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda md: md.update(data="@@@@"),
+            lambda md: md.update(data="AAAA\u00e9"),
+            lambda md: md.update(data=md["data"][:-4]),
+            lambda md: md.update(data=5),
+            lambda md: md.update(entries=[[1.0, 0.0], [2.0, 0.0]]) or md.pop("data"),
+            lambda md: md.update(rows=True),
+        ],
+        ids=["bad-base64", "non-ascii", "stray-bytes", "not-a-string", "entries-in-v2",
+             "bool-rows"],
+    )
+    def test_v2_matrix_rejected(self, tmp_path, edit):
+        d = files.representation_to_dict(make_rep())
+        edit(d["matrices"][0])
+        path = write_json(tmp_path / "bad.json", d)
+        with pytest.raises(ValidationError, match="matrices\\[0\\]"):
+            files.load_representation(path)
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda md: md["entries"].__setitem__(1, ["abc", 0]), "entry 1 is not"),
+            (lambda md: md["entries"].__setitem__(1, [None, 0]), "entry 1 is not"),
+            (lambda md: md["entries"].__setitem__(1, ["1.5", 0]), "entry 1 is not"),
+            (lambda md: md["entries"].__setitem__(1, [True, 0]), "entry 1 is not"),
+            (lambda md: md["entries"].__setitem__(1, [1.0, 0, 2]), "entry 1 is not"),
+            (lambda md: md["entries"].__setitem__(1, 1.0), "entry 1 is not"),
+            (lambda md: md["entries"].__setitem__(1, [10**400, 0]), "non-finite"),
+            (lambda md: md.update(rows=md["rows"] + 0.9), "integers"),
+            (lambda md: md.update(entries="AAAA"), "list"),
+            (lambda md: md.update(data=md.pop("entries")), "needs 'entries'"),
+        ],
+        ids=["text", "null", "numeric-text", "bool", "triple", "scalar", "huge-int",
+             "float-rows", "entries-not-list", "data-in-v1"],
+    )
+    def test_v1_matrix_rejected(self, tmp_path, edit, match):
+        d = v1_dict(make_rep())
+        edit(d["matrices"][0])
+        path = write_json(tmp_path / "bad.json", d)
+        with pytest.raises(ValidationError, match=f"matrices\\[0\\].*{match}"):
+            files.load_representation(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d.update(t=str(d["t"])),
+            lambda d: d.update(t=float(d["t"])),
+            lambda d: d["dims"].__setitem__(0, d["dims"][0] + 0.9),
+            lambda d: d["dims"].__setitem__(0, True),
+        ],
+        ids=["t-string", "t-float", "dims-float", "dims-bool"],
+    )
+    def test_non_integer_t_dims_rejected(self, tmp_path, edit):
+        d = files.representation_to_dict(make_rep())
+        edit(d)
+        path = write_json(tmp_path / "bad.json", d)
+        with pytest.raises(ValidationError, match="'t'/'dims' must be integers"):
+            files.load_representation(path)
+
+    def test_v1_integer_entries_accepted(self, tmp_path):
+        d = v1_dict(make_rep())
+        d["matrices"][0]["entries"] = [[1, -2], [3, 0]]
+        rep = files.load_representation(write_json(tmp_path / "ints.json", d))
+        assert np.array_equal(rep.matrices[0], [[1 - 2j, 3]])
+
+    def test_non_finite_plant_spec_rejected(self, tmp_path):
+        d = files.plant_spec_to_dict(random_cycle_spec(2))
+        d["regular_eigs"] = [[float("inf"), 0.0]]
+        with pytest.raises(ValidationError, match="not finite"):
+            files.plant_spec_from_dict(d)
 
     def test_inconsistent_dims_rejected(self, tmp_path):
         rep = make_rep()
@@ -294,6 +499,18 @@ class TestCli:
         assert rc == 0
         assert cli.main(["verify", str(out), str(out) + ".truth.json"]) == 0
 
+    def test_gen_from_v1_spec_file(self, tmp_path):
+        d = files.plant_spec_to_dict(random_cycle_spec(3))
+        d["version"] = 1
+        spec_path = write_json(tmp_path / "spec.json", d)
+        out = tmp_path / "inst.json"
+        assert cli.main(["gen", str(out), "--spec", str(spec_path)]) == 0
+        assert cli.main(["verify", str(out), str(spec_path)]) == 0
+        assert cli.main(["verify", str(out), str(out) + ".truth.json"]) == 0
+
+    def test_parse_eigs(self):
+        assert cli._parse_eigs("2, -3,1+1i,2i,-inf") == (2, -3, 1 + 1j, 2j, complex("-inf"))
+
     def test_gen_from_spec_file(self, tmp_path):
         spec = random_cycle_spec(2)
         spec_path = tmp_path / "spec.json"
@@ -302,3 +519,58 @@ class TestCli:
         rc = cli.main(["gen", str(out), "--spec", str(spec_path)])
         assert rc == 0
         assert cli.main(["verify", str(out), str(out) + ".truth.json"]) == 0
+
+
+def _v1_chain_file(tmp_path, edit):
+    d = v1_dict(noise_arrow_chain())
+    edit(d["matrices"][0])
+    return ["canon", str(write_json(tmp_path / "v1.json", d))]
+
+
+def _gen_argv(tmp_path, *flags):
+    return ["gen", str(tmp_path / "g.json"), "--kind", "cycle", "--t", "2",
+            "--orientations", "><", *flags]
+
+
+def _not_utf8(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"version": 2, "kind": "ch\u00e2in"}'.encode("latin-1"))
+    return str(path)
+
+
+def _verify_argv(tmp_path, truth):
+    out = tmp_path / "inst.json"
+    files.save_representation(out, noise_arrow_chain())
+    return ["verify", str(out), truth]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda p: _v1_chain_file(p, lambda md: md["entries"].__setitem__(3, ["abc", 0])),
+        lambda p: _v1_chain_file(p, lambda md: md["entries"].__setitem__(3, [None, 0])),
+        lambda p: _v1_chain_file(p, lambda md: md["entries"].__setitem__(3, ["1.5", 0])),
+        lambda p: _v1_chain_file(p, lambda md: md["entries"].__setitem__(3, [True, 0])),
+        lambda p: _v1_chain_file(p, lambda md: md.update(rows=md["rows"] + 0.9)),
+        lambda p: ["regularize", str(p)],
+        lambda p: ["canon", _not_utf8(p)],
+        lambda p: _verify_argv(p, str(p)),
+        lambda p: _verify_argv(p, _not_utf8(p)),
+        lambda p: _gen_argv(p, "--labels", "G:x:2"),
+        lambda p: _gen_argv(p, "--regular-eigs=abc"),
+        lambda p: _gen_argv(p, "--regular-eigs=inf"),
+        lambda p: _gen_argv(p, "--regular-eigs=1e400"),
+        lambda p: ["gen", str(p), "--kind", "cycle", "--t", "2", "--orientations", "><"],
+    ],
+    ids=["entry-text", "entry-null", "entry-numeric-text", "entry-bool", "rows-float",
+         "input-directory", "input-not-utf8", "truth-directory", "truth-not-utf8",
+         "gen-label-text", "gen-eig-text", "gen-eig-inf", "gen-eig-overflow",
+         "gen-output-directory"],
+)
+def test_bad_input_exits_2(tmp_path, capsys, argv):
+    args = argv(tmp_path)
+    capsys.readouterr()
+    assert cli.main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
