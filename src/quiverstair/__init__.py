@@ -61,7 +61,6 @@ from .cycle import (
 from .oracle import (
     PlantSpec,
     VerificationReport,
-    hausdorff_distance,
     plant,
     random_unitary,
     verify,
@@ -122,5 +121,4 @@ __all__ = [
     "random_unitary",
     "verify",
     "VerificationReport",
-    "hausdorff_distance",
 ]

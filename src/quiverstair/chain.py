@@ -25,9 +25,8 @@ from .linalg import (
     HORIZONTAL,
     VERTICAL,
     TolerancePolicy,
-    block_diag,
     staircase_reduce,
-    staircase_zero_mask,
+    staircase_residual,
 )
 from .quiver import (
     CHAIN,
@@ -78,7 +77,6 @@ class ChainStep:
 
     r: int
     orientation: str
-    strip_starts: list[int]
     strip_sizes: list[int]
     block_sizes: list[int]
 
@@ -118,35 +116,19 @@ def canon_chain(
     trace = ChainTrace(
         vertex_transforms=[np.eye(d, dtype=np.complex128) for d in a.dims], threshold=tau
     )
-    if t == 1:
-        if a.dims[0]:
-            counts[(1, 1)] = a.dims[0]
-        return ChainCanonicalForm(t, counts), trace
-
-    mats = [m.copy() for m in a.matrices]
+    mats = list(a.matrices)
     strips: list[tuple[int, int]] = [(1, a.dims[0])]
 
     for r in range(1, t):
-        cur = mats[r - 1]
         clockwise = a.shape.is_clockwise(r)
         sizes = [k for _, k in strips]
         axis = VERTICAL if clockwise else HORIZONTAL
         try:
-            outer, per_strip, ls = staircase_reduce(cur, sizes, axis, tau)
+            reduced, left, right, ls = staircase_reduce(mats[r - 1], sizes, axis, tau)
         except QuiverError as exc:
             raise type(exc)(f"chain step {r}: {exc}") from exc
-        if clockwise:
-            reduced = outer @ cur @ block_diag(*per_strip)
-            s_here = block_diag(*per_strip).conj().T
-            s_next = outer
-        else:
-            reduced = block_diag(*per_strip) @ cur @ outer
-            s_here = block_diag(*per_strip)
-            s_next = outer.conj().T
-        mats[r - 1] = reduced
-        mask = staircase_zero_mask(reduced.shape, sizes, ls, axis)
-        if mask.any():
-            trace.residual = max(trace.residual, float(np.abs(reduced[mask]).max()))
+        s_here, s_next = (right.conj().T, left) if clockwise else (left, right.conj().T)
+        trace.residual = max(trace.residual, staircase_residual(reduced, sizes, ls, axis))
         trace.vertex_transforms[r - 1] = s_here @ trace.vertex_transforms[r - 1]
         trace.vertex_transforms[r] = s_next @ trace.vertex_transforms[r]
         if r < t - 1:
@@ -165,7 +147,6 @@ def canon_chain(
             ChainStep(
                 r=r,
                 orientation=CLOCKWISE if clockwise else COUNTERCLOCKWISE,
-                strip_starts=[p for p, _ in survivors],
                 strip_sizes=sizes,
                 block_sizes=ls,
             )
@@ -203,7 +184,5 @@ def chain_pattern_residual(a: Representation, trace: ChainTrace) -> float:
         u, v = a.shape.arrow_ends(r)
         m = s[v - 1] @ a.matrices[r - 1] @ s[u - 1].conj().T
         axis = VERTICAL if step.orientation == CLOCKWISE else HORIZONTAL
-        mask = staircase_zero_mask(m.shape, step.strip_sizes, step.block_sizes, axis)
-        if mask.any():
-            worst = max(worst, float(np.abs(m[mask]).max()))
+        worst = max(worst, staircase_residual(m, step.strip_sizes, step.block_sizes, axis))
     return worst

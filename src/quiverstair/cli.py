@@ -42,7 +42,7 @@ EXIT_NUMERIC = 3
 ENV_TOL_ABS = "QUIVERSTAIR_TOL_ABS"
 ENV_TOL_REL = "QUIVERSTAIR_TOL_REL"
 
-REPORT_VERSION = 2
+REPORT_VERSION = 3
 
 
 def _env_float(name: str, default: float) -> float:
@@ -170,17 +170,18 @@ def _cmd_regularize(args) -> int:
     return EXIT_OK if dims_ok else EXIT_NUMERIC
 
 
-def _parse_labels(text: str):
+def _parse_labels(text: str, kind: str):
+    """``KIND:low:high[:count]`` labels; KIND is ``L`` for a chain, ``G`` for a cycle."""
     out = []
     if not text:
         return out
+    want = "L" if kind == CHAIN else "G"
     for piece in text.split(","):
         fields = piece.strip().split(":")
         if len(fields) not in (3, 4):
             raise ValidationError(f"label {piece!r}: expected KIND:low:high[:count]")
-        tag = fields[0]
-        if tag not in ("L", "G"):
-            raise ValidationError(f"label {piece!r}: kind must be L or G")
+        if fields[0] != want:
+            raise ValidationError(f"label {piece!r}: a {kind} takes {want} labels")
         try:
             lo, hi = int(fields[1]), int(fields[2])
             count = int(fields[3]) if len(fields) == 4 else 1
@@ -221,7 +222,7 @@ def _cmd_gen(args) -> int:
         shape = QuiverShape(args.kind, args.t, args.orientations)
         spec = PlantSpec(
             shape=shape,
-            labels=tuple(_parse_labels(args.labels)),
+            labels=tuple(_parse_labels(args.labels, args.kind)),
             regular_eigs=_parse_eigs(args.regular_eigs),
             seed=args.seed if args.seed is not None else 0,
             scramble=args.scramble,
@@ -242,10 +243,10 @@ def _cmd_verify(args) -> int:
         raise ValidationError("representation and ground truth have different shapes")
     if rep.shape.kind == CHAIN:
         form, trace = canon_chain(rep, tol)
-        report = verify(rep, form, truth, tol, trace=trace)
+        report = verify(rep, form, truth, trace=trace)
     else:
         dec = regularize(rep, tol)
-        report = verify(rep, dec, truth, tol)
+        report = verify(rep, dec, truth)
     payload = {
         "report_version": REPORT_VERSION,
         "command": "verify",

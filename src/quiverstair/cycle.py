@@ -27,7 +27,6 @@ from .errors import InconsistencyError, ValidationError
 from .linalg import (
     DEFAULT_TOL,
     TolerancePolicy,
-    block_diag,
     col_compress,
     numerical_rank,
     row_compress,
@@ -192,7 +191,7 @@ def shave(a: Representation, tol: TolerancePolicy = DEFAULT_TOL) -> ShaveResult:
         old_d = dims[vtx - 1]
         dims[vtx - 1] = old_d - shaved
         pre = split_done[vtx - 1]
-        trace[vtx - 1] = block_diag(np.eye(pre, dtype=np.complex128), s_new) @ trace[vtx - 1]
+        trace[vtx - 1][pre:] = s_new @ trace[vtx - 1][pre:]
         split_done[vtx - 1] += shaved
 
         nxt_mat = mats[nxt - 1]
@@ -474,11 +473,10 @@ def regularize(
                 f"monodromy eigenvalue {small:.6g} below threshold {tau_m:.6g}"
             )
 
-    trace = []
+    trace = [s.copy() for s in first.trace]
     for v in range(a.shape.t):
         shaved1 = a.dims[v] - first.a_tilde.dims[v]
-        pad = np.eye(shaved1, dtype=np.complex128)
-        trace.append(block_diag(pad, second.trace[v].conj()) @ first.trace[v])
+        trace[v][shaved1:] = second.trace[v].conj() @ trace[v][shaved1:]
 
     return RegularizingDecomposition(
         shape=a.shape,

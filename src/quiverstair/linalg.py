@@ -33,7 +33,7 @@ __all__ = [
     "col_compress",
     "two_sided_reduce",
     "staircase_reduce",
-    "staircase_zero_mask",
+    "staircase_residual",
     "unitarity_defect",
 ]
 
@@ -54,8 +54,10 @@ def as_matrix(a, *, check_finite: bool = False) -> np.ndarray:
 def block_diag(*mats: np.ndarray) -> np.ndarray:
     """Block-diagonal stack of complex matrices, degenerate sizes included."""
     mats = [as_matrix(m) for m in mats]
-    rows = sum(m.shape[0] for m in mats)
-    cols = sum(m.shape[1] for m in mats)
+    rows = cols = 0  # plain loops: plant calls this per summand and arrow, so overhead adds up
+    for m in mats:
+        rows += m.shape[0]
+        cols += m.shape[1]
     out = np.zeros((rows, cols), dtype=np.complex128)
     r = c = 0
     for m in mats:
@@ -139,6 +141,17 @@ class TolerancePolicy:
 DEFAULT_TOL = TolerancePolicy()
 
 
+def _lapack_svd(m: np.ndarray, **kwargs):
+    """``np.linalg.svd`` with a convergence failure reported as :class:`NumericError`."""
+    try:
+        return np.linalg.svd(m, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(
+            f"SVD failed to converge on a {m.shape[0]}x{m.shape[1]} matrix "
+            f"with Frobenius norm {np.linalg.norm(m):.6g}: {exc}"
+        ) from exc
+
+
 def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Full SVD ``a = u @ diag(s) @ vh`` with square unitary ``u`` and ``vh``.
 
@@ -146,28 +159,14 @@ def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     failure in the underlying solver is reported as :class:`NumericError`
     with the matrix norm attached.
     """
-    m = as_matrix(a)
-    try:
-        u, s, vh = np.linalg.svd(m, full_matrices=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(
-            f"SVD failed to converge on a {m.shape[0]}x{m.shape[1]} matrix "
-            f"with Frobenius norm {np.linalg.norm(m):.6g}: {exc}"
-        ) from exc
-    return u, s, vh
+    return _lapack_svd(as_matrix(a), full_matrices=True)
 
 
 def singular_values(a) -> np.ndarray:
     m = as_matrix(a)
     if min(m.shape) == 0:
         return np.zeros(0)
-    try:
-        return np.linalg.svd(m, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(
-            f"SVD failed to converge on a {m.shape[0]}x{m.shape[1]} matrix "
-            f"with Frobenius norm {np.linalg.norm(m):.6g}: {exc}"
-        ) from exc
+    return _lapack_svd(m, compute_uv=False)
 
 
 def svd_inverse(a, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
@@ -227,7 +226,7 @@ def two_sided_reduce(a, threshold: float) -> tuple[np.ndarray, np.ndarray, int]:
 
 def staircase_reduce(
     a, strip_sizes, strip_axis: str, threshold: float
-) -> tuple[np.ndarray, list[np.ndarray], list[int]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
     """Reduce ``a`` to echelon-of-nonsingular-blocks form, strip by strip.
 
     ``strip_sizes`` partitions the columns (``strip_axis="vertical"``) or the
@@ -236,15 +235,13 @@ def staircase_reduce(
     claim columns from the right.  Each strip ``i`` receives a nonsingular
     ``l_i x l_i`` block positioned rightmost in the strip (vertical) or at
     the top of the strip (horizontal); zeros fill the rest of the pattern,
-    see :func:`staircase_zero_mask`.
+    see :func:`staircase_residual`.
 
-    Returns ``(outer, per_strip, block_sizes)``.  The reduced matrix is
-
-    - vertical:   ``outer @ a @ block_diag(*per_strip)``
-    - horizontal: ``block_diag(*per_strip) @ a @ outer``
-
-    so ``per_strip`` transforms act only within their strip and ``outer``
-    acts on the orthogonal axis.  All strips share the one ``threshold``.
+    Returns ``(reduced, left, right, block_sizes)`` with ``reduced = left @ a
+    @ right`` and ``left``, ``right`` unitary.  The unitary on the strip axis
+    (``right`` for vertical strips, ``left`` for horizontal ones) is block
+    diagonal over the strips; the other one acts on the whole orthogonal
+    axis.  All strips share the one ``threshold``.
     """
     m = as_matrix(a)
     sizes = [int(x) for x in strip_sizes]
@@ -258,40 +255,44 @@ def staircase_reduce(
             f"strip sizes sum to {sum(sizes)}, expected {along} for {strip_axis} strips"
         )
     work = m.copy()
+    left = np.eye(m.shape[0], dtype=np.complex128)
+    right = np.eye(m.shape[1], dtype=np.complex128)
     ls = [0] * len(sizes)
-    per_strip: list[np.ndarray] = [np.zeros((0, 0))] * len(sizes)
     bounds = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
 
     if strip_axis == VERTICAL:
-        outer = np.eye(m.shape[0], dtype=np.complex128)
         pinned = 0
-        for i, sz in enumerate(sizes):
+        for i in range(len(sizes)):
             c0, c1 = bounds[i], bounds[i + 1]
             p, s_mat, k = two_sided_reduce(work[pinned:, c0:c1], threshold)
             work[pinned:, :] = p.conj().T @ work[pinned:, :]
             work[:, c0:c1] = work[:, c0:c1] @ s_mat
-            outer[pinned:, :] = p.conj().T @ outer[pinned:, :]
-            per_strip[i] = s_mat
+            left[pinned:, :] = p.conj().T @ left[pinned:, :]
+            right[c0:c1, c0:c1] = s_mat
             ls[i] = k
             pinned += k
     else:
-        outer = np.eye(m.shape[1], dtype=np.complex128)
         avail = m.shape[1]
         for i in range(len(sizes) - 1, -1, -1):
             r0, r1 = bounds[i], bounds[i + 1]
             p, s_mat, k = two_sided_reduce(work[r0:r1, :avail], threshold)
             work[r0:r1, :] = p.conj().T @ work[r0:r1, :]
             work[:, :avail] = work[:, :avail] @ s_mat
-            outer[:, :avail] = outer[:, :avail] @ s_mat
-            per_strip[i] = p.conj().T
+            right[:, :avail] = right[:, :avail] @ s_mat
+            left[r0:r1, r0:r1] = p.conj().T
             ls[i] = k
             avail -= k
-    return outer, per_strip, ls
+    return work, left, right, ls
 
 
-def staircase_zero_mask(shape, strip_sizes, block_sizes, strip_axis: str) -> np.ndarray:
-    """Boolean mask of the entries the staircase form requires to be zero."""
-    rows, cols = shape
+def staircase_residual(a, strip_sizes, block_sizes, strip_axis: str) -> float:
+    """Largest modulus in ``a`` where the staircase form demands a zero.
+
+    The pattern is the one :func:`staircase_reduce` produces for the given
+    strip and block sizes; 0.0 when it demands no zero.
+    """
+    m = as_matrix(a)
+    rows, cols = m.shape
     sizes = [int(x) for x in strip_sizes]
     ls = [int(x) for x in block_sizes]
     if len(sizes) != len(ls):
@@ -314,7 +315,7 @@ def staircase_zero_mask(shape, strip_sizes, block_sizes, strip_axis: str) -> np.
             mask[r0 + ls[i] : r1, :e_i] = True
     else:
         raise ValidationError(f"unknown strip axis {strip_axis!r}")
-    return mask
+    return float(np.abs(m[mask]).max(initial=0.0))
 
 
 def unitarity_defect(q) -> float:

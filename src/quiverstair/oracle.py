@@ -16,7 +16,7 @@ import numpy as np
 from .chain import ChainCanonicalForm, ChainTrace
 from .cycle import RegularizingDecomposition
 from .errors import ValidationError
-from .linalg import DEFAULT_TOL, TolerancePolicy, unitarity_defect
+from .linalg import unitarity_defect
 from .quiver import (
     CHAIN,
     CYCLE,
@@ -38,7 +38,6 @@ __all__ = [
     "CheckResult",
     "VerificationReport",
     "verify",
-    "hausdorff_distance",
 ]
 
 UNITARY = "unitary"
@@ -49,11 +48,12 @@ INVERTIBLE = "invertible"
 class PlantSpec:
     """Recipe for a planted instance with known ground truth.
 
-    ``labels`` is a mapping from summand labels to multiplicities: ``(i, j)``
-    intervals for chains, ``(l, r)`` walks for cycles.  ``regular_eigs`` adds
-    one regular dimension per eigenvalue (cycles only).  ``scramble``
-    selects unitary basis changes (default) or general invertible ones with
-    condition number at most ``max_condition``.
+    ``labels`` holds ``(label, multiplicity)`` pairs, or is a mapping from
+    labels to multiplicities: ``(i, j)`` intervals for chains, ``(l, r)``
+    walks for cycles.  The multiplicities of a repeated label add up.
+    ``regular_eigs`` adds one regular dimension per eigenvalue (cycles
+    only).  ``scramble`` selects unitary basis changes (default) or general
+    invertible ones with condition number at most ``max_condition``.
     """
 
     shape: QuiverShape
@@ -64,18 +64,19 @@ class PlantSpec:
     max_condition: float = 1e3
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "labels", tuple(sorted(((a, b), int(m)) for (a, b), m in dict(self.labels).items()))
-        )
+        labels: Counter = Counter()
+        for (a, b), m in (self.labels.items() if isinstance(self.labels, dict) else self.labels):
+            if int(m) < 0:
+                raise ValidationError("label multiplicities must be nonnegative")
+            labels[(a, b)] += int(m)
+        object.__setattr__(self, "labels", tuple(sorted(labels.items())))
         object.__setattr__(self, "regular_eigs", tuple(complex(z) for z in self.regular_eigs))
         if self.scramble not in (UNITARY, INVERTIBLE):
             raise ValidationError(f"unknown scramble mode {self.scramble!r}")
         if self.max_condition < 1:
             raise ValidationError("max_condition must be >= 1")
         t = self.shape.t
-        for (a, b), m in self.labels:
-            if m < 0:
-                raise ValidationError("label multiplicities must be nonnegative")
+        for (a, b), _ in self.labels:
             if self.shape.kind == CHAIN and not 1 <= a <= b <= t:
                 raise ValidationError(f"interval label ({a}, {b}) out of range for t={t}")
             if self.shape.kind == CYCLE and not (1 <= a <= t and b >= a):
@@ -164,24 +165,12 @@ def plant(spec: PlantSpec) -> tuple[Representation, PlantSpec]:
     return apply_isomorphism(rep, transforms), spec
 
 
-def hausdorff_distance(xs, ys) -> float:
-    """Hausdorff distance between two finite point sets in the complex plane."""
-    xs = np.asarray(list(xs), dtype=np.complex128)
-    ys = np.asarray(list(ys), dtype=np.complex128)
-    if xs.size == 0 and ys.size == 0:
-        return 0.0
-    if xs.size == 0 or ys.size == 0:
-        return float("inf")
-    d = np.abs(xs[:, None] - ys[None, :])
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
-
-
 def _matched_distance(xs, ys) -> float:
     """Greedy closest-pair matching distance between equal-size multisets.
 
     Pairs the globally closest points first, so well-separated clusters are
     matched cluster-to-cluster regardless of how rounding perturbs any
-    sorting key.  Multiplicity-aware, unlike the Hausdorff distance.
+    sorting key.  Multiplicity-aware: infinite when the sizes differ.
     """
     xs = np.asarray(list(xs), dtype=np.complex128)
     ys = np.asarray(list(ys), dtype=np.complex128)
@@ -244,7 +233,7 @@ def verify(
     a: Representation,
     result,
     truth: PlantSpec,
-    tol: TolerancePolicy = DEFAULT_TOL,
+    *,
     trace: ChainTrace | None = None,
 ) -> VerificationReport:
     """Compare a computed decomposition against planted ground truth.
@@ -293,7 +282,6 @@ def verify(
         )
 
     eig_scale = max([1.0] + [abs(z) for z in truth.regular_eigs])
-    haus = hausdorff_distance(result.monodromy_eigenvalues, truth.regular_eigs)
     pair = _matched_distance(result.monodromy_eigenvalues, truth.regular_eigs)
     eig_bound = 1e-6 * eig_scale
     checks.append(CheckResult("eigenvalues", pair <= eig_bound, pair, eig_bound))
@@ -307,6 +295,6 @@ def verify(
         labels_match=labels_ok,
         residual=result.residual,
         unitarity_defect=udef,
-        eigenvalue_distance=haus if np.isfinite(haus) else float("inf"),
+        eigenvalue_distance=pair,
         checks=checks,
     )

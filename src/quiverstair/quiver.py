@@ -19,6 +19,7 @@ from .linalg import (
     DEFAULT_TOL,
     TolerancePolicy,
     as_matrix,
+    block_diag,
     singular_values,
     svd_inverse,
 )
@@ -178,13 +179,8 @@ def direct_sum(a: Representation, b: Representation) -> Representation:
     if a.shape != b.shape:
         raise ValidationError("direct_sum requires identical quiver shapes")
     dims = tuple(x + y for x, y in zip(a.dims, b.dims))
-    mats = []
-    for ma, mb in zip(a.matrices, b.matrices):
-        out = np.zeros((ma.shape[0] + mb.shape[0], ma.shape[1] + mb.shape[1]), dtype=np.complex128)
-        out[: ma.shape[0], : ma.shape[1]] = ma
-        out[ma.shape[0] :, ma.shape[1] :] = mb
-        mats.append(out)
-    return Representation(a.shape, dims, tuple(mats))
+    mats = tuple(block_diag(ma, mb) for ma, mb in zip(a.matrices, b.matrices))
+    return Representation(a.shape, dims, mats)
 
 
 def transpose_rep(a: Representation) -> Representation:

@@ -314,6 +314,21 @@ class TestCli:
         assert rc == 0
         assert cli.main(["verify", str(out), str(out) + ".truth.json"]) == 0
 
+    def test_gen_repeated_label_adds_up(self, tmp_path):
+        out = tmp_path / "inst.json"
+        rc = cli.main(
+            [
+                "gen", str(out),
+                "--kind", "cycle", "--t", "3", "--orientations", ">><",
+                "--labels", "G:1:2,G:1:2", "--seed", "7",
+            ]
+        )
+        assert rc == 0
+        truth_path = str(out) + ".truth.json"
+        assert json.loads(open(truth_path).read())["labels"] == [["G", 1, 2, 2]]
+        assert files.load_representation(out).dims == (2, 2, 0)
+        assert cli.main(["verify", str(out), truth_path]) == 0
+
     def test_tampered_truth_exits_1(self, tmp_path):
         out = tmp_path / "inst.json"
         cli.main(
@@ -354,7 +369,7 @@ class TestCli:
         files.save_representation(path, rep)
         assert cli.main(["canon", str(path), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["report_version"] == 2
+        assert payload["report_version"] == 3
         got = {(row["low"], row["high"]): row["count"] for row in payload["labels"]}
         assert got == {(1, 2): 4, (3, 3): 4}
         assert payload["threshold"] == qs.DEFAULT_TOL.threshold(*rep.matrices)
@@ -557,6 +572,9 @@ def _verify_argv(tmp_path, truth):
         lambda p: _verify_argv(p, str(p)),
         lambda p: _verify_argv(p, _not_utf8(p)),
         lambda p: _gen_argv(p, "--labels", "G:x:2"),
+        lambda p: _gen_argv(p, "--labels", "L:1:2"),
+        lambda p: ["gen", str(p / "g.json"), "--kind", "chain", "--t", "2",
+                   "--orientations", ">", "--labels", "G:1:2"],
         lambda p: _gen_argv(p, "--regular-eigs=abc"),
         lambda p: _gen_argv(p, "--regular-eigs=inf"),
         lambda p: _gen_argv(p, "--regular-eigs=1e400"),
@@ -564,8 +582,8 @@ def _verify_argv(tmp_path, truth):
     ],
     ids=["entry-text", "entry-null", "entry-numeric-text", "entry-bool", "rows-float",
          "input-directory", "input-not-utf8", "truth-directory", "truth-not-utf8",
-         "gen-label-text", "gen-eig-text", "gen-eig-inf", "gen-eig-overflow",
-         "gen-output-directory"],
+         "gen-label-text", "gen-label-L-on-cycle", "gen-label-G-on-chain", "gen-eig-text",
+         "gen-eig-inf", "gen-eig-overflow", "gen-output-directory"],
 )
 def test_bad_input_exits_2(tmp_path, capsys, argv):
     args = argv(tmp_path)

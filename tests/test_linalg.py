@@ -3,7 +3,7 @@ import pytest
 
 from conftest import bareiss_rank, random_complex
 from quiverstair import linalg
-from quiverstair.errors import ValidationError
+from quiverstair.errors import NumericError, ValidationError
 
 TOL = linalg.DEFAULT_TOL
 
@@ -101,6 +101,15 @@ class TestSvd:
         assert linalg.unitarity_defect(u) <= 1e-12 * max(1, shape[0])
         assert linalg.unitarity_defect(vh) <= 1e-12 * max(1, shape[1])
         assert np.all(np.diff(s) <= 0)
+
+    @pytest.mark.parametrize("fn", [linalg.svd, linalg.singular_values])
+    def test_convergence_failure_is_numeric_error(self, fn, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        with pytest.raises(NumericError, match="2x3 matrix"):
+            fn(np.ones((2, 3)))
 
 
 class TestNumericalRank:
@@ -230,19 +239,16 @@ class TestStaircase:
     def test_single_strip_degenerates_to_two_sided(self):
         rng = np.random.default_rng(2)
         a = random_complex(rng, 4, 3)
-        outer, per_strip, ls = linalg.staircase_reduce(a, [3], linalg.VERTICAL, TOL.threshold(a))
+        red, _, _, ls = linalg.staircase_reduce(a, [3], linalg.VERTICAL, TOL.threshold(a))
         _, _, k = linalg.two_sided_reduce(a, TOL.threshold(a))
         assert ls == [k]
-        red = outer @ a @ per_strip[0]
-        mask = linalg.staircase_zero_mask(red.shape, [3], ls, linalg.VERTICAL)
-        assert np.abs(red[mask]).max(initial=0.0) <= TOL.threshold(a)
+        assert linalg.staircase_residual(red, [3], ls, linalg.VERTICAL) <= TOL.threshold(a)
 
     def test_zero_width_strips_are_carried(self):
         rng = np.random.default_rng(4)
         a = random_complex(rng, 3, 4)
-        outer, per_strip, ls = linalg.staircase_reduce(a, [0, 4, 0], linalg.VERTICAL, TOL.threshold(a))
+        _, _, _, ls = linalg.staircase_reduce(a, [0, 4, 0], linalg.VERTICAL, TOL.threshold(a))
         assert ls[0] == 0 and ls[2] == 0
-        assert per_strip[0].shape == (0, 0)
         _, _, k = linalg.two_sided_reduce(a, TOL.threshold(a))
         assert ls[1] == k
 
@@ -260,11 +266,9 @@ class TestStaircase:
         q = random_unitary(4, 21)
         w = linalg.block_diag(random_unitary(3, 22), random_unitary(2, 23))
         a = q @ b @ w
-        outer, per_strip, ls = linalg.staircase_reduce(a, [3, 2], linalg.VERTICAL, TOL.threshold(a))
+        red, _, _, ls = linalg.staircase_reduce(a, [3, 2], linalg.VERTICAL, TOL.threshold(a))
         assert ls == [2, 1]
-        red = outer @ a @ linalg.block_diag(*per_strip)
-        mask = linalg.staircase_zero_mask((4, 5), [3, 2], ls, linalg.VERTICAL)
-        assert np.abs(red[mask]).max() <= TOL.threshold(a)
+        assert linalg.staircase_residual(red, [3, 2], ls, linalg.VERTICAL) <= TOL.threshold(a)
 
     @pytest.mark.parametrize("axis", [linalg.VERTICAL, linalg.HORIZONTAL])
     def test_random_pattern_rank_and_unitarity(self, axis):
@@ -276,19 +280,42 @@ class TestStaircase:
             sizes = [cuts[0], cuts[1] - cuts[0], along - cuts[1]]
             r = int(rng.integers(0, min(m, n) + 1))
             a = random_complex(rng, m, r) @ random_complex(rng, r, n) if r else np.zeros((m, n), complex)
-            outer, per_strip, ls = linalg.staircase_reduce(a, sizes, axis, TOL.threshold(a))
+            red, left, right, ls = linalg.staircase_reduce(a, sizes, axis, TOL.threshold(a))
             assert sum(ls) == linalg.numerical_rank(a, TOL.threshold(a))
-            assert linalg.unitarity_defect(outer) <= 1e-12 * max(1, max(a.shape))
-            for s in per_strip:
-                assert linalg.unitarity_defect(s) <= 1e-12 * max(1, max(a.shape))
-            red = (
-                outer @ a @ linalg.block_diag(*per_strip)
-                if axis == linalg.VERTICAL
-                else linalg.block_diag(*per_strip) @ a @ outer
-            )
-            mask = linalg.staircase_zero_mask((m, n), sizes, ls, axis)
-            if mask.any():
-                assert np.abs(red[mask]).max() <= TOL.threshold(a)
+            assert linalg.unitarity_defect(left) <= 1e-12 * max(1, max(a.shape))
+            assert linalg.unitarity_defect(right) <= 1e-12 * max(1, max(a.shape))
+            assert linalg.staircase_residual(red, sizes, ls, axis) <= TOL.threshold(a)
+            assert np.linalg.norm(red - left @ a @ right) <= 1e-12 * max(1.0, np.linalg.norm(a))
+            # the strip-axis unitary acts within each strip
+            strip_unitary = right if axis == linalg.VERTICAL else left
+            inside = np.zeros(strip_unitary.shape, dtype=bool)
+            bounds = np.cumsum([0] + sizes)
+            for b0, b1 in zip(bounds[:-1], bounds[1:]):
+                inside[b0:b1, b0:b1] = True
+            assert not strip_unitary[~inside].any()
+
+    @pytest.mark.parametrize(
+        "axis, zeros",
+        [
+            # strips (1, 2) of columns, blocks (1, 1): strip 0 owns row 0,
+            # strip 1 owns row 1 in its last column
+            (linalg.VERTICAL, [(1, 0), (2, 0), (1, 1), (2, 1), (2, 2)]),
+            # strips (2, 1) of rows, blocks (1, 1): strip 1 owns column 2,
+            # strip 0 owns column 1 in its top row
+            (linalg.HORIZONTAL, [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1)]),
+        ],
+    )
+    def test_residual_reads_exactly_the_demanded_zeros(self, axis, zeros):
+        sizes = [1, 2] if axis == linalg.VERTICAL else [2, 1]
+        a = np.full((3, 3), 100.0, dtype=complex)
+        for k, (i, j) in enumerate(zeros):
+            a[i, j] = (k + 1) * 1j
+        assert linalg.staircase_residual(a, sizes, [1, 1], axis) == len(zeros)
+        a[zeros[-1]] = 0.0
+        assert linalg.staircase_residual(a, sizes, [1, 1], axis) == len(zeros) - 1
+        for i, j in zeros:
+            a[i, j] = 0.0
+        assert linalg.staircase_residual(a, sizes, [1, 1], axis) == 0.0
 
     def test_strip_size_mismatch_raises(self):
         with pytest.raises(ValidationError):

@@ -6,7 +6,7 @@ import pytest
 import quiverstair as qs
 from conftest import random_cycle_spec
 from quiverstair.errors import ValidationError
-from quiverstair.oracle import hausdorff_distance, random_invertible
+from quiverstair.oracle import random_invertible
 
 
 class TestRandomUnitary:
@@ -80,22 +80,22 @@ class TestPlant:
         with pytest.raises(ValidationError):
             qs.PlantSpec(shape=shape, labels=(), regular_eigs=(1e-10,), seed=0)
 
+    def test_repeated_label_adds_up(self):
+        spec = qs.PlantSpec(shape=qs.cycle_shape(3, ">><"), labels=(((1, 2), 1), ((1, 2), 2)))
+        assert spec.labels == (((1, 2), 3),)
+        rep, truth = qs.plant(spec)
+        assert rep.dims == (3, 3, 0)
+        assert qs.verify(rep, qs.regularize(rep), truth).passed
+
+    def test_negative_count_rejected_before_summing(self):
+        with pytest.raises(ValidationError, match="nonnegative"):
+            qs.PlantSpec(shape=qs.chain_shape(2, ">"), labels=(((1, 2), 2), ((1, 2), -1)))
+
     def test_label_range_validation(self):
         with pytest.raises(ValidationError):
             qs.PlantSpec(shape=qs.chain_shape(3, ">>"), labels=(((2, 4), 1),), seed=0)
         with pytest.raises(ValidationError):
             qs.PlantSpec(shape=qs.cycle_shape(3, ">>>"), labels=(((4, 5), 1),), seed=0)
-
-
-class TestHausdorff:
-    def test_both_empty(self):
-        assert hausdorff_distance([], []) == 0.0
-
-    def test_one_empty(self):
-        assert hausdorff_distance([1.0], []) == np.inf
-
-    def test_known_value(self):
-        assert hausdorff_distance([0.0, 1.0], [0.0]) == pytest.approx(1.0)
 
 
 class TestVerify:
@@ -125,6 +125,15 @@ class TestVerify:
         report = qs.verify(rep, dec, tampered)
         assert not report.passed
         assert not report.labels_match
+
+    def test_eigenvalue_distance_counts_multiplicity(self):
+        shape = qs.cycle_shape(2, "><")
+        rep, _ = qs.plant(qs.PlantSpec(shape=shape, labels=(), regular_eigs=(1.5, 1.5, 5.0)))
+        other = qs.PlantSpec(shape=shape, labels=(), regular_eigs=(1.5, 5.0, 5.0))
+        report = qs.verify(rep, qs.regularize(rep), other)
+        (check,) = [c for c in report.checks if c.name == "eigenvalues"]
+        assert not check.passed
+        assert report.eigenvalue_distance == check.measured == pytest.approx(3.5)
 
     def test_chain_verification_with_trace(self):
         shape = qs.chain_shape(3, "><")
