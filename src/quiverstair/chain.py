@@ -34,9 +34,7 @@ from .quiver import (
     COUNTERCLOCKWISE,
     QuiverShape,
     Representation,
-    make_L,
-    direct_sum,
-    zero_representation,
+    assemble,
 )
 
 __all__ = [
@@ -66,9 +64,6 @@ class ChainCanonicalForm:
 
     def sorted_labels(self) -> list[tuple[tuple[int, int], int]]:
         return sorted(self.counts.items())
-
-    def total(self) -> int:
-        return sum(self.counts.values())
 
 
 @dataclass
@@ -162,12 +157,7 @@ def assemble_canonical(form: ChainCanonicalForm, shape: QuiverShape) -> Represen
     """Direct sum of the form's interval summands, lexicographic label order."""
     if shape.kind != CHAIN or shape.t != form.t:
         raise ValidationError("shape does not match the canonical form")
-    out = zero_representation(shape)
-    for (i, j), m in form.sorted_labels():
-        block = make_L(i, j, shape)
-        for _ in range(m):
-            out = direct_sum(out, block)
-    return out
+    return assemble(shape, form.sorted_labels())
 
 
 def chain_pattern_residual(a: Representation, trace: ChainTrace) -> float:

@@ -14,6 +14,7 @@ with code 2.  Every report echoes the values used; ``canon`` and
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -208,14 +209,7 @@ def _cmd_gen(args) -> int:
     if args.spec:
         spec = load_plant_spec(args.spec)
         if args.seed is not None:
-            spec = PlantSpec(
-                shape=spec.shape,
-                labels=spec.labels,
-                regular_eigs=spec.regular_eigs,
-                seed=args.seed,
-                scramble=spec.scramble,
-                max_condition=spec.max_condition,
-            )
+            spec = dataclasses.replace(spec, seed=args.seed)
     else:
         if not (args.kind and args.t and args.orientations is not None):
             raise ValidationError("gen needs --spec or all of --kind/--t/--orientations")

@@ -12,7 +12,6 @@ specs read the same in both versions.
 
 import base64
 import json
-from collections import Counter
 
 import numpy as np
 
@@ -198,23 +197,29 @@ def plant_spec_from_dict(d: dict) -> PlantSpec:
         raise ValidationError("plant spec file must hold a JSON object")
     _version(d)
     try:
-        shape = QuiverShape(str(d["kind"]), int(d["t"]), str(d["orientations"]))
-        raw_labels = d.get("labels", [])
-        labels = Counter()
+        t, seed = d["t"], d.get("seed", 0)
+        if not (_is_int(t) and _is_int(seed)):
+            raise ValidationError(f"fields 't'/'seed' must be integers, got {t!r}/{seed!r}")
+        shape = QuiverShape(str(d["kind"]), t, str(d["orientations"]))
+        labels = []
         want_tag = "L" if shape.kind == CHAIN else "G"
-        for k, row in enumerate(raw_labels):
+        for k, row in enumerate(d.get("labels", [])):
             tag, a, b, m = row
             if tag != want_tag:
                 raise ValidationError(
                     f"labels[{k}]: tag {tag!r} does not match kind {shape.kind!r}"
                 )
-            labels[(int(a), int(b))] += int(m)
+            if not all(map(_is_int, (a, b, m))):
+                raise ValidationError(
+                    f"labels[{k}]: bounds and multiplicity must be integers, got {row!r}"
+                )
+            labels.append(((a, b), m))
         eigs = tuple(complex(p[0], p[1]) for p in d.get("regular_eigs", []))
         return PlantSpec(
             shape=shape,
-            labels=tuple(labels.items()),
+            labels=tuple(labels),
             regular_eigs=eigs,
-            seed=int(d.get("seed", 0)),
+            seed=seed,
             scramble=str(d.get("scramble", "unitary")),
             max_condition=float(d.get("max_condition", 1e3)),
         )

@@ -19,15 +19,13 @@ from .errors import ValidationError
 from .linalg import unitarity_defect
 from .quiver import (
     CHAIN,
-    CYCLE,
     QuiverShape,
     Representation,
     apply_isomorphism,
+    assemble,
+    check_label,
     direct_sum,
-    make_G,
-    make_L,
     representation_scale,
-    zero_representation,
 )
 
 __all__ = [
@@ -75,12 +73,8 @@ class PlantSpec:
             raise ValidationError(f"unknown scramble mode {self.scramble!r}")
         if self.max_condition < 1:
             raise ValidationError("max_condition must be >= 1")
-        t = self.shape.t
         for (a, b), _ in self.labels:
-            if self.shape.kind == CHAIN and not 1 <= a <= b <= t:
-                raise ValidationError(f"interval label ({a}, {b}) out of range for t={t}")
-            if self.shape.kind == CYCLE and not (1 <= a <= t and b >= a):
-                raise ValidationError(f"walk label ({a}, {b}) out of range for t={t}")
+            check_label(self.shape, a, b)
         if self.shape.kind == CHAIN and self.regular_eigs:
             raise ValidationError("chains have no regular part")
         for z in self.regular_eigs:
@@ -145,13 +139,7 @@ def plant(spec: PlantSpec) -> tuple[Representation, PlantSpec]:
     counterclockwise so the monodromy eigenvalues equal ``regular_eigs``.
     """
     shape = spec.shape
-    rep = zero_representation(shape)
-    for (a, b), mult in spec.labels:
-        if not mult:
-            continue
-        summand = make_L(a, b, shape) if shape.kind == CHAIN else make_G(a, b, shape)
-        for _ in range(mult):
-            rep = direct_sum(rep, summand)
+    rep = assemble(shape, spec.labels)
     if spec.regular_eigs:
         rep = direct_sum(rep, _regular_summand(shape, spec.regular_eigs))
     transforms = []
@@ -238,8 +226,8 @@ def verify(
 ) -> VerificationReport:
     """Compare a computed decomposition against planted ground truth.
 
-    ``result`` is a :class:`ChainCanonicalForm` (pass the matching
-    :class:`ChainTrace` for residual/unitarity checks) or a
+    ``result`` is a :class:`ChainCanonicalForm`, which needs the matching
+    :class:`ChainTrace` for the residual and unitarity checks, or a
     :class:`RegularizingDecomposition`.  Failures are report entries, not
     exceptions.
     """
@@ -247,10 +235,14 @@ def verify(
         raise ValidationError("representation and truth have different shapes")
     is_chain = isinstance(result, ChainCanonicalForm)
     if is_chain:
+        if trace is None:
+            raise ValidationError("verifying a chain canonical form needs its ChainTrace")
         counts, dims = result.counts, np.asarray(result.dims())
+        residual, transforms = trace.residual, trace.vertex_transforms
     elif isinstance(result, RegularizingDecomposition):
         counts = result.summands
         dims = np.asarray(result.summand_dims()) + result.regular_dim()
+        residual, transforms = result.residual, result.trace
     else:
         raise ValidationError(f"cannot verify result of type {type(result).__name__}")
     scale = representation_scale(a)
@@ -264,36 +256,23 @@ def verify(
         checks.append(CheckResult("regular_dimension", reg_gap == 0, float(reg_gap), 0.0))
     dim_gap = int(np.abs(dims - np.asarray(a.dims)).max())
     checks.append(CheckResult("dimension_conservation", dim_gap == 0, float(dim_gap), 0.0))
-    ubound = 1e-12 * max(a.dims, default=1)
 
-    if is_chain:
-        residual = trace.residual if trace is not None else 0.0
-        udef = 0.0
-        if trace is not None:
-            udef = max(unitarity_defect(s) for s in trace.vertex_transforms)
-            checks.append(CheckResult("residual", residual <= 1e-8 * scale, residual, 1e-8 * scale))
-            checks.append(CheckResult("unitarity", udef <= ubound, udef, ubound))
-        return VerificationReport(
-            labels_match=labels_ok,
-            residual=residual,
-            unitarity_defect=udef,
-            eigenvalue_distance=0.0,
-            checks=checks,
-        )
-
-    eig_scale = max([1.0] + [abs(z) for z in truth.regular_eigs])
-    pair = _matched_distance(result.monodromy_eigenvalues, truth.regular_eigs)
-    eig_bound = 1e-6 * eig_scale
-    checks.append(CheckResult("eigenvalues", pair <= eig_bound, pair, eig_bound))
+    pair = 0.0
+    if not is_chain:
+        eig_scale = max([1.0] + [abs(z) for z in truth.regular_eigs])
+        pair = _matched_distance(result.monodromy_eigenvalues, truth.regular_eigs)
+        eig_bound = 1e-6 * eig_scale
+        checks.append(CheckResult("eigenvalues", pair <= eig_bound, pair, eig_bound))
 
     res_bound = 1e-8 * scale
-    checks.append(CheckResult("residual", result.residual <= res_bound, result.residual, res_bound))
+    checks.append(CheckResult("residual", residual <= res_bound, residual, res_bound))
 
-    udef = max(unitarity_defect(s) for s in result.trace) if result.trace else 0.0
+    udef = max((unitarity_defect(s) for s in transforms), default=0.0)
+    ubound = 1e-12 * max(a.dims, default=1)
     checks.append(CheckResult("unitarity", udef <= ubound, udef, ubound))
     return VerificationReport(
         labels_match=labels_ok,
-        residual=result.residual,
+        residual=residual,
         unitarity_defect=udef,
         eigenvalue_distance=pair,
         checks=checks,

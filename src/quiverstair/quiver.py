@@ -39,9 +39,10 @@ __all__ = [
     "transpose_rep",
     "apply_isomorphism",
     "iso_residual",
+    "check_label",
+    "assemble",
     "make_L",
     "make_G",
-    "walk_positions",
     "g_label_dims",
     "regularity_defect",
     "is_regular",
@@ -148,11 +149,6 @@ class Representation:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "matrices", tuple(mats))
 
-    def matrix(self, arrow: int) -> np.ndarray:
-        """Matrix on the given arrow (1-based)."""
-        self.shape._check_arrow(arrow)
-        return self.matrices[arrow - 1]
-
 
 def zero_representation(shape: QuiverShape) -> Representation:
     dims = (0,) * shape.t
@@ -234,6 +230,62 @@ def iso_residual(a: Representation, b: Representation, transforms) -> float:
     return worst
 
 
+def check_label(shape: QuiverShape, a: int, b: int):
+    """Reject an interval label ``(i, j)`` outside ``1 <= i <= j <= t`` (chains)
+    or a walk label ``(l, r)`` outside ``1 <= l <= t``, ``r >= l`` (cycles)."""
+    t = shape.t
+    if shape.kind == CHAIN and not 1 <= a <= b <= t:
+        raise ValidationError(f"interval label ({a}, {b}) out of range for t={t}")
+    if shape.kind == CYCLE and not (1 <= a <= t and b >= a):
+        raise ValidationError(f"walk label ({a}, {b}) out of range for t={t}")
+
+
+def _label_dims(shape: QuiverShape, labels) -> list[int]:
+    dims = [0] * shape.t
+    for (a, b), m in labels:
+        check_label(shape, a, b)
+        if m < 0:
+            raise ValidationError("label multiplicities must be nonnegative")
+        for q in range(a, b + 1):
+            dims[shape.wrap(q) - 1] += m
+    return dims
+
+
+def assemble(shape: QuiverShape, labels) -> Representation:
+    """Direct sum of the summands named by ``(label, multiplicity)`` pairs.
+
+    A label is an interval ``(i, j)`` on a chain or a clockwise walk
+    ``(l, r)`` on a cycle; either way the summand has one basis vector per
+    position ``q`` of the walk, lying over vertex ``[q]``.  Summands enter in
+    the given order with their copies consecutive, and a vertex's basis
+    follows that order and then increasing ``q``.  Each walk step writes a
+    single 1 into the matrix of the arrow it traverses, in the direction
+    that arrow points, so every matrix has at most one 1 per row and column.
+    """
+    labels = list(labels)
+    dims = _label_dims(shape, labels)
+    mats = []
+    for a in range(1, shape.arrow_count + 1):
+        u, v = shape.arrow_ends(a)
+        mats.append(np.zeros((dims[v - 1], dims[u - 1]), dtype=np.complex128))
+    clockwise = [c == CLOCKWISE for c in shape.orientations]
+    used = [0] * shape.t
+    for (l, r), m in labels:
+        for _ in range(m):
+            for q in range(l, r + 1):
+                v = shape.wrap(q)
+                k = used[v - 1]
+                used[v - 1] += 1
+                if q > l:  # the step q-1 -> q traverses arrow [q-1]
+                    a = shape.wrap(q - 1)
+                    if clockwise[a - 1]:
+                        mats[a - 1][k, prev] = 1.0
+                    else:
+                        mats[a - 1][prev, k] = 1.0
+                prev = k
+    return Representation(shape, tuple(dims), tuple(mats))
+
+
 def make_L(i: int, j: int, shape: QuiverShape) -> Representation:
     """Interval indecomposable of a chain: dimension 1 on vertices ``i..j``.
 
@@ -243,67 +295,25 @@ def make_L(i: int, j: int, shape: QuiverShape) -> Representation:
     """
     if shape.kind != CHAIN:
         raise ValidationError("make_L needs a chain shape")
-    if not 1 <= i <= j <= shape.t:
-        raise ValidationError(f"need 1 <= i <= j <= {shape.t}, got ({i}, {j})")
-    dims = tuple(1 if i <= v <= j else 0 for v in range(1, shape.t + 1))
-    mats = []
-    for a in range(1, shape.t):
-        u, v = shape.arrow_ends(a)
-        if i <= a and a + 1 <= j:
-            mats.append(np.eye(1, dtype=np.complex128))
-        else:
-            mats.append(np.zeros((dims[v - 1], dims[u - 1]), dtype=np.complex128))
-    return Representation(shape, dims, tuple(mats))
-
-
-def walk_positions(shape: QuiverShape, l: int, r: int) -> dict[int, list[int]]:
-    """Walk indices ``l..r`` grouped by the cycle vertex they land on.
-
-    Within each vertex the indices appear in increasing order; that order is
-    the basis order used by :func:`make_G`.
-    """
-    if shape.kind != CYCLE:
-        raise ValidationError("walk_positions needs a cycle shape")
-    if not 1 <= l <= shape.t:
-        raise ValidationError(f"walk start {l} out of range 1..{shape.t}")
-    if r < l:
-        raise ValidationError(f"walk end {r} must be >= start {l}")
-    pos: dict[int, list[int]] = {v: [] for v in range(1, shape.t + 1)}
-    for q in range(l, r + 1):
-        pos[shape.wrap(q)].append(q)
-    return pos
+    return assemble(shape, [((i, j), 1)])
 
 
 def g_label_dims(shape: QuiverShape, l: int, r: int) -> tuple[int, ...]:
-    pos = walk_positions(shape, l, r)
-    return tuple(len(pos[v]) for v in range(1, shape.t + 1))
+    """Vertex dimensions of ``G(l, r)``: how many walk positions lie over each vertex."""
+    if shape.kind != CYCLE:
+        raise ValidationError("g_label_dims needs a cycle shape")
+    return tuple(_label_dims(shape, [((l, r), 1)]))
 
 
 def make_G(l: int, r: int, shape: QuiverShape) -> Representation:
     """Cycle indecomposable built from the clockwise walk ``l -> l+1 -> ... -> r``.
 
     The space at vertex ``v`` is spanned by the walk indices lying over ``v``
-    (increasing order); each walk step contributes a single 1 entry to the
-    matrix of the arrow it traverses, in the direction that arrow points.
-    Every matrix therefore has at most one 1 per row and per column.
+    (increasing order); see :func:`assemble` for where the ones go.
     """
-    pos = walk_positions(shape, l, r)
-    index = {}
-    for v in range(1, shape.t + 1):
-        for k, q in enumerate(pos[v]):
-            index[q] = k
-    dims = tuple(len(pos[v]) for v in range(1, shape.t + 1))
-    mats = []
-    for a in range(1, shape.t + 1):
-        u, v = shape.arrow_ends(a)
-        mats.append(np.zeros((dims[v - 1], dims[u - 1]), dtype=np.complex128))
-    for w in range(l, r):
-        a = shape.wrap(w)
-        if shape.is_clockwise(a):
-            mats[a - 1][index[w + 1], index[w]] = 1.0
-        else:
-            mats[a - 1][index[w], index[w + 1]] = 1.0
-    return Representation(shape, dims, tuple(mats))
+    if shape.kind != CYCLE:
+        raise ValidationError("make_G needs a cycle shape")
+    return assemble(shape, [((l, r), 1)])
 
 
 def regularity_defect(a: Representation, threshold: float) -> str | None:

@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import json
 
 import numpy as np
@@ -51,6 +52,19 @@ def bits(m):
 
 
 MAX = 1.7976931348623157e308
+
+CHAIN_SPEC = qs.PlantSpec(qs.chain_shape(4, "><>"), (((1, 3), 2), ((2, 4), 1)), seed=5)
+
+# Plant-spec fields that must be JSON integers, each replaced by a look-alike.
+SPEC_NON_INTEGERS = [
+    lambda d: d.update(t=3.7),
+    lambda d: d.update(t="4"),
+    lambda d: d.update(seed=2.5),
+    lambda d: d["labels"][0].__setitem__(1, 1.9),
+    lambda d: d["labels"][0].__setitem__(2, "3"),
+    lambda d: d["labels"][0].__setitem__(3, True),
+]
+SPEC_NON_INTEGER_IDS = ["t-float", "t-string", "seed-float", "low-float", "high-string", "count-bool"]
 
 # A version 1 file exactly as json.dump(..., indent=1) wrote it.
 V1_FIXTURE = """{
@@ -270,6 +284,13 @@ class TestFiles:
         d = files.plant_spec_to_dict(random_cycle_spec(2))
         d["regular_eigs"] = [[float("inf"), 0.0]]
         with pytest.raises(ValidationError, match="not finite"):
+            files.plant_spec_from_dict(d)
+
+    @pytest.mark.parametrize("edit", SPEC_NON_INTEGERS, ids=SPEC_NON_INTEGER_IDS)
+    def test_non_integer_plant_spec_rejected(self, edit):
+        d = files.plant_spec_to_dict(CHAIN_SPEC)
+        edit(d)
+        with pytest.raises(ValidationError, match="must be integers"):
             files.plant_spec_from_dict(d)
 
     def test_inconsistent_dims_rejected(self, tmp_path):
@@ -534,6 +555,36 @@ class TestCli:
         rc = cli.main(["gen", str(out), "--spec", str(spec_path)])
         assert rc == 0
         assert cli.main(["verify", str(out), str(out) + ".truth.json"]) == 0
+
+
+    def test_gen_spec_seed_override_keeps_other_fields(self, tmp_path):
+        spec = qs.PlantSpec(
+            qs.cycle_shape(3, "><<"), (((1, 4), 2), ((3, 3), 1)), regular_eigs=(2, -1j),
+            seed=1, scramble="invertible", max_condition=50.0,
+        )
+        spec_path = tmp_path / "spec.json"
+        files.save_plant_spec(spec_path, spec)
+        out = tmp_path / "inst.json"
+        assert cli.main(["gen", str(out), "--spec", str(spec_path), "--seed", "9"]) == 0
+        want = dataclasses.replace(spec, seed=9)
+        assert files.load_plant_spec(str(out) + ".truth.json") == want
+        rep, _ = qs.plant(want)
+        got = files.load_representation(out)
+        assert all(np.array_equal(x, y) for x, y in zip(got.matrices, rep.matrices))
+
+
+@pytest.mark.parametrize("edit", SPEC_NON_INTEGERS, ids=SPEC_NON_INTEGER_IDS)
+@pytest.mark.parametrize("command", ["gen", "verify"])
+def test_non_integer_plant_spec_exits_2(tmp_path, capsys, command, edit):
+    d = files.plant_spec_to_dict(CHAIN_SPEC)
+    edit(d)
+    spec_path = str(write_json(tmp_path / "spec.json", d))
+    out = tmp_path / "inst.json"
+    files.save_representation(out, qs.plant(CHAIN_SPEC)[0])
+    argv = ["gen", str(out), "--spec", spec_path] if command == "gen" else ["verify", str(out), spec_path]
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    assert "must be integers" in capsys.readouterr().err
 
 
 def _v1_chain_file(tmp_path, edit):

@@ -51,6 +51,27 @@ class TestPlant:
         b, _ = qs.plant(spec)
         assert all(np.array_equal(x, y) for x, y in zip(a.matrices, b.matrices))
 
+    @pytest.mark.parametrize("kind", [qs.CHAIN, qs.CYCLE])
+    def test_plant_builds_fixed_number_of_representations(self, kind, monkeypatch):
+        built = []
+        post_init = qs.Representation.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(qs.Representation, "__post_init__", counting)
+        t = 6
+        shape = qs.QuiverShape(kind, t, "><>><<"[: t - 1 if kind == qs.CHAIN else t])
+        eigs = () if kind == qs.CHAIN else (2.0, -1j)
+        counts = []
+        for n in (1, 5, 20):
+            labels = tuple(((1 + k % 4, 1 + k % 4 + k % 3), 1 + k % 2) for k in range(n))
+            built.clear()
+            qs.plant(qs.PlantSpec(shape=shape, labels=labels, regular_eigs=eigs, seed=n))
+            counts.append(len(built))
+        assert counts[0] == counts[1] == counts[2], counts
+
     def test_nilpotent_walk_plant(self):
         t = 3
         shape = qs.cycle_shape(t, ">>>")
@@ -142,6 +163,13 @@ class TestVerify:
         form, trace = qs.canon_chain(rep)
         report = qs.verify(rep, form, truth, trace=trace)
         assert report.passed
+
+    def test_chain_verification_needs_trace(self):
+        shape = qs.chain_shape(3, "><")
+        rep, truth = qs.plant(qs.PlantSpec(shape=shape, labels=(((1, 3), 1),), seed=3))
+        form, _ = qs.canon_chain(rep)
+        with pytest.raises(ValidationError, match="ChainTrace"):
+            qs.verify(rep, form, truth)
 
     def test_noisy_batch_passes_default_tolerances(self):
         from conftest import add_noise

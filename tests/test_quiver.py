@@ -4,6 +4,7 @@ import pytest
 import quiverstair as qs
 from conftest import random_complex
 from quiverstair.errors import ValidationError
+from quiverstair.quiver import assemble
 
 
 class TestQuiverShape:
@@ -279,6 +280,73 @@ class TestMakeG:
             qs.make_G(4, 5, shape)
         with pytest.raises(ValidationError):
             qs.make_G(2, 1, shape)
+
+
+def _walk_summand(shape, l, r):
+    """One interval or walk summand, built position by position as a reference.
+
+    Position ``q`` of the walk lies over vertex ``[q]``; a vertex's basis is
+    its positions in increasing order, and the step ``q -> q+1`` puts a 1 on
+    arrow ``[q]`` in the direction that arrow points.
+    """
+    over = {v: [q for q in range(l, r + 1) if shape.wrap(q) == v] for v in range(1, shape.t + 1)}
+    index = {q: k for v in over for k, q in enumerate(over[v])}
+    dims = tuple(len(over[v]) for v in range(1, shape.t + 1))
+    mats = []
+    for a in range(1, shape.arrow_count + 1):
+        u, v = shape.arrow_ends(a)
+        mats.append(np.zeros((dims[v - 1], dims[u - 1]), dtype=complex))
+    for q in range(l, r):
+        a = shape.wrap(q)
+        if shape.is_clockwise(a):
+            mats[a - 1][index[q + 1], index[q]] = 1
+        else:
+            mats[a - 1][index[q], index[q + 1]] = 1
+    return qs.Representation(shape, dims, tuple(mats))
+
+
+def _random_labels(rng, shape):
+    t = shape.t
+    labels = []
+    for _ in range(int(rng.integers(0, 6))):
+        a = int(rng.integers(1, t + 1))
+        if shape.kind == qs.CHAIN:
+            b = int(rng.integers(a, t + 1))
+        else:
+            b = a + int(rng.integers(0, 3 * t))  # walks up to three times round
+        labels.append(((a, b), int(rng.integers(0, 4))))
+    return labels
+
+
+class TestAssemble:
+    @pytest.mark.parametrize("kind", [qs.CHAIN, qs.CYCLE])
+    def test_equals_iterated_direct_sum(self, kind):
+        rng = np.random.default_rng(11)
+        for trial in range(60):
+            t = int(rng.integers(1 if kind == qs.CHAIN else 2, 7))
+            arrows = t - 1 if kind == qs.CHAIN else t
+            shape = qs.QuiverShape(kind, t, "".join("><"[rng.integers(0, 2)] for _ in range(arrows)))
+            labels = _random_labels(rng, shape)
+            want = qs.zero_representation(shape)
+            for (a, b), m in labels:
+                for _ in range(m):
+                    want = qs.direct_sum(want, _walk_summand(shape, a, b))
+            got = assemble(shape, labels)
+            assert got.dims == want.dims, (trial, labels)
+            for x, y in zip(got.matrices, want.matrices):
+                assert x.dtype == y.dtype and np.array_equal(x, y), (trial, labels)
+
+    def test_negative_multiplicity_rejected(self):
+        with pytest.raises(ValidationError, match="nonnegative"):
+            assemble(qs.chain_shape(3, ">>"), [((1, 2), 2), ((1, 2), -1)])
+
+    def test_g_label_dims(self):
+        shape = qs.cycle_shape(4, "<><>")
+        assert qs.g_label_dims(shape, 1, 1) == (1, 0, 0, 0)
+        assert qs.g_label_dims(shape, 2, 9) == (2, 2, 2, 2)
+        assert qs.g_label_dims(shape, 4, 13) == (3, 2, 2, 3)
+        with pytest.raises(ValidationError):
+            qs.g_label_dims(qs.chain_shape(4, "<><"), 1, 2)
 
 
 class TestIsRegular:
