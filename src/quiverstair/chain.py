@@ -35,6 +35,7 @@ from .quiver import (
     QuiverShape,
     Representation,
     assemble,
+    label_dims,
 )
 
 __all__ = [
@@ -56,11 +57,7 @@ class ChainCanonicalForm:
 
     def dims(self) -> tuple[int, ...]:
         """Vertexwise dimensions of the direct sum the form describes."""
-        d = [0] * self.t
-        for (i, j), m in self.counts.items():
-            for v in range(i, j + 1):
-                d[v - 1] += m
-        return tuple(d)
+        return label_dims(self.t, self.counts.items())
 
     def sorted_labels(self) -> list[tuple[tuple[int, int], int]]:
         return sorted(self.counts.items())

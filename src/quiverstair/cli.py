@@ -211,7 +211,7 @@ def _cmd_gen(args) -> int:
         if args.seed is not None:
             spec = dataclasses.replace(spec, seed=args.seed)
     else:
-        if not (args.kind and args.t and args.orientations is not None):
+        if not (args.kind and args.t is not None and args.orientations is not None):
             raise ValidationError("gen needs --spec or all of --kind/--t/--orientations")
         shape = QuiverShape(args.kind, args.t, args.orientations)
         spec = PlantSpec(

@@ -35,13 +35,11 @@ from .linalg import (
 )
 from .quiver import (
     CHAIN,
-    CLOCKWISE,
-    COUNTERCLOCKWISE,
     CYCLE,
     QuiverShape,
     Representation,
-    apply_isomorphism,
     direct_sum,
+    label_dims,
     regularity_defect,
     transpose_rep,
     zero_representation,
@@ -136,15 +134,15 @@ def shave(a: Representation, tol: TolerancePolicy = DEFAULT_TOL) -> ShaveResult:
 
     dims = list(a.dims)
     mats = [m.copy() for m in a.matrices]
-    split_done = [0] * t  # dimensions already shaved off each vertex
     chain_dims: list[int] = []
     chain_mats: list[np.ndarray] = []
-    chain_orients: list[str] = []
     steps_log: list[ShaveStep] = []
     residual = 0.0
 
     cap = t + 2 * sum(a.dims) + 2
-    pending = None  # strip of the next arrow's matrix hanging over the shaved part
+    # strip of the current arrow's matrix hanging over the shaved part; the
+    # walk starts at a clockwise arrow, where nothing has been shaved yet
+    pending = np.zeros((a.dims[shape.wrap(l + 1) - 1], 0), dtype=np.complex128)
     r = l
     while True:
         if r > cap:
@@ -152,14 +150,9 @@ def shave(a: Representation, tol: TolerancePolicy = DEFAULT_TOL) -> ShaveResult:
                 f"shave exceeded its step cap ({cap}); rank decisions are inconsistent"
             )
         arrow = shape.wrap(r)
-        nxt = shape.wrap(r + 1)
-        vtx = shape.wrap(r + 1)
+        vtx = shape.wrap(r + 1)  # the vertex ahead, and the next arrow
         cw = shape.is_clockwise(arrow)
         cur = mats[arrow - 1]
-        if r == l:
-            if not cw:
-                raise InconsistencyError("shave started at a counterclockwise arrow")
-            pending = np.zeros((cur.shape[0], 0), dtype=np.complex128)
 
         if cw:
             # cur: d[vtx] x d[src]; shave off the row-deficient top part of vtx
@@ -185,24 +178,21 @@ def shave(a: Representation, tol: TolerancePolicy = DEFAULT_TOL) -> ShaveResult:
         residual = max(residual, zeroed)
         if r > l:
             chain_mats.append(c_mat)
-            chain_orients.append(CLOCKWISE if cw else COUNTERCLOCKWISE)
         chain_dims.append(shaved)
 
-        old_d = dims[vtx - 1]
-        dims[vtx - 1] = old_d - shaved
-        pre = split_done[vtx - 1]
+        pre = a.dims[vtx - 1] - dims[vtx - 1]  # dimensions already shaved off vtx
+        dims[vtx - 1] -= shaved
         trace[vtx - 1][pre:] = s_new @ trace[vtx - 1][pre:]
-        split_done[vtx - 1] += shaved
 
-        nxt_mat = mats[nxt - 1]
-        if shape.is_clockwise(nxt):
+        nxt_mat = mats[vtx - 1]
+        if shape.is_clockwise(vtx):
             moved_nxt = nxt_mat @ s_new.conj().T
             pending_next = moved_nxt[:, :shaved]
-            mats[nxt - 1] = moved_nxt[:, shaved:]
+            mats[vtx - 1] = moved_nxt[:, shaved:]
         else:
             moved_nxt = s_new @ nxt_mat
             pending_next = moved_nxt[:shaved, :]
-            mats[nxt - 1] = moved_nxt[shaved:, :]
+            mats[vtx - 1] = moved_nxt[shaved:, :]
 
         steps_log.append(
             ShaveStep(
@@ -225,8 +215,8 @@ def shave(a: Representation, tol: TolerancePolicy = DEFAULT_TOL) -> ShaveResult:
         pending = pending_next
         r += 1
 
-    m_len = n + 1 - l
-    prime_shape = QuiverShape(CHAIN, m_len, "".join(chain_orients))
+    prime_orients = "".join(shape.orientations[shape.wrap(q) - 1] for q in range(l + 1, n + 1))
+    prime_shape = QuiverShape(CHAIN, n + 1 - l, prime_orients)
     a_prime = Representation(prime_shape, tuple(chain_dims), tuple(chain_mats))
     a_tilde = Representation(shape, tuple(dims), tuple(mats))
     return ShaveResult(
@@ -239,6 +229,23 @@ def shave(a: Representation, tol: TolerancePolicy = DEFAULT_TOL) -> ShaveResult:
         threshold=tau,
         steps=steps_log,
     )
+
+
+def _walk_layout(shape: QuiverShape, start: int, sizes) -> tuple[list[int], tuple[int, ...]]:
+    """Where the positions of a walk sit in the bases of the cycle's vertices.
+
+    Position ``q = start + j`` lies over vertex ``[q]`` and takes the next
+    ``sizes[j]`` basis vectors there, so every vertex lists its positions in
+    walk order.  Returns each position's offset within its vertex's basis
+    and the resulting vertex dimensions.
+    """
+    dims = [0] * shape.t
+    offsets = []
+    for q, size in enumerate(sizes, start):
+        v = shape.wrap(q) - 1
+        offsets.append(dims[v])
+        dims[v] += size
+    return offsets, tuple(dims)
 
 
 def push_down(
@@ -273,45 +280,26 @@ def push_down(
                 f"{shape.wrap(l + j)} is {want!r}"
             )
 
-    t = shape.t
-    pos = {v: [q for q in range(l + 1, n + 2) if shape.wrap(q) == v] for v in range(1, t + 1)}
-    dim_at = {q: b.dims[q - l - 1] for q in range(l + 1, n + 2)}
-    offsets = {}
-    dims = []
-    for v in range(1, t + 1):
-        off = {}
-        run = 0
-        for q in pos[v]:
-            off[q] = run
-            run += dim_at[q]
-        offsets[v] = off
-        dims.append(run)
-
+    offsets, dims = _walk_layout(shape, l + 1, b.dims)
     mats = []
-    for i in range(1, t + 1):
+    for i in range(1, shape.t + 1):
         u, v = shape.arrow_ends(i)
         mats.append(np.zeros((dims[v - 1], dims[u - 1]), dtype=np.complex128))
-    for j in range(1, m_len):
-        q = l + j
-        i = shape.wrap(q)
-        blockm = b.matrices[j - 1]
+    for j, blockm in enumerate(b.matrices, start=1):
+        i = shape.wrap(l + j)  # chain matrix j joins positions l+j and l+j+1
         if shape.is_clockwise(i):
-            r0 = offsets[shape.wrap(q + 1)][q + 1]
-            c0 = offsets[shape.wrap(q)][q]
+            r0, c0 = offsets[j], offsets[j - 1]
         else:
-            r0 = offsets[shape.wrap(q)][q]
-            c0 = offsets[shape.wrap(q + 1)][q + 1]
+            r0, c0 = offsets[j - 1], offsets[j]
         mats[i - 1][r0 : r0 + blockm.shape[0], c0 : c0 + blockm.shape[1]] = blockm
-    return Representation(shape, tuple(dims), tuple(mats))
+    return Representation(shape, dims, tuple(mats))
 
 
-def shave_glue_residual(
-    a: Representation, res: ShaveResult, tol: TolerancePolicy = DEFAULT_TOL
-) -> float:
+def shave_glue_residual(a: Representation, res: ShaveResult) -> float:
     """Verify the shave's split against the recorded transformations.
 
-    Applies the accumulated unitaries to the input and compares, arrow by
-    arrow, against ``push_down(a_prime) ⊕ a_tilde``.  The comparison covers
+    Applies the accumulated unitaries to the input, ``S_v A S_u^H`` on each
+    arrow ``u -> v``, and compares against ``push_down(a_prime) ⊕ a_tilde``.  The comparison covers
     every position whose value the algorithm pinned: the chain and cycle
     blocks themselves, the blocks zeroed by the compressions, and the strip
     dropped by the stopping rule.  Positions below the block diagonal are
@@ -320,41 +308,27 @@ def shave_glue_residual(
 
     Returns the largest Frobenius norm of the covered difference.
     """
-    glued = direct_sum(push_down(res.a_prime, res.l, res.n, a.shape), res.a_tilde)
-    moved = apply_isomorphism(a, res.trace, tol)
-    t = a.shape.t
-    inf = math.inf
-
-    def parts(vertex: int) -> list[tuple[float, int]]:
-        out = []
-        if res.a_prime is not None:
-            for q in range(res.l + 1, res.n + 2):
-                if a.shape.wrap(q) == vertex:
-                    out.append((float(q), res.a_prime.dims[q - res.l - 1]))
-        out.append((inf, res.a_tilde.dims[vertex - 1]))
-        return out
+    shape, s = a.shape, res.trace
+    glued = direct_sum(push_down(res.a_prime, res.l, res.n, shape), res.a_tilde)
+    sizes = res.a_prime.dims if res.a_prime is not None else ()
+    offsets, pushed = _walk_layout(shape, res.l + 1, sizes)
+    # (position, offset, size) of every block of each vertex's basis; the
+    # cycle part comes last, at position inf
+    parts = [[] for _ in range(shape.t)]
+    for q, (off, size) in enumerate(zip(offsets, sizes), res.l + 1):
+        parts[shape.wrap(q) - 1].append((q, off, size))
+    for v in range(shape.t):
+        parts[v].append((math.inf, pushed[v], res.a_tilde.dims[v]))
 
     worst = 0.0
-    for i in range(1, t + 1):
-        u, v = a.shape.arrow_ends(i)
-        diff = moved.matrices[i - 1] - glued.matrices[i - 1]
+    for i in range(1, shape.t + 1):
+        u, v = shape.arrow_ends(i)
+        diff = s[v - 1] @ a.matrices[i - 1] @ s[u - 1].conj().T - glued.matrices[i - 1]
         include = np.zeros(diff.shape, dtype=bool)
-        r0 = 0
-        for qr, dr in parts(v):
-            c0 = 0
-            for qc, dc in parts(u):
-                if qr == inf and qc == inf:
-                    keep = True
-                elif qr == inf:
-                    keep = qc == res.n + 1
-                elif qc == inf:
-                    keep = True
-                else:
-                    keep = qr <= qc + 1
-                if keep:
+        for qr, r0, dr in parts[v - 1]:
+            for qc, c0, dc in parts[u - 1]:
+                if qr <= qc + 1 or (qr == math.inf and qc == res.n + 1):
                     include[r0 : r0 + dr, c0 : c0 + dc] = True
-                c0 += dc
-            r0 += dr
         if include.any():
             worst = max(worst, float(np.linalg.norm(diff[include])))
     return worst
@@ -409,11 +383,7 @@ class RegularizingDecomposition:
     shaves: tuple[ShaveResult, ShaveResult]
 
     def summand_dims(self) -> tuple[int, ...]:
-        d = [0] * self.shape.t
-        for (l, r), m in self.summands.items():
-            for q in range(l, r + 1):
-                d[self.shape.wrap(q) - 1] += m
-        return tuple(d)
+        return label_dims(self.shape.t, self.summands.items())
 
     def regular_dim(self) -> int:
         return self.regular_part.dims[0] if self.regular_part.dims else 0

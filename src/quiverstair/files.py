@@ -53,6 +53,10 @@ def _is_number(x) -> bool:
     return _is_int(x) or isinstance(x, float)
 
 
+def _is_number_pair(x) -> bool:
+    return isinstance(x, (list, tuple)) and len(x) == 2 and all(map(_is_number, x))
+
+
 def _count_error(where: str, rows: int, cols: int, got: str) -> ValidationError:
     return ValidationError(
         f"{where}: expected {rows * cols} entries for a {rows}x{cols} matrix, got {got}"
@@ -67,8 +71,7 @@ def _entries_v1(entries, rows: int, cols: int, where: str) -> np.ndarray:
     if len(entries) != n:
         raise _count_error(where, rows, cols, str(len(entries)))
     for k, pair in enumerate(entries):
-        if not (isinstance(pair, (list, tuple)) and len(pair) == 2
-                and all(map(_is_number, pair))):
+        if not _is_number_pair(pair):
             raise ValidationError(f"{where}: entry {k} is not a [re, im] pair")
     try:  # integers beyond float64 range
         return np.array(entries, dtype=np.float64).reshape(n, 2)
@@ -214,18 +217,27 @@ def plant_spec_from_dict(d: dict) -> PlantSpec:
                     f"labels[{k}]: bounds and multiplicity must be integers, got {row!r}"
                 )
             labels.append(((a, b), m))
-        eigs = tuple(complex(p[0], p[1]) for p in d.get("regular_eigs", []))
+        eigs = []
+        for k, pair in enumerate(d.get("regular_eigs", [])):
+            if not _is_number_pair(pair):
+                raise ValidationError(
+                    f"regular_eigs[{k}]: must be a [re, im] pair of numbers, got {pair!r}"
+                )
+            eigs.append(complex(*pair))
+        max_condition = d.get("max_condition", 1e3)
+        if not _is_number(max_condition):
+            raise ValidationError(f"field 'max_condition' must be a number, got {max_condition!r}")
         return PlantSpec(
             shape=shape,
             labels=tuple(labels),
-            regular_eigs=eigs,
+            regular_eigs=tuple(eigs),
             seed=seed,
             scramble=str(d.get("scramble", "unitary")),
-            max_condition=float(d.get("max_condition", 1e3)),
+            max_condition=float(max_condition),
         )
     except ValidationError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"missing or malformed field: {exc}") from exc
 
 

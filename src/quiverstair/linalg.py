@@ -74,31 +74,22 @@ def f_block(n: int) -> np.ndarray:
     """
     if n < 1:
         raise ValidationError(f"f_block needs n >= 1, got {n}")
-    out = np.zeros((n - 1, n), dtype=np.complex128)
-    for i in range(n - 1):
-        out[i, i] = 1.0
-    return out
+    return np.eye(n - 1, n, dtype=np.complex128)
 
 
 def g_block(n: int) -> np.ndarray:
     """The ``(n-1) x n`` matrix with ones on the superdiagonal."""
     if n < 1:
         raise ValidationError(f"g_block needs n >= 1, got {n}")
-    out = np.zeros((n - 1, n), dtype=np.complex128)
-    for i in range(n - 1):
-        out[i, i + 1] = 1.0
-    return out
+    return np.eye(n - 1, n, k=1, dtype=np.complex128)
 
 
 def jordan_block(n: int, lam: complex) -> np.ndarray:
     """The ``n x n`` upper Jordan block with eigenvalue ``lam``."""
     if n < 0:
         raise ValidationError(f"jordan_block needs n >= 0, got {n}")
-    out = np.zeros((n, n), dtype=np.complex128)
-    for i in range(n):
-        out[i, i] = lam
-        if i + 1 < n:
-            out[i, i + 1] = 1.0
+    out = np.eye(n, k=1, dtype=np.complex128)
+    np.fill_diagonal(out, lam)
     return out
 
 

@@ -8,6 +8,7 @@ reproducible bit for bit and vertices use independent substreams.
 """
 
 import cmath
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -71,8 +72,10 @@ class PlantSpec:
         object.__setattr__(self, "regular_eigs", tuple(complex(z) for z in self.regular_eigs))
         if self.scramble not in (UNITARY, INVERTIBLE):
             raise ValidationError(f"unknown scramble mode {self.scramble!r}")
-        if self.max_condition < 1:
-            raise ValidationError("max_condition must be >= 1")
+        if not 1 <= self.max_condition < math.inf:
+            raise ValidationError(
+                f"max_condition must be finite and >= 1, got {self.max_condition!r}"
+            )
         for (a, b), _ in self.labels:
             check_label(self.shape, a, b)
         if self.shape.kind == CHAIN and self.regular_eigs:

@@ -40,6 +40,7 @@ __all__ = [
     "apply_isomorphism",
     "iso_residual",
     "check_label",
+    "label_dims",
     "assemble",
     "make_L",
     "make_G",
@@ -200,16 +201,14 @@ def _check_transforms(a: Representation, transforms) -> list[np.ndarray]:
     return out
 
 
-def apply_isomorphism(
-    a: Representation, transforms, tol: TolerancePolicy = DEFAULT_TOL
-) -> Representation:
+def apply_isomorphism(a: Representation, transforms) -> Representation:
     """Change basis at every vertex: arrow ``u -> v`` maps to ``S_v A S_u^{-1}``.
 
-    Inverses are computed by SVD; a numerically singular transform is
-    rejected.
+    Inverses are computed by SVD at ``DEFAULT_TOL``; a numerically singular
+    transform is rejected.
     """
     mats_s = _check_transforms(a, transforms)
-    inverses = [svd_inverse(s, tol) for s in mats_s]
+    inverses = [svd_inverse(s) for s in mats_s]
     new = []
     for i in range(1, a.shape.arrow_count + 1):
         u, v = a.shape.arrow_ends(i)
@@ -240,15 +239,26 @@ def check_label(shape: QuiverShape, a: int, b: int):
         raise ValidationError(f"walk label ({a}, {b}) out of range for t={t}")
 
 
-def _label_dims(shape: QuiverShape, labels) -> list[int]:
-    dims = [0] * shape.t
+def label_dims(t: int, labels) -> tuple[int, ...]:
+    """Vertex dimensions of the summands named by ``(label, multiplicity)`` pairs.
+
+    Position ``q`` of a label ``(a, b)``, for ``a <= q <= b``, adds the
+    multiplicity to vertex ``[q]`` of a quiver with ``t`` vertices.  Labels
+    are taken as given; :func:`check_label` validates them.
+    """
+    dims = [0] * t
+    for (a, b), m in labels:
+        for q in range(a, b + 1):
+            dims[(q - 1) % t] += m
+    return tuple(dims)
+
+
+def _label_dims(shape: QuiverShape, labels) -> tuple[int, ...]:
     for (a, b), m in labels:
         check_label(shape, a, b)
         if m < 0:
             raise ValidationError("label multiplicities must be nonnegative")
-        for q in range(a, b + 1):
-            dims[shape.wrap(q) - 1] += m
-    return dims
+    return label_dims(shape.t, labels)
 
 
 def assemble(shape: QuiverShape, labels) -> Representation:
@@ -283,7 +293,7 @@ def assemble(shape: QuiverShape, labels) -> Representation:
                     else:
                         mats[a - 1][prev, k] = 1.0
                 prev = k
-    return Representation(shape, tuple(dims), tuple(mats))
+    return Representation(shape, dims, tuple(mats))
 
 
 def make_L(i: int, j: int, shape: QuiverShape) -> Representation:
@@ -302,7 +312,8 @@ def g_label_dims(shape: QuiverShape, l: int, r: int) -> tuple[int, ...]:
     """Vertex dimensions of ``G(l, r)``: how many walk positions lie over each vertex."""
     if shape.kind != CYCLE:
         raise ValidationError("g_label_dims needs a cycle shape")
-    return tuple(_label_dims(shape, [((l, r), 1)]))
+    check_label(shape, l, r)
+    return label_dims(shape.t, [((l, r), 1)])
 
 
 def make_G(l: int, r: int, shape: QuiverShape) -> Representation:

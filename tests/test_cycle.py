@@ -5,6 +5,7 @@ import pytest
 
 import quiverstair as qs
 from conftest import add_noise, primed_chain_for_walk, random_cycle_spec
+from quiverstair.cycle import _walk_layout
 from quiverstair.errors import InconsistencyError, ValidationError
 
 
@@ -118,6 +119,84 @@ class TestShaveBasics:
     def test_rejects_chains(self):
         with pytest.raises(ValidationError):
             qs.shave(qs.zero_representation(qs.chain_shape(2, ">")))
+
+
+def _glue_blocks(res, shape):
+    """Per vertex, ``(position, offset, size)`` of each block of its basis after
+    the shave: chain positions over it in walk order, then the cycle part at
+    position ``inf``."""
+    out = {}
+    for v in range(1, shape.t + 1):
+        blocks, off = [], 0
+        for q in range(res.l + 1, res.n + 2):
+            if shape.wrap(q) == v:
+                size = res.a_prime.dims[q - res.l - 1]
+                blocks.append((q, off, size))
+                off += size
+        out[v] = blocks + [(float("inf"), off, res.a_tilde.dims[v - 1])]
+    return out
+
+
+class TestGlueMask:
+    """``shave_glue_residual`` compares exactly the blocks the split pins down:
+    chain rows against chain columns on or above the block diagonal
+    (``qr <= qc + 1``), everything in cycle columns, and cycle rows only
+    against the last chain position ``n + 1`` and against cycle columns."""
+
+    SHAPE = qs.cycle_shape(2, ">>")
+    SPEC = qs.PlantSpec(SHAPE, (((1, 4), 1), ((1, 1), 1)), regular_eigs=(2.0,), seed=1)
+    INF = float("inf")
+
+    # (arrow, row position, column position, kept by the mask)
+    CASES = [
+        (1, 4, 3, True),  # chain x chain, qr = qc + 1
+        (1, 6, 3, False),  # chain x chain, qr > qc + 1
+        (2, INF, 6, True),  # cycle rows x chain column at n + 1
+        (2, INF, 4, False),  # cycle rows x another chain column
+        (1, 4, INF, True),  # chain rows x cycle columns
+        (1, INF, INF, True),  # cycle x cycle
+    ]
+
+    @pytest.fixture(scope="class")
+    def shaved(self):
+        rep, _ = qs.plant(self.SPEC)
+        res = qs.shave(rep)
+        assert (res.l, res.n, res.a_prime.dims) == (2, 5, (2, 1, 1, 1))
+        return rep, res, qs.shave_glue_residual(rep, res)
+
+    @pytest.mark.parametrize("arrow, qr, qc, kept", CASES)
+    def test_bump_in_block(self, shaved, arrow, qr, qc, kept):
+        rep, res, base = shaved
+        u, v = self.SHAPE.arrow_ends(arrow)
+        blocks = _glue_blocks(res, self.SHAPE)
+        r0 = next(off for q, off, size in blocks[v] if q == qr and size)
+        c0 = next(off for q, off, size in blocks[u] if q == qc and size)
+        bump = np.zeros(rep.matrices[arrow - 1].shape, dtype=complex)
+        bump[r0, c0] = 1e-3
+        s = res.trace
+        mats = list(rep.matrices)
+        mats[arrow - 1] = mats[arrow - 1] + s[v - 1].conj().T @ bump @ s[u - 1]
+        bumped = qs.Representation(self.SHAPE, rep.dims, tuple(mats))
+        got = qs.shave_glue_residual(bumped, res)
+        assert base <= 1e-14
+        if kept:
+            assert got == pytest.approx(1e-3, rel=1e-9)
+        else:
+            assert got == pytest.approx(base, abs=1e-15)
+
+
+class TestWalkLayout:
+    def test_wrapping_walk_with_zero_sizes(self):
+        # positions 2..6 lie over vertices 2, 3, 1, 2, 3
+        shape = qs.cycle_shape(3, ">><")
+        assert _walk_layout(shape, 2, [1, 2, 0, 3, 1]) == ([0, 0, 0, 1, 2], (0, 4, 3))
+
+    def test_start_past_t(self):
+        shape = qs.cycle_shape(3, ">>>")
+        assert _walk_layout(shape, 5, [2, 1]) == ([0, 0], (0, 2, 1))
+
+    def test_empty_walk(self):
+        assert _walk_layout(qs.cycle_shape(2, "><"), 3, ()) == ([], (0, 0))
 
 
 class TestPushDown:

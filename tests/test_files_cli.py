@@ -66,6 +66,24 @@ SPEC_NON_INTEGERS = [
 ]
 SPEC_NON_INTEGER_IDS = ["t-float", "t-string", "seed-float", "low-float", "high-string", "count-bool"]
 
+CYCLE_SPEC = qs.PlantSpec(qs.cycle_shape(3, "><<"), (((1, 4), 1),), regular_eigs=(2, -1j), seed=1)
+
+# Plant-spec fields that must be JSON numbers, each replaced by a look-alike,
+# with the field the error must name.
+SPEC_NON_NUMBERS = [
+    (lambda d: d.update(max_condition="50"), "max_condition"),
+    (lambda d: d.update(max_condition=True), "max_condition"),
+    (lambda d: d.update(max_condition=None), "max_condition"),
+    (lambda d: d.update(max_condition=float("inf")), "max_condition"),
+    (lambda d: d.update(max_condition=float("nan")), "max_condition"),
+    (lambda d: d["regular_eigs"].__setitem__(0, [True, False]), r"regular_eigs\[0\]"),
+    (lambda d: d["regular_eigs"].__setitem__(1, [2, 0, 99]), r"regular_eigs\[1\]"),
+    (lambda d: d["regular_eigs"].__setitem__(0, ["1", 0]), r"regular_eigs\[0\]"),
+    (lambda d: d["regular_eigs"].__setitem__(1, 2.0), r"regular_eigs\[1\]"),
+]
+SPEC_NON_NUMBER_IDS = ["max-condition-string", "max-condition-bool", "max-condition-null",
+                       "max-condition-inf", "max-condition-nan", "eig-bool-pair", "eig-triple", "eig-string", "eig-scalar"]
+
 # A version 1 file exactly as json.dump(..., indent=1) wrote it.
 V1_FIXTURE = """{
  "version": 1,
@@ -291,6 +309,24 @@ class TestFiles:
         d = files.plant_spec_to_dict(CHAIN_SPEC)
         edit(d)
         with pytest.raises(ValidationError, match="must be integers"):
+            files.plant_spec_from_dict(d)
+
+    @pytest.mark.parametrize("edit, field", SPEC_NON_NUMBERS, ids=SPEC_NON_NUMBER_IDS)
+    def test_non_number_plant_spec_rejected(self, edit, field):
+        d = files.plant_spec_to_dict(CYCLE_SPEC)
+        edit(d)
+        with pytest.raises(ValidationError, match=field):
+            files.plant_spec_from_dict(d)
+
+    def test_plant_spec_integer_numbers_accepted(self):
+        d = files.plant_spec_to_dict(CYCLE_SPEC)
+        d.update(max_condition=50, regular_eigs=[[2, 0], [0, -1]])
+        assert files.plant_spec_from_dict(d) == dataclasses.replace(CYCLE_SPEC, max_condition=50.0)
+
+    def test_plant_spec_integer_beyond_float_rejected(self):
+        d = files.plant_spec_to_dict(CYCLE_SPEC)
+        d["regular_eigs"][0] = [10**400, 0]
+        with pytest.raises(ValidationError, match="malformed"):
             files.plant_spec_from_dict(d)
 
     def test_inconsistent_dims_rejected(self, tmp_path):
@@ -585,6 +621,30 @@ def test_non_integer_plant_spec_exits_2(tmp_path, capsys, command, edit):
     capsys.readouterr()
     assert cli.main(argv) == 2
     assert "must be integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda d: d["regular_eigs"].__setitem__(1, [2, 0, 99]), "regular_eigs[1]"),
+        (lambda d: d.update(scramble="invertible", max_condition=float("inf")), "max_condition"),
+    ],
+    ids=["eig-triple", "invertible-infinite-condition"],
+)
+def test_non_number_plant_spec_gen_exits_2(tmp_path, capsys, edit, field):
+    d = files.plant_spec_to_dict(CYCLE_SPEC)
+    edit(d)
+    spec_path = str(write_json(tmp_path / "spec.json", d))
+    capsys.readouterr()
+    assert cli.main(["gen", str(tmp_path / "inst.json"), "--spec", spec_path]) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_gen_t_zero_names_the_fault(tmp_path, capsys):
+    argv = ["gen", str(tmp_path / "g.json"), "--kind", "chain", "--t", "0", "--orientations", ""]
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    assert "a chain needs at least one vertex" in capsys.readouterr().err
 
 
 def _v1_chain_file(tmp_path, edit):

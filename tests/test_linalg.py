@@ -26,6 +26,12 @@ class TestBlockConstructors:
         j = linalg.jordan_block(3, 2 - 1j)
         assert j[0, 0] == 2 - 1j and j[1, 2] == 1
 
+    def test_jordan_keeps_signed_zero(self):
+        j = linalg.jordan_block(2, complex(-0.0, -0.0))
+        d = j.diagonal()
+        assert np.signbit(d.real).all() and np.signbit(d.imag).all()
+        assert linalg.jordan_block(0, 1.0).shape == (0, 0)
+
     def test_invalid_sizes(self):
         with pytest.raises(ValidationError):
             linalg.f_block(0)

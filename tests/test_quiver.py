@@ -1,10 +1,12 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import quiverstair as qs
 from conftest import random_complex
 from quiverstair.errors import ValidationError
-from quiverstair.quiver import assemble
+from quiverstair.quiver import assemble, label_dims
 
 
 class TestQuiverShape:
@@ -339,6 +341,13 @@ class TestAssemble:
     def test_negative_multiplicity_rejected(self):
         with pytest.raises(ValidationError, match="nonnegative"):
             assemble(qs.chain_shape(3, ">>"), [((1, 2), 2), ((1, 2), -1)])
+
+    def test_label_dims(self):
+        assert label_dims(2, []) == (0, 0)
+        assert label_dims(4, [((4, 13), 1)]) == (3, 2, 2, 3)
+        # (3, 7) wraps over vertices 3, 1, 2, 3, 1; a zero multiplicity adds nothing
+        assert label_dims(3, [((1, 3), 2), ((2, 2), 0), ((3, 7), 1)]) == (4, 3, 4)
+        assert label_dims(4, Counter({(1, 2): 1, (2, 4): 3}).items()) == (1, 4, 3, 3)
 
     def test_g_label_dims(self):
         shape = qs.cycle_shape(4, "<><>")
