@@ -11,15 +11,10 @@ from .errors import InconsistencyError, NumericError, QuiverError, ValidationErr
 from .linalg import (
     DEFAULT_TOL,
     TolerancePolicy,
-    col_compress,
     f_block,
     g_block,
     jordan_block,
     numerical_rank,
-    row_compress,
-    staircase_reduce,
-    svd,
-    two_sided_reduce,
     unitarity_defect,
 )
 from .quiver import (
@@ -76,12 +71,7 @@ __all__ = [
     "InconsistencyError",
     "TolerancePolicy",
     "DEFAULT_TOL",
-    "svd",
     "numerical_rank",
-    "row_compress",
-    "col_compress",
-    "two_sided_reduce",
-    "staircase_reduce",
     "unitarity_defect",
     "f_block",
     "g_block",

@@ -30,7 +30,6 @@ from .linalg import (
     col_compress,
     numerical_rank,
     row_compress,
-    singular_values,
     svd_inverse,
 )
 from .quiver import (
@@ -206,12 +205,10 @@ def shave(a: Representation, tol: TolerancePolicy = DEFAULT_TOL) -> ShaveResult:
             )
         )
 
-        if r >= t:
-            strip_sigma = singular_values(pending_next)
-            if (strip_sigma[0] if strip_sigma.size else 0.0) <= tau:
-                n = r
-                residual = max(residual, float(np.linalg.norm(pending_next)))
-                break
+        if r >= t and numerical_rank(pending_next, tau) == 0:
+            n = r
+            residual = max(residual, float(np.linalg.norm(pending_next)))
+            break
         pending = pending_next
         r += 1
 

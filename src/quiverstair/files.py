@@ -16,7 +16,7 @@ import json
 import numpy as np
 
 from .errors import ValidationError
-from .oracle import PlantSpec
+from .oracle import PlantSpec, _is_int
 from .quiver import CHAIN, CYCLE, QuiverShape, Representation
 
 __all__ = [
@@ -43,10 +43,6 @@ def _matrix_to_dict(m: np.ndarray) -> dict:
         "cols": int(m.shape[1]),
         "data": base64.b64encode(raw).decode("ascii"),
     }
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _is_number(x) -> bool:

@@ -28,6 +28,7 @@ __all__ = [
     "svd",
     "svd_inverse",
     "singular_values",
+    "sigma_max",
     "numerical_rank",
     "row_compress",
     "col_compress",
@@ -54,7 +55,7 @@ def as_matrix(a, *, check_finite: bool = False) -> np.ndarray:
 def block_diag(*mats: np.ndarray) -> np.ndarray:
     """Block-diagonal stack of complex matrices, degenerate sizes included."""
     mats = [as_matrix(m) for m in mats]
-    rows = cols = 0  # plain loops: plant calls this per summand and arrow, so overhead adds up
+    rows = cols = 0
     for m in mats:
         rows += m.shape[0]
         cols += m.shape[1]
@@ -125,8 +126,7 @@ class TolerancePolicy:
         """
         if self.rel_factor == 0:
             return self.abs_floor
-        sigma_max = max((s[0] for s in map(singular_values, mats) if s.size), default=0.0)
-        return self.from_sigma(sigma_max)
+        return self.from_sigma(sigma_max(*mats))
 
 
 DEFAULT_TOL = TolerancePolicy()
@@ -158,6 +158,11 @@ def singular_values(a) -> np.ndarray:
     if min(m.shape) == 0:
         return np.zeros(0)
     return _lapack_svd(m, compute_uv=False)
+
+
+def sigma_max(*mats) -> float:
+    """Largest singular value over all ``mats``; 0.0 when every one is empty."""
+    return max((float(s[0]) for s in map(singular_values, mats) if s.size), default=0.0)
 
 
 def svd_inverse(a, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
@@ -215,6 +220,11 @@ def two_sided_reduce(a, threshold: float) -> tuple[np.ndarray, np.ndarray, int]:
     return u, s_mat, k
 
 
+def _flip(a: np.ndarray) -> np.ndarray:
+    """``J a^T J`` with ``J`` the order reversal: the horizontal staircase's mirror."""
+    return a[::-1, ::-1].T
+
+
 def staircase_reduce(
     a, strip_sizes, strip_axis: str, threshold: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
@@ -226,7 +236,9 @@ def staircase_reduce(
     claim columns from the right.  Each strip ``i`` receives a nonsingular
     ``l_i x l_i`` block positioned rightmost in the strip (vertical) or at
     the top of the strip (horizontal); zeros fill the rest of the pattern,
-    see :func:`staircase_residual`.
+    see :func:`staircase_residual`.  A horizontal call runs the vertical
+    reduction on ``J a^T J`` (``J`` reverses order) with the strips reversed,
+    and flips the results back.
 
     Returns ``(reduced, left, right, block_sizes)`` with ``reduced = left @ a
     @ right`` and ``left``, ``right`` unitary.  The unitary on the strip axis
@@ -245,34 +257,25 @@ def staircase_reduce(
         raise ValidationError(
             f"strip sizes sum to {sum(sizes)}, expected {along} for {strip_axis} strips"
         )
+    if strip_axis == HORIZONTAL:
+        m, sizes = _flip(m), sizes[::-1]
     work = m.copy()
     left = np.eye(m.shape[0], dtype=np.complex128)
     right = np.eye(m.shape[1], dtype=np.complex128)
     ls = [0] * len(sizes)
     bounds = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
-
-    if strip_axis == VERTICAL:
-        pinned = 0
-        for i in range(len(sizes)):
-            c0, c1 = bounds[i], bounds[i + 1]
-            p, s_mat, k = two_sided_reduce(work[pinned:, c0:c1], threshold)
-            work[pinned:, :] = p.conj().T @ work[pinned:, :]
-            work[:, c0:c1] = work[:, c0:c1] @ s_mat
-            left[pinned:, :] = p.conj().T @ left[pinned:, :]
-            right[c0:c1, c0:c1] = s_mat
-            ls[i] = k
-            pinned += k
-    else:
-        avail = m.shape[1]
-        for i in range(len(sizes) - 1, -1, -1):
-            r0, r1 = bounds[i], bounds[i + 1]
-            p, s_mat, k = two_sided_reduce(work[r0:r1, :avail], threshold)
-            work[r0:r1, :] = p.conj().T @ work[r0:r1, :]
-            work[:, :avail] = work[:, :avail] @ s_mat
-            right[:, :avail] = right[:, :avail] @ s_mat
-            left[r0:r1, r0:r1] = p.conj().T
-            ls[i] = k
-            avail -= k
+    pinned = 0
+    for i in range(len(sizes)):
+        c0, c1 = bounds[i], bounds[i + 1]
+        p, s_mat, k = two_sided_reduce(work[pinned:, c0:c1], threshold)
+        work[pinned:, :] = p.conj().T @ work[pinned:, :]
+        work[:, c0:c1] = work[:, c0:c1] @ s_mat
+        left[pinned:, :] = p.conj().T @ left[pinned:, :]
+        right[c0:c1, c0:c1] = s_mat
+        ls[i] = k
+        pinned += k
+    if strip_axis == HORIZONTAL:
+        return _flip(work), _flip(right), _flip(left), ls[::-1]
     return work, left, right, ls
 
 
@@ -283,29 +286,22 @@ def staircase_residual(a, strip_sizes, block_sizes, strip_axis: str) -> float:
     strip and block sizes; 0.0 when it demands no zero.
     """
     m = as_matrix(a)
-    rows, cols = m.shape
     sizes = [int(x) for x in strip_sizes]
     ls = [int(x) for x in block_sizes]
     if len(sizes) != len(ls):
         raise ValidationError("strip_sizes and block_sizes must have equal length")
-    mask = np.zeros((rows, cols), dtype=bool)
-    bounds = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
-    if strip_axis == VERTICAL:
-        band = np.concatenate([[0], np.cumsum(ls)]).astype(int)
-        for i in range(len(sizes)):
-            c0, c1 = bounds[i], bounds[i + 1]
-            b0, b1 = band[i], band[i + 1]
-            mask[b1:, c0:c1] = True
-            mask[b0:b1, c0 : c1 - ls[i]] = True
-    elif strip_axis == HORIZONTAL:
-        tail = np.concatenate([np.cumsum(ls[::-1])[::-1], [0]]).astype(int)
-        for i in range(len(sizes)):
-            r0, r1 = bounds[i], bounds[i + 1]
-            e_i = cols - tail[i + 1]
-            mask[r0:r1, : e_i - ls[i]] = True
-            mask[r0 + ls[i] : r1, :e_i] = True
-    else:
+    if strip_axis == HORIZONTAL:
+        m, sizes, ls = _flip(m), sizes[::-1], ls[::-1]
+    elif strip_axis != VERTICAL:
         raise ValidationError(f"unknown strip axis {strip_axis!r}")
+    mask = np.zeros(m.shape, dtype=bool)
+    bounds = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
+    band = np.concatenate([[0], np.cumsum(ls)]).astype(int)
+    for i in range(len(sizes)):
+        c0, c1 = bounds[i], bounds[i + 1]
+        b0, b1 = band[i], band[i + 1]
+        mask[b1:, c0:c1] = True
+        mask[b0:b1, c0 : c1 - ls[i]] = True
     return float(np.abs(m[mask]).max(initial=0.0))
 
 

@@ -9,6 +9,7 @@ reproducible bit for bit and vertices use independent substreams.
 
 import cmath
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -43,6 +44,11 @@ UNITARY = "unitary"
 INVERTIBLE = "invertible"
 
 
+def _is_int(x) -> bool:
+    """An integer of any type, numpy's included, but not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class PlantSpec:
     """Recipe for a planted instance with known ground truth.
@@ -63,9 +69,15 @@ class PlantSpec:
     max_condition: float = 1e3
 
     def __post_init__(self):
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise ValidationError(f"plant seed must be a nonnegative integer, got {self.seed!r}")
         labels: Counter = Counter()
         for (a, b), m in (self.labels.items() if isinstance(self.labels, dict) else self.labels):
-            if int(m) < 0:
+            if not all(map(_is_int, (a, b, m))):
+                raise ValidationError(
+                    f"label ({a!r}, {b!r}) x {m!r}: bounds and multiplicity must be integers"
+                )
+            if m < 0:
                 raise ValidationError("label multiplicities must be nonnegative")
             labels[(a, b)] += int(m)
         object.__setattr__(self, "labels", tuple(sorted(labels.items())))

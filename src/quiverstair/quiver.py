@@ -20,6 +20,7 @@ from .linalg import (
     TolerancePolicy,
     as_matrix,
     block_diag,
+    sigma_max,
     singular_values,
     svd_inverse,
 )
@@ -159,12 +160,7 @@ def zero_representation(shape: QuiverShape) -> Representation:
 
 def representation_scale(rep: Representation) -> float:
     """Largest singular value over all matrices of the representation."""
-    best = 0.0
-    for m in rep.matrices:
-        s = singular_values(m)
-        if s.size:
-            best = max(best, float(s[0]))
-    return best
+    return sigma_max(*rep.matrices)
 
 
 def direct_sum(a: Representation, b: Representation) -> Representation:
@@ -182,7 +178,7 @@ def direct_sum(a: Representation, b: Representation) -> Representation:
 
 def transpose_rep(a: Representation) -> Representation:
     """Transpose every matrix (no conjugation) and flip every arrow."""
-    mats = tuple(m.T.copy() for m in a.matrices)
+    mats = tuple(m.T for m in a.matrices)
     return Representation(a.shape.reversed(), a.dims, mats)
 
 

@@ -160,9 +160,14 @@ class TestChainProperties:
             assert form.counts == Counter({k: v for k, v in want.items() if v})
 
     def test_transpose_invariance(self):
+        # transposing flips every arrow, so every step runs the other staircase
         rep, expected = worked_example()
         form, _ = qs.canon_chain(qs.transpose_rep(rep))
         assert form.counts == expected
+        for seed in range(20):
+            rep, truth = qs.plant(random_chain_spec(seed))
+            form, _ = qs.canon_chain(qs.transpose_rep(rep))
+            assert form.counts == truth.label_counts(), seed
 
     def test_direct_sum_associative_up_to_isomorphism(self):
         shape = qs.chain_shape(3, "><")

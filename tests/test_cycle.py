@@ -5,6 +5,7 @@ import pytest
 
 import quiverstair as qs
 from conftest import add_noise, primed_chain_for_walk, random_cycle_spec
+from quiverstair import cli, files
 from quiverstair.cycle import _walk_layout
 from quiverstair.errors import InconsistencyError, ValidationError
 
@@ -464,6 +465,23 @@ class TestRegularize:
         rep = qs.Representation(qs.cycle_shape(2, "><"), dims, mats)
         with pytest.raises(InconsistencyError, match=message):
             qs.regularize(rep)
+
+    def test_monodromy_guard_disagrees_with_regularity(self, tmp_path, capsys):
+        # Pins today's behaviour: regularize's guard derives a second threshold
+        # from the monodromy's own scale, so it rejects a part that is_regular
+        # and monodromy accept.
+        a = np.diag([1e-3, 1e3]).astype(complex)
+        rep = qs.Representation(qs.cycle_shape(2, ">>"), (2, 2), (a, a))
+        with pytest.raises(InconsistencyError, match="monodromy eigenvalue 1e-06 below threshold 0.01"):
+            qs.regularize(rep)
+        assert qs.is_regular(rep)
+        _, eigs = qs.monodromy(rep)
+        assert np.allclose(np.sort(np.abs(eigs)), [1e-6, 1e6], rtol=1e-12)
+        path = tmp_path / "guard.json"
+        files.save_representation(path, rep)
+        capsys.readouterr()
+        assert cli.main(["regularize", str(path)]) == 3
+        assert "monodromy eigenvalue" in capsys.readouterr().err
 
     def test_rejects_chains(self):
         with pytest.raises(ValidationError):

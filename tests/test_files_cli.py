@@ -628,8 +628,9 @@ def test_non_integer_plant_spec_exits_2(tmp_path, capsys, command, edit):
     [
         (lambda d: d["regular_eigs"].__setitem__(1, [2, 0, 99]), "regular_eigs[1]"),
         (lambda d: d.update(scramble="invertible", max_condition=float("inf")), "max_condition"),
+        (lambda d: d.update(seed=-5), "seed"),
     ],
-    ids=["eig-triple", "invertible-infinite-condition"],
+    ids=["eig-triple", "invertible-infinite-condition", "negative-seed"],
 )
 def test_non_number_plant_spec_gen_exits_2(tmp_path, capsys, edit, field):
     d = files.plant_spec_to_dict(CYCLE_SPEC)
@@ -689,12 +690,13 @@ def _verify_argv(tmp_path, truth):
         lambda p: _gen_argv(p, "--regular-eigs=abc"),
         lambda p: _gen_argv(p, "--regular-eigs=inf"),
         lambda p: _gen_argv(p, "--regular-eigs=1e400"),
+        lambda p: _gen_argv(p, "--labels", "G:1:1", "--seed", "-1"),
         lambda p: ["gen", str(p), "--kind", "cycle", "--t", "2", "--orientations", "><"],
     ],
     ids=["entry-text", "entry-null", "entry-numeric-text", "entry-bool", "rows-float",
          "input-directory", "input-not-utf8", "truth-directory", "truth-not-utf8",
          "gen-label-text", "gen-label-L-on-cycle", "gen-label-G-on-chain", "gen-eig-text",
-         "gen-eig-inf", "gen-eig-overflow", "gen-output-directory"],
+         "gen-eig-inf", "gen-eig-overflow", "gen-seed-negative", "gen-output-directory"],
 )
 def test_bad_input_exits_2(tmp_path, capsys, argv):
     args = argv(tmp_path)

@@ -112,6 +112,26 @@ class TestPlant:
         with pytest.raises(ValidationError, match="nonnegative"):
             qs.PlantSpec(shape=qs.chain_shape(2, ">"), labels=(((1, 2), 2), ((1, 2), -1)))
 
+    @pytest.mark.parametrize(
+        "labels, seed",
+        [
+            ((((1, 2), 1),), -1),
+            ((((1, 2), 1),), 2.5),
+            ((((1, 1.5), 1),), 0),
+            ((((1, 2), 1.5),), 0),
+        ],
+        ids=["negative-seed", "float-seed", "float-bound", "float-multiplicity"],
+    )
+    def test_non_integer_or_negative_fields_rejected(self, labels, seed):
+        with pytest.raises(ValidationError, match="integer"):
+            qs.PlantSpec(shape=qs.chain_shape(2, ">"), labels=labels, seed=seed)
+
+    def test_numpy_integers_accepted(self):
+        spec = qs.PlantSpec(
+            shape=qs.chain_shape(2, ">"), labels=(((np.int64(1), 2), np.int32(2)),), seed=np.int64(3)
+        )
+        assert spec.labels == (((1, 2), 2),)
+
     def test_label_range_validation(self):
         with pytest.raises(ValidationError):
             qs.PlantSpec(shape=qs.chain_shape(3, ">>"), labels=(((2, 4), 1),), seed=0)
