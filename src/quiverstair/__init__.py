@@ -30,7 +30,6 @@ from .quiver import (
     direct_sum,
     g_label_dims,
     is_regular,
-    iso_residual,
     make_G,
     make_L,
     representation_scale,
@@ -89,7 +88,6 @@ __all__ = [
     "direct_sum",
     "transpose_rep",
     "apply_isomorphism",
-    "iso_residual",
     "make_L",
     "make_G",
     "g_label_dims",

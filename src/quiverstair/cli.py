@@ -92,8 +92,6 @@ def _fmt_complex(z: complex) -> str:
 def _cmd_canon(args) -> int:
     tol = _tolerance(args)
     rep = load_representation(args.input)
-    if rep.shape.kind != CHAIN:
-        raise ValidationError("canon needs a chain representation file")
     form, trace = canon_chain(rep, tol)
     dims_ok = form.dims() == rep.dims
     payload = {
@@ -122,11 +120,8 @@ def _cmd_canon(args) -> int:
 def _cmd_regularize(args) -> int:
     tol = _tolerance(args)
     rep = load_representation(args.input)
-    if rep.shape.kind != CYCLE:
-        raise ValidationError("regularize needs a cycle representation file")
     dec = regularize(rep, tol)
-    total = np.asarray(dec.summand_dims()) + dec.regular_dim()
-    dims_ok = bool((total == np.asarray(rep.dims)).all())
+    dims_ok = dec.dims() == rep.dims
     label_rows = []
     for (l, r), m in sorted(dec.summands.items()):
         provenance = [int(dec.summands_by_pass[k].get((l, r), 0)) for k in (0, 1)]

@@ -385,6 +385,10 @@ class RegularizingDecomposition:
     def regular_dim(self) -> int:
         return self.regular_part.dims[0] if self.regular_part.dims else 0
 
+    def dims(self) -> tuple[int, ...]:
+        """Vertexwise dimensions of the direct sum the decomposition describes."""
+        return tuple(d + self.regular_dim() for d in self.summand_dims())
+
 
 def _chain_labels_to_walks(shape: QuiverShape, l: int, form_counts: Counter) -> Counter:
     out: Counter = Counter()
@@ -406,7 +410,9 @@ def regularize(
 
     The first shave fixes the rank threshold from the whole input; every
     later decision (second shave, both chain stages, the regularity check)
-    reuses that number.
+    reuses that number.  The regular part is judged only by each arrow's
+    smallest singular value against it; the monodromy eigenvalues get no
+    threshold of their own.
 
     Raises :class:`InconsistencyError` if the surviving part is not regular,
     naming the offending arrow and its smallest singular value, or the
@@ -432,13 +438,6 @@ def regularize(
         mono, eigs = monodromy(regular, fixed)
     except ValidationError as exc:
         raise InconsistencyError(f"regular part: {exc}") from exc
-    if eigs.size:
-        tau_m = tol.threshold(mono)
-        small = np.abs(eigs).min()
-        if small <= tau_m:
-            raise InconsistencyError(
-                f"monodromy eigenvalue {small:.6g} below threshold {tau_m:.6g}"
-            )
 
     trace = [s.copy() for s in first.trace]
     for v in range(a.shape.t):

@@ -111,6 +111,13 @@ def _matrix_from_dict(d, where: str, version: int) -> np.ndarray:
     return out
 
 
+def _string(d: dict, key: str) -> str:
+    value = d[key]
+    if not isinstance(value, str):
+        raise ValidationError(f"field {key!r} must be a string, got {value!r}")
+    return value
+
+
 def _version(d: dict) -> int:
     version = d.get("version")
     if not (_is_int(version) and version in _READABLE_VERSIONS):
@@ -148,13 +155,15 @@ def representation_from_dict(d: dict) -> Representation:
         raise ValidationError(f"field 'kind' must be 'chain' or 'cycle', got {kind!r}")
     try:
         t = d["t"]
-        orientations = str(d["orientations"])
+        orientations = _string(d, "orientations")
         dims = tuple(d["dims"])
         raw_mats = d["matrices"]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"missing or malformed field: {exc}") from exc
     if not (_is_int(t) and all(map(_is_int, dims))):
         raise ValidationError(f"fields 't'/'dims' must be integers, got {t!r}/{list(dims)!r}")
+    if not isinstance(raw_mats, list):
+        raise ValidationError(f"field 'matrices' must be a list, got {type(raw_mats).__name__}")
     shape = QuiverShape(kind, t, orientations)
     if len(raw_mats) != shape.arrow_count:
         raise ValidationError(
@@ -199,7 +208,7 @@ def plant_spec_from_dict(d: dict) -> PlantSpec:
         t, seed = d["t"], d.get("seed", 0)
         if not (_is_int(t) and _is_int(seed)):
             raise ValidationError(f"fields 't'/'seed' must be integers, got {t!r}/{seed!r}")
-        shape = QuiverShape(str(d["kind"]), t, str(d["orientations"]))
+        shape = QuiverShape(_string(d, "kind"), t, _string(d, "orientations"))
         labels = []
         want_tag = "L" if shape.kind == CHAIN else "G"
         for k, row in enumerate(d.get("labels", [])):

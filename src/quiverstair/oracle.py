@@ -232,6 +232,10 @@ class VerificationReport:
         }
 
 
+def _describe(shape: QuiverShape) -> str:
+    return f"t={shape.t} {shape.kind} {shape.orientations!r}"
+
+
 def verify(
     a: Representation,
     result,
@@ -252,12 +256,17 @@ def verify(
     if is_chain:
         if trace is None:
             raise ValidationError("verifying a chain canonical form needs its ChainTrace")
-        counts, dims = result.counts, np.asarray(result.dims())
-        residual, transforms = trace.residual, trace.vertex_transforms
+        if (a.shape.kind, a.shape.t) != (CHAIN, result.t):
+            raise ValidationError(
+                f"a canonical form of a t={result.t} chain cannot verify a {_describe(a.shape)}"
+            )
+        counts, residual, transforms = result.counts, trace.residual, trace.vertex_transforms
     elif isinstance(result, RegularizingDecomposition):
-        counts = result.summands
-        dims = np.asarray(result.summand_dims()) + result.regular_dim()
-        residual, transforms = result.residual, result.trace
+        if result.shape != a.shape:
+            raise ValidationError(
+                f"a decomposition of a {_describe(result.shape)} cannot verify a {_describe(a.shape)}"
+            )
+        counts, residual, transforms = result.summands, result.residual, result.trace
     else:
         raise ValidationError(f"cannot verify result of type {type(result).__name__}")
     scale = representation_scale(a)
@@ -269,7 +278,7 @@ def verify(
     if not is_chain:
         reg_gap = abs(result.regular_dim() - len(truth.regular_eigs))
         checks.append(CheckResult("regular_dimension", reg_gap == 0, float(reg_gap), 0.0))
-    dim_gap = int(np.abs(dims - np.asarray(a.dims)).max())
+    dim_gap = int(np.abs(np.asarray(result.dims()) - np.asarray(a.dims)).max())
     checks.append(CheckResult("dimension_conservation", dim_gap == 0, float(dim_gap), 0.0))
 
     pair = 0.0

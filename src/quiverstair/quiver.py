@@ -39,7 +39,6 @@ __all__ = [
     "direct_sum",
     "transpose_rep",
     "apply_isomorphism",
-    "iso_residual",
     "check_label",
     "label_dims",
     "assemble",
@@ -182,47 +181,26 @@ def transpose_rep(a: Representation) -> Representation:
     return Representation(a.shape.reversed(), a.dims, mats)
 
 
-def _check_transforms(a: Representation, transforms) -> list[np.ndarray]:
-    if len(transforms) != a.shape.t:
-        raise ValidationError(f"need {a.shape.t} vertex transforms, got {len(transforms)}")
-    out = []
-    for v, s in enumerate(transforms, start=1):
-        m = as_matrix(s)
-        if m.shape != (a.dims[v - 1], a.dims[v - 1]):
-            raise ValidationError(
-                f"vertex {v}: transform is {m.shape[0]}x{m.shape[1]}, "
-                f"expected {a.dims[v - 1]}x{a.dims[v - 1]}"
-            )
-        out.append(m)
-    return out
-
-
 def apply_isomorphism(a: Representation, transforms) -> Representation:
     """Change basis at every vertex: arrow ``u -> v`` maps to ``S_v A S_u^{-1}``.
 
     Inverses are computed by SVD at ``DEFAULT_TOL``; a numerically singular
     transform is rejected.
     """
-    mats_s = _check_transforms(a, transforms)
+    if len(transforms) != a.shape.t:
+        raise ValidationError(f"need {a.shape.t} vertex transforms, got {len(transforms)}")
+    mats_s = [as_matrix(s) for s in transforms]
+    for v, (m, d) in enumerate(zip(mats_s, a.dims), start=1):
+        if m.shape != (d, d):
+            raise ValidationError(
+                f"vertex {v}: transform is {m.shape[0]}x{m.shape[1]}, expected {d}x{d}"
+            )
     inverses = [svd_inverse(s) for s in mats_s]
     new = []
     for i in range(1, a.shape.arrow_count + 1):
         u, v = a.shape.arrow_ends(i)
         new.append(mats_s[v - 1] @ a.matrices[i - 1] @ inverses[u - 1])
     return Representation(a.shape, a.dims, tuple(new))
-
-
-def iso_residual(a: Representation, b: Representation, transforms) -> float:
-    """``max_arrows || S_v A_arrow - B_arrow S_u ||_F`` for the commuting squares."""
-    if a.shape != b.shape or a.dims != b.dims:
-        raise ValidationError("iso_residual requires equal shapes and dimensions")
-    mats_s = _check_transforms(a, transforms)
-    worst = 0.0
-    for i in range(1, a.shape.arrow_count + 1):
-        u, v = a.shape.arrow_ends(i)
-        d = mats_s[v - 1] @ a.matrices[i - 1] - b.matrices[i - 1] @ mats_s[u - 1]
-        worst = max(worst, float(np.linalg.norm(d)))
-    return worst
 
 
 def check_label(shape: QuiverShape, a: int, b: int):

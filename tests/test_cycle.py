@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 
 import numpy as np
@@ -408,8 +409,7 @@ class TestRegularize:
         for seed in range(15):
             rep, _ = qs.plant(random_cycle_spec(seed))
             dec = qs.regularize(rep)
-            total = np.asarray(dec.summand_dims()) + dec.regular_dim()
-            assert np.array_equal(total, np.asarray(rep.dims))
+            assert dec.dims() == rep.dims
 
     def test_heavy_noise_does_not_crash(self):
         for seed in range(25):
@@ -417,8 +417,7 @@ class TestRegularize:
             noisy = add_noise(rep, 1e-2, seed)
             try:
                 dec = qs.regularize(noisy)
-                total = np.asarray(dec.summand_dims()) + dec.regular_dim()
-                assert np.array_equal(total, np.asarray(rep.dims))
+                assert dec.dims() == rep.dims
             except InconsistencyError:
                 pass  # documented outcome on near-degenerate input
 
@@ -466,22 +465,26 @@ class TestRegularize:
         with pytest.raises(InconsistencyError, match=message):
             qs.regularize(rep)
 
-    def test_monodromy_guard_disagrees_with_regularity(self, tmp_path, capsys):
-        # Pins today's behaviour: regularize's guard derives a second threshold
-        # from the monodromy's own scale, so it rejects a part that is_regular
-        # and monodromy accept.
+    def test_regularity_decided_once(self, tmp_path, capsys):
+        # Each arrow's sigma_min is 1e-3, above the input threshold, so the part
+        # is regular; the monodromy eigenvalues 1e-6 and 1e6 get no threshold of
+        # their own, and every entry point agrees.
         a = np.diag([1e-3, 1e3]).astype(complex)
         rep = qs.Representation(qs.cycle_shape(2, ">>"), (2, 2), (a, a))
-        with pytest.raises(InconsistencyError, match="monodromy eigenvalue 1e-06 below threshold 0.01"):
-            qs.regularize(rep)
+        dec = qs.regularize(rep)
+        assert dec.summands == Counter()
+        assert dec.regular_dim() == 2
+        assert dec.dims() == rep.dims
+        assert np.allclose(np.sort(np.abs(dec.monodromy_eigenvalues)), [1e-6, 1e6], rtol=1e-12)
         assert qs.is_regular(rep)
         _, eigs = qs.monodromy(rep)
-        assert np.allclose(np.sort(np.abs(eigs)), [1e-6, 1e6], rtol=1e-12)
-        path = tmp_path / "guard.json"
+        assert np.array_equal(eigs, dec.monodromy_eigenvalues)
+        path = tmp_path / "regular.json"
         files.save_representation(path, rep)
         capsys.readouterr()
-        assert cli.main(["regularize", str(path)]) == 3
-        assert "monodromy eigenvalue" in capsys.readouterr().err
+        assert cli.main(["regularize", str(path), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["regular_dimension"] == 2 and report["dimension_check"] is True
 
     def test_rejects_chains(self):
         with pytest.raises(ValidationError):

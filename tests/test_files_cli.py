@@ -329,6 +329,21 @@ class TestFiles:
         with pytest.raises(ValidationError, match="malformed"):
             files.plant_spec_from_dict(d)
 
+    @pytest.mark.parametrize(
+        "loader, to_dict, field, value, message",
+        [
+            ("representation", make_rep, "orientations", 5, "'orientations' must be a string"),
+            ("plant_spec", lambda: CHAIN_SPEC, "orientations", 5, "'orientations' must be a string"),
+            ("plant_spec", lambda: CHAIN_SPEC, "kind", 5, "'kind' must be a string"),
+        ],
+        ids=["rep-orientations-int", "spec-orientations-int", "spec-kind-int"],
+    )
+    def test_wrong_json_type_named(self, loader, to_dict, field, value, message):
+        d = getattr(files, f"{loader}_to_dict")(to_dict())
+        d[field] = value
+        with pytest.raises(ValidationError, match=message):
+            getattr(files, f"{loader}_from_dict")(d)
+
     def test_inconsistent_dims_rejected(self, tmp_path):
         rep = make_rep()
         d = files.representation_to_dict(rep)
@@ -485,6 +500,9 @@ class TestCli:
             ]
         )
         assert cli.main(["canon", str(out)]) == 2
+        chain = tmp_path / "chain.json"
+        files.save_representation(chain, qs.plant(CHAIN_SPEC)[0])
+        assert cli.main(["regularize", str(chain)]) == 2
 
     def test_numeric_error_exits_3(self, tmp_path, monkeypatch):
         out = tmp_path / "cyc.json"
@@ -665,6 +683,18 @@ def _not_utf8(tmp_path):
     return str(path)
 
 
+def _edited_file(tmp_path, edit):
+    d = files.representation_to_dict(noise_arrow_chain())
+    edit(d)
+    return str(write_json(tmp_path / "edited.json", d))
+
+
+def _edited_truth(tmp_path, edit):
+    d = files.plant_spec_to_dict(CHAIN_SPEC)
+    edit(d)
+    return str(write_json(tmp_path / "truth.json", d))
+
+
 def _verify_argv(tmp_path, truth):
     out = tmp_path / "inst.json"
     files.save_representation(out, noise_arrow_chain())
@@ -692,11 +722,18 @@ def _verify_argv(tmp_path, truth):
         lambda p: _gen_argv(p, "--regular-eigs=1e400"),
         lambda p: _gen_argv(p, "--labels", "G:1:1", "--seed", "-1"),
         lambda p: ["gen", str(p), "--kind", "cycle", "--t", "2", "--orientations", "><"],
+        lambda p: ["regularize", _edited_file(p, lambda d: d.update(matrices=5))],
+        lambda p: ["regularize", _edited_file(p, lambda d: d.update(matrices=None))],
+        lambda p: ["canon", _edited_file(p, lambda d: d.update(orientations=5))],
+        lambda p: _verify_argv(p, _edited_truth(p, lambda d: d.update(orientations=5))),
+        lambda p: _verify_argv(p, _edited_truth(p, lambda d: d.update(kind=["chain"]))),
     ],
     ids=["entry-text", "entry-null", "entry-numeric-text", "entry-bool", "rows-float",
          "input-directory", "input-not-utf8", "truth-directory", "truth-not-utf8",
          "gen-label-text", "gen-label-L-on-cycle", "gen-label-G-on-chain", "gen-eig-text",
-         "gen-eig-inf", "gen-eig-overflow", "gen-seed-negative", "gen-output-directory"],
+         "gen-eig-inf", "gen-eig-overflow", "gen-seed-negative", "gen-output-directory",
+         "matrices-int", "matrices-null", "orientations-int", "truth-orientations-int",
+         "truth-kind-list"],
 )
 def test_bad_input_exits_2(tmp_path, capsys, argv):
     args = argv(tmp_path)

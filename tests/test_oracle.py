@@ -208,3 +208,18 @@ class TestVerify:
         dec = qs.regularize(rep)
         with pytest.raises(ValidationError):
             qs.verify(rep, dec, other)
+
+    def test_result_from_another_quiver_rejected(self):
+        def planted(shape, labels):
+            return qs.plant(qs.PlantSpec(shape=shape, labels=labels, seed=2))
+
+        rep3, _ = planted(qs.cycle_shape(3, "><>"), (((1, 2), 1),))
+        rep4, truth4 = planted(qs.cycle_shape(4, ">><<"), (((1, 2), 1),))
+        with pytest.raises(ValidationError, match="t=3 cycle '><>' cannot verify a t=4 cycle '>><<'"):
+            qs.verify(rep4, qs.regularize(rep3), truth4)
+
+        chain3, _ = planted(qs.chain_shape(3, "><"), (((1, 3), 1),))
+        chain4, ctruth4 = planted(qs.chain_shape(4, "><>"), (((1, 3), 1),))
+        form, trace = qs.canon_chain(chain3)
+        with pytest.raises(ValidationError, match="t=3 chain cannot verify a t=4 chain"):
+            qs.verify(chain4, form, ctruth4, trace=trace)
