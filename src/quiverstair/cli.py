@@ -33,7 +33,7 @@ from .files import (
 )
 from .linalg import DEFAULT_TOL, TolerancePolicy
 from .oracle import PlantSpec, plant, verify
-from .quiver import CHAIN, CYCLE, QuiverShape, g_label_dims
+from .quiver import CHAIN, CYCLE, LABEL_TAG, QuiverShape, g_label_dims
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -171,7 +171,7 @@ def _parse_labels(text: str, kind: str):
     out = []
     if not text:
         return out
-    want = "L" if kind == CHAIN else "G"
+    want = LABEL_TAG[kind]
     for piece in text.split(","):
         fields = piece.strip().split(":")
         if len(fields) not in (3, 4):

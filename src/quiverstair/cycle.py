@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import canon_chain
-from .errors import InconsistencyError, ValidationError
+from .errors import InconsistencyError, NumericError, ValidationError
 from .linalg import (
     DEFAULT_TOL,
     TolerancePolicy,
@@ -342,7 +342,9 @@ def monodromy(
     reported as a multiset, with no claim about Jordan structure.
 
     Raises :class:`ValidationError`, naming the defect, if ``p`` is not
-    regular at ``tol.threshold`` of all its matrices.
+    regular at ``tol.threshold`` of all its matrices, and
+    :class:`NumericError` if the product leaves the float64 range: a
+    non-finite entry or an eigenvalue that is exactly 0.
     """
     _check_cycle(p, "monodromy")
     defect = regularity_defect(p, tol.threshold(*p.matrices))
@@ -350,10 +352,15 @@ def monodromy(
         raise ValidationError(f"monodromy needs a regular representation: {defect}")
     d = p.dims[0]
     out = np.eye(d, dtype=np.complex128)
-    for i in range(1, p.shape.t + 1):
-        m = p.matrices[i - 1]
-        out = (m if p.shape.is_clockwise(i) else svd_inverse(m, tol)) @ out
+    with np.errstate(all="ignore"):
+        for i in range(1, p.shape.t + 1):
+            m = p.matrices[i - 1]
+            out = (m if p.shape.is_clockwise(i) else svd_inverse(m, tol)) @ out
+    if not np.isfinite(out).all():
+        raise NumericError("monodromy product overflowed: non-finite entries")
     eigs = np.linalg.eigvals(out) if d else np.zeros(0, dtype=np.complex128)
+    if (eigs == 0).any():
+        raise NumericError("monodromy product underflowed: an eigenvalue is exactly 0")
     return out, eigs
 
 

@@ -9,6 +9,7 @@ cases.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,13 +43,16 @@ VERTICAL = "vertical"
 HORIZONTAL = "horizontal"
 
 
-def as_matrix(a, *, check_finite: bool = False) -> np.ndarray:
+def _is_real(x) -> bool:
+    """A real number of any type, numpy's included, but not a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def as_matrix(a) -> np.ndarray:
     """Coerce ``a`` to a 2-D complex128 ndarray."""
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
         raise ValidationError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if check_finite and m.size and not np.all(np.isfinite(m)):
-        raise ValidationError("matrix contains non-finite entries")
     return m
 
 
@@ -110,8 +114,11 @@ class TolerancePolicy:
     rel_factor: float = 1e-8
 
     def __post_init__(self):
-        if not (math.isfinite(self.abs_floor) and math.isfinite(self.rel_factor)):
-            raise ValidationError("tolerance parameters must be finite")
+        if not all(_is_real(x) and math.isfinite(x) for x in (self.abs_floor, self.rel_factor)):
+            raise ValidationError(
+                f"tolerance parameters must be finite real numbers, got "
+                f"{self.abs_floor!r}/{self.rel_factor!r}"
+            )
         if self.abs_floor < 0 or self.rel_factor < 0:
             raise ValidationError("tolerance parameters must be nonnegative")
 

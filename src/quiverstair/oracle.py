@@ -8,8 +8,8 @@ reproducible bit for bit and vertices use independent substreams.
 """
 
 import cmath
-import math
 import numbers
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -18,11 +18,12 @@ import numpy as np
 from .chain import ChainCanonicalForm, ChainTrace
 from .cycle import RegularizingDecomposition
 from .errors import ValidationError
-from .linalg import unitarity_defect
+from .linalg import _is_real, unitarity_defect
 from .quiver import (
     CHAIN,
     QuiverShape,
     Representation,
+    _is_int,
     apply_isomorphism,
     assemble,
     check_label,
@@ -42,11 +43,6 @@ __all__ = [
 
 UNITARY = "unitary"
 INVERTIBLE = "invertible"
-
-
-def _is_int(x) -> bool:
-    """An integer of any type, numpy's included, but not a bool."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -70,26 +66,24 @@ class PlantSpec:
 
     def __post_init__(self):
         if not (_is_int(self.seed) and self.seed >= 0):
-            raise ValidationError(f"plant seed must be a nonnegative integer, got {self.seed!r}")
+            raise ValidationError(f"field 'seed' must be a nonnegative integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))
         labels: Counter = Counter()
         for (a, b), m in (self.labels.items() if isinstance(self.labels, dict) else self.labels):
-            if not all(map(_is_int, (a, b, m))):
-                raise ValidationError(
-                    f"label ({a!r}, {b!r}) x {m!r}: bounds and multiplicity must be integers"
-                )
-            if m < 0:
-                raise ValidationError("label multiplicities must be nonnegative")
-            labels[(a, b)] += int(m)
+            check_label(self.shape, a, b, m)
+            labels[(int(a), int(b))] += int(m)
         object.__setattr__(self, "labels", tuple(sorted(labels.items())))
+        for z in self.regular_eigs:
+            if not isinstance(z, numbers.Number) or isinstance(z, bool):
+                raise ValidationError(f"regular eigenvalue {z!r} is not a number")
         object.__setattr__(self, "regular_eigs", tuple(complex(z) for z in self.regular_eigs))
         if self.scramble not in (UNITARY, INVERTIBLE):
             raise ValidationError(f"unknown scramble mode {self.scramble!r}")
-        if not 1 <= self.max_condition < math.inf:
+        if not (_is_real(self.max_condition) and 1 <= self.max_condition <= sys.float_info.max):
             raise ValidationError(
-                f"max_condition must be finite and >= 1, got {self.max_condition!r}"
+                f"field 'max_condition' must be a finite number >= 1, got {self.max_condition!r}"
             )
-        for (a, b), _ in self.labels:
-            check_label(self.shape, a, b)
+        object.__setattr__(self, "max_condition", float(self.max_condition))
         if self.shape.kind == CHAIN and self.regular_eigs:
             raise ValidationError("chains have no regular part")
         for z in self.regular_eigs:

@@ -10,6 +10,7 @@ rows and ``dims[u]`` columns, so degenerate ``p x 0`` / ``0 x q`` matrices
 appear whenever a vertex has dimension zero.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,14 @@ CYCLE = "cycle"
 CLOCKWISE = ">"
 COUNTERCLOCKWISE = "<"
 
+# The label kind of each quiver kind: intervals ``L`` on a chain, walks ``G`` on a cycle.
+LABEL_TAG = {CHAIN: "L", CYCLE: "G"}
+
+
+def _is_int(x) -> bool:
+    """An integer of any type, numpy's included, but not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
 
 @dataclass(frozen=True)
 class QuiverShape:
@@ -65,7 +74,14 @@ class QuiverShape:
 
     def __post_init__(self):
         if self.kind not in (CHAIN, CYCLE):
-            raise ValidationError(f"unknown quiver kind {self.kind!r}")
+            raise ValidationError(f"field 'kind' must be 'chain' or 'cycle', got {self.kind!r}")
+        if not _is_int(self.t):
+            raise ValidationError(f"field 't' must be an integer, got {self.t!r}")
+        object.__setattr__(self, "t", int(self.t))
+        if not isinstance(self.orientations, str):
+            raise ValidationError(
+                f"field 'orientations' must be a string, got {self.orientations!r}"
+            )
         if self.kind == CHAIN and self.t < 1:
             raise ValidationError("a chain needs at least one vertex")
         if self.kind == CYCLE and self.t < 2:
@@ -126,6 +142,8 @@ class Representation:
     matrices: tuple[np.ndarray, ...]
 
     def __post_init__(self):
+        if not all(map(_is_int, self.dims)):
+            raise ValidationError(f"field 'dims' must be integers, got {self.dims!r}")
         dims = tuple(int(d) for d in self.dims)
         if len(dims) != self.shape.t or any(d < 0 for d in dims):
             raise ValidationError(
@@ -137,8 +155,10 @@ class Representation:
             )
         mats = []
         for i, raw in enumerate(self.matrices, start=1):
-            m = as_matrix(raw, check_finite=True).copy()
+            m = as_matrix(raw).copy()
             u, v = self.shape.arrow_ends(i)
+            if not np.isfinite(m).all():
+                raise ValidationError(f"arrow {i} ({u}->{v}): non-finite entries")
             want = (dims[v - 1], dims[u - 1])
             if m.shape != want:
                 raise ValidationError(
@@ -203,9 +223,16 @@ def apply_isomorphism(a: Representation, transforms) -> Representation:
     return Representation(a.shape, a.dims, tuple(new))
 
 
-def check_label(shape: QuiverShape, a: int, b: int):
+def check_label(shape: QuiverShape, a: int, b: int, m: int = 1):
     """Reject an interval label ``(i, j)`` outside ``1 <= i <= j <= t`` (chains)
-    or a walk label ``(l, r)`` outside ``1 <= l <= t``, ``r >= l`` (cycles)."""
+    or a walk label ``(l, r)`` outside ``1 <= l <= t``, ``r >= l`` (cycles),
+    and a multiplicity ``m`` that is negative; all three must be integers."""
+    if not all(map(_is_int, (a, b, m))):
+        raise ValidationError(
+            f"label ({a!r}, {b!r}) x {m!r}: bounds and multiplicity must be integers"
+        )
+    if m < 0:
+        raise ValidationError("label multiplicities must be nonnegative")
     t = shape.t
     if shape.kind == CHAIN and not 1 <= a <= b <= t:
         raise ValidationError(f"interval label ({a}, {b}) out of range for t={t}")
@@ -227,14 +254,6 @@ def label_dims(t: int, labels) -> tuple[int, ...]:
     return tuple(dims)
 
 
-def _label_dims(shape: QuiverShape, labels) -> tuple[int, ...]:
-    for (a, b), m in labels:
-        check_label(shape, a, b)
-        if m < 0:
-            raise ValidationError("label multiplicities must be nonnegative")
-    return label_dims(shape.t, labels)
-
-
 def assemble(shape: QuiverShape, labels) -> Representation:
     """Direct sum of the summands named by ``(label, multiplicity)`` pairs.
 
@@ -247,7 +266,9 @@ def assemble(shape: QuiverShape, labels) -> Representation:
     that arrow points, so every matrix has at most one 1 per row and column.
     """
     labels = list(labels)
-    dims = _label_dims(shape, labels)
+    for (a, b), m in labels:
+        check_label(shape, a, b, m)
+    dims = label_dims(shape.t, labels)
     mats = []
     for a in range(1, shape.arrow_count + 1):
         u, v = shape.arrow_ends(a)

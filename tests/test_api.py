@@ -1,9 +1,11 @@
 """The public name lists: every listed name is bound, and the package root
 lists the user-facing API while the dense-kernel internals stay in linalg.
-Every function the benchmark's tracer wraps is still bound where it looks."""
+Every function the benchmark's tracer wraps is still bound where it looks,
+and every root name the benchmark uses is still listed."""
 
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -38,8 +40,11 @@ def test_kernel_internals_live_in_linalg_only():
         assert name in linalg.__all__
 
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
 def _load_tracing():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    path = PERFBENCH / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -59,3 +64,11 @@ def test_traced_targets_are_bound():
     assert targets
     missing = [f"{path}.{attr}" for path, attr, _, _ in targets if attr not in vars(_owner(path))]
     assert missing == []
+
+
+def test_benchmark_root_names_are_listed():
+    used = set()
+    for path in PERFBENCH.glob("*.py"):
+        used.update(re.findall(r"\bqs\.([A-Za-z_]\w*)", path.read_text(encoding="utf-8")))
+    assert len(used) >= 10
+    assert sorted(used - set(qs.__all__)) == []

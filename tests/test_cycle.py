@@ -8,7 +8,7 @@ import quiverstair as qs
 from conftest import add_noise, primed_chain_for_walk, random_cycle_spec
 from quiverstair import cli, files
 from quiverstair.cycle import _walk_layout
-from quiverstair.errors import InconsistencyError, ValidationError
+from quiverstair.errors import InconsistencyError, NumericError, ValidationError
 
 
 def assemble_cycle(spec):
@@ -290,6 +290,26 @@ class TestMonodromy:
         rep = qs.Representation(shape, (2, 2), (np.eye(2), qs.jordan_block(2, 0)))
         with pytest.raises(ValidationError):
             qs.monodromy(rep)
+
+    @pytest.mark.parametrize(
+        "diagonal, message",
+        [((0.01, 100.0), "non-finite"), ((0.01, 0.02), "exactly 0")],
+        ids=["overflow", "underflow"],
+    )
+    def test_product_out_of_range_is_numeric_error(self, tmp_path, capsys, recwarn, diagonal, message):
+        # Every arrow is regular, but 200 of them multiply past the float64 range.
+        a = np.diag(diagonal).astype(complex)
+        rep = qs.Representation(qs.cycle_shape(200, ">" * 200), (2,) * 200, (a,) * 200)
+        assert qs.is_regular(rep)
+        for entry in (qs.monodromy, qs.regularize):
+            with pytest.raises(NumericError, match=message):
+                entry(rep)
+        path = tmp_path / "long.json"
+        files.save_representation(path, rep)
+        capsys.readouterr()
+        assert cli.main(["regularize", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("numeric error: ")
+        assert [w for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
 
 
 class TestRegularize:

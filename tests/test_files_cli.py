@@ -55,14 +55,15 @@ MAX = 1.7976931348623157e308
 
 CHAIN_SPEC = qs.PlantSpec(qs.chain_shape(4, "><>"), (((1, 3), 2), ((2, 4), 1)), seed=5)
 
-# Plant-spec fields that must be JSON integers, each replaced by a look-alike.
+# Plant-spec fields that must be JSON integers, each replaced by a look-alike,
+# with the message naming the field.
 SPEC_NON_INTEGERS = [
-    lambda d: d.update(t=3.7),
-    lambda d: d.update(t="4"),
-    lambda d: d.update(seed=2.5),
-    lambda d: d["labels"][0].__setitem__(1, 1.9),
-    lambda d: d["labels"][0].__setitem__(2, "3"),
-    lambda d: d["labels"][0].__setitem__(3, True),
+    (lambda d: d.update(t=3.7), "'t' must be an integer"),
+    (lambda d: d.update(t="4"), "'t' must be an integer"),
+    (lambda d: d.update(seed=2.5), "'seed' must be a nonnegative integer"),
+    (lambda d: d["labels"][0].__setitem__(1, 1.9), "must be integers"),
+    (lambda d: d["labels"][0].__setitem__(2, "3"), "must be integers"),
+    (lambda d: d["labels"][0].__setitem__(3, True), "must be integers"),
 ]
 SPEC_NON_INTEGER_IDS = ["t-float", "t-string", "seed-float", "low-float", "high-string", "count-bool"]
 
@@ -276,20 +277,20 @@ class TestFiles:
             files.load_representation(path)
 
     @pytest.mark.parametrize(
-        "edit",
+        "edit, match",
         [
-            lambda d: d.update(t=str(d["t"])),
-            lambda d: d.update(t=float(d["t"])),
-            lambda d: d["dims"].__setitem__(0, d["dims"][0] + 0.9),
-            lambda d: d["dims"].__setitem__(0, True),
+            (lambda d: d.update(t=str(d["t"])), "'t' must be an integer"),
+            (lambda d: d.update(t=float(d["t"])), "'t' must be an integer"),
+            (lambda d: d["dims"].__setitem__(0, d["dims"][0] + 0.9), "'dims' must be integers"),
+            (lambda d: d["dims"].__setitem__(0, True), "'dims' must be integers"),
         ],
         ids=["t-string", "t-float", "dims-float", "dims-bool"],
     )
-    def test_non_integer_t_dims_rejected(self, tmp_path, edit):
+    def test_non_integer_t_dims_rejected(self, tmp_path, edit, match):
         d = files.representation_to_dict(make_rep())
         edit(d)
         path = write_json(tmp_path / "bad.json", d)
-        with pytest.raises(ValidationError, match="'t'/'dims' must be integers"):
+        with pytest.raises(ValidationError, match=match):
             files.load_representation(path)
 
     def test_v1_integer_entries_accepted(self, tmp_path):
@@ -304,11 +305,11 @@ class TestFiles:
         with pytest.raises(ValidationError, match="not finite"):
             files.plant_spec_from_dict(d)
 
-    @pytest.mark.parametrize("edit", SPEC_NON_INTEGERS, ids=SPEC_NON_INTEGER_IDS)
-    def test_non_integer_plant_spec_rejected(self, edit):
+    @pytest.mark.parametrize("edit, match", SPEC_NON_INTEGERS, ids=SPEC_NON_INTEGER_IDS)
+    def test_non_integer_plant_spec_rejected(self, edit, match):
         d = files.plant_spec_to_dict(CHAIN_SPEC)
         edit(d)
-        with pytest.raises(ValidationError, match="must be integers"):
+        with pytest.raises(ValidationError, match=match):
             files.plant_spec_from_dict(d)
 
     @pytest.mark.parametrize("edit, field", SPEC_NON_NUMBERS, ids=SPEC_NON_NUMBER_IDS)
@@ -334,7 +335,7 @@ class TestFiles:
         [
             ("representation", make_rep, "orientations", 5, "'orientations' must be a string"),
             ("plant_spec", lambda: CHAIN_SPEC, "orientations", 5, "'orientations' must be a string"),
-            ("plant_spec", lambda: CHAIN_SPEC, "kind", 5, "'kind' must be a string"),
+            ("plant_spec", lambda: CHAIN_SPEC, "kind", 5, "'kind' must be 'chain' or 'cycle'"),
         ],
         ids=["rep-orientations-int", "spec-orientations-int", "spec-kind-int"],
     )
@@ -343,6 +344,17 @@ class TestFiles:
         d[field] = value
         with pytest.raises(ValidationError, match=message):
             getattr(files, f"{loader}_from_dict")(d)
+
+    def test_numpy_integers_saved_as_json_integers(self, tmp_path):
+        shape = qs.cycle_shape(np.int64(2), "><")
+        rep = qs.Representation(shape, (np.int64(1), 1), (np.eye(1), np.eye(1)))
+        spec = qs.PlantSpec(shape, (((np.int64(1), np.int32(2)), np.int64(1)),), seed=np.int64(3))
+        files.save_representation(tmp_path / "rep.json", rep)
+        files.save_plant_spec(tmp_path / "spec.json", spec)
+        got = files.load_representation(tmp_path / "rep.json")
+        assert (got.shape, got.dims) == (rep.shape, rep.dims)
+        assert all(np.array_equal(x, y) for x, y in zip(got.matrices, rep.matrices))
+        assert files.load_plant_spec(tmp_path / "spec.json") == spec
 
     def test_inconsistent_dims_rejected(self, tmp_path):
         rep = make_rep()
@@ -627,9 +639,9 @@ class TestCli:
         assert all(np.array_equal(x, y) for x, y in zip(got.matrices, rep.matrices))
 
 
-@pytest.mark.parametrize("edit", SPEC_NON_INTEGERS, ids=SPEC_NON_INTEGER_IDS)
+@pytest.mark.parametrize("edit, match", SPEC_NON_INTEGERS, ids=SPEC_NON_INTEGER_IDS)
 @pytest.mark.parametrize("command", ["gen", "verify"])
-def test_non_integer_plant_spec_exits_2(tmp_path, capsys, command, edit):
+def test_non_integer_plant_spec_exits_2(tmp_path, capsys, command, edit, match):
     d = files.plant_spec_to_dict(CHAIN_SPEC)
     edit(d)
     spec_path = str(write_json(tmp_path / "spec.json", d))
@@ -638,7 +650,7 @@ def test_non_integer_plant_spec_exits_2(tmp_path, capsys, command, edit):
     argv = ["gen", str(out), "--spec", spec_path] if command == "gen" else ["verify", str(out), spec_path]
     capsys.readouterr()
     assert cli.main(argv) == 2
-    assert "must be integers" in capsys.readouterr().err
+    assert match in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

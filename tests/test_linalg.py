@@ -64,6 +64,18 @@ class TestTolerancePolicy:
         with pytest.raises(ValidationError, match="finite"):
             linalg.TolerancePolicy(**params)
 
+    @pytest.mark.parametrize("field", ["abs_floor", "rel_factor"])
+    @pytest.mark.parametrize(
+        "value", ["1", None, 1e-8 + 0j, True], ids=["string", "none", "complex", "bool"]
+    )
+    def test_non_real_params_rejected(self, field, value):
+        with pytest.raises(ValidationError, match="real numbers"):
+            linalg.TolerancePolicy(**{field: value})
+
+    def test_numpy_reals_accepted(self):
+        tol = linalg.TolerancePolicy(abs_floor=np.float32(0.5), rel_factor=np.int64(0))
+        assert tol.threshold(np.eye(2)) == 0.5
+
     def test_threshold_spans_every_matrix(self):
         tol = linalg.TolerancePolicy()
         assert tol.threshold(np.eye(2), 300.0 * np.eye(3), np.zeros((0, 2))) == pytest.approx(3e-6)

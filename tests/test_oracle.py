@@ -126,6 +126,30 @@ class TestPlant:
         with pytest.raises(ValidationError, match="integer"):
             qs.PlantSpec(shape=qs.chain_shape(2, ">"), labels=labels, seed=seed)
 
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            ({"max_condition": "50"}, "max_condition"),
+            ({"max_condition": True}, "max_condition"),
+            ({"max_condition": None}, "max_condition"),
+            ({"regular_eigs": ("x",)}, "regular eigenvalue"),
+            ({"regular_eigs": (None,)}, "regular eigenvalue"),
+            ({"regular_eigs": (True,)}, "regular eigenvalue"),
+        ],
+        ids=["condition-string", "condition-bool", "condition-none", "eig-string", "eig-none", "eig-bool"],
+    )
+    def test_non_number_fields_rejected(self, fields, name):
+        with pytest.raises(ValidationError, match=name):
+            qs.PlantSpec(shape=qs.cycle_shape(2, "><"), labels=(), **fields)
+
+    def test_numpy_numbers_accepted(self):
+        spec = qs.PlantSpec(
+            shape=qs.cycle_shape(2, "><"), labels=(), regular_eigs=(np.int64(2), np.complex128(1j)),
+            max_condition=np.int64(50),
+        )
+        assert spec.regular_eigs == (2, 1j)
+        assert type(spec.max_condition) is float and spec.max_condition == 50.0
+
     def test_numpy_integers_accepted(self):
         spec = qs.PlantSpec(
             shape=qs.chain_shape(2, ">"), labels=(((np.int64(1), 2), np.int32(2)),), seed=np.int64(3)

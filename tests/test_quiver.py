@@ -44,6 +44,24 @@ class TestQuiverShape:
         with pytest.raises(ValidationError):
             qs.QuiverShape("loop", 3, ">>>")
 
+    @pytest.mark.parametrize(
+        "kind, t, orientations, field",
+        [
+            (qs.CHAIN, "2", ">", "'t'"),
+            (qs.CHAIN, 2.0, ">", "'t'"),
+            (qs.CHAIN, True, "", "'t'"),
+            (qs.CHAIN, 2, [">"], "'orientations'"),
+            (5, 2, ">", "'kind'"),
+        ],
+        ids=["t-string", "t-float", "t-bool", "orientations-list", "kind-int"],
+    )
+    def test_wrong_field_type_named(self, kind, t, orientations, field):
+        with pytest.raises(ValidationError, match=field):
+            qs.QuiverShape(kind, t, orientations)
+
+    def test_numpy_integer_t_accepted(self):
+        assert qs.cycle_shape(np.int64(2), "><") == qs.cycle_shape(2, "><")
+
     def test_reversed(self):
         c = qs.cycle_shape(3, "><>")
         assert c.reversed().orientations == "<><"
@@ -62,6 +80,19 @@ class TestRepresentation:
         assert rep.matrices[0].shape == (0, 1)
         with pytest.raises(ValidationError):
             qs.Representation(shape, (1, 0), (np.zeros((1, 0)),))
+
+    @pytest.mark.parametrize("bad", [1.9, "1", True], ids=["float", "string", "bool"])
+    def test_non_integer_dims_rejected(self, bad):
+        with pytest.raises(ValidationError, match="'dims' must be integers"):
+            qs.Representation(qs.chain_shape(2, ">"), (bad, 1), (np.eye(1),))
+
+    def test_numpy_integer_dims_accepted(self):
+        rep = qs.Representation(qs.chain_shape(2, ">"), (np.int64(1), np.int32(1)), (np.eye(1),))
+        assert rep.dims == (1, 1) and all(type(d) is int for d in rep.dims)
+
+    def test_non_finite_entry_names_the_arrow(self):
+        with pytest.raises(ValidationError, match=r"arrow 2 \(3->2\): non-finite"):
+            qs.Representation(qs.chain_shape(3, "><"), (1, 1, 1), (np.eye(1), [[np.nan]]))
 
     def test_matrices_read_only(self):
         rep = qs.Representation(qs.chain_shape(2, ">"), (1, 1), (np.eye(1),))
@@ -352,6 +383,25 @@ class TestAssemble:
     def test_negative_multiplicity_rejected(self):
         with pytest.raises(ValidationError, match="nonnegative"):
             assemble(qs.chain_shape(3, ">>"), [((1, 2), 2), ((1, 2), -1)])
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: qs.make_G(1, 2.5, qs.cycle_shape(3, ">>>")),
+            lambda: qs.make_L(1.0, 2, qs.chain_shape(3, ">>")),
+            lambda: assemble(qs.chain_shape(3, ">>"), [((1, 2), 1.5)]),
+            lambda: qs.g_label_dims(qs.cycle_shape(3, ">>>"), "1", 2),
+        ],
+        ids=["make-G-float-bound", "make-L-float-bound", "assemble-float-count", "g-dims-string-bound"],
+    )
+    def test_non_integer_label_rejected(self, build):
+        with pytest.raises(ValidationError, match="must be integers"):
+            build()
+
+    def test_numpy_integer_labels_accepted(self):
+        shape = qs.cycle_shape(3, ">>>")
+        got = assemble(shape, [((np.int64(1), np.int32(2)), np.int64(2))])
+        assert got.dims == assemble(shape, [((1, 2), 2)]).dims == (2, 2, 0)
 
     def test_label_dims(self):
         assert label_dims(2, []) == (0, 0)
