@@ -55,7 +55,7 @@ for step in trace.steps:
         f" -> blocks {step.block_sizes}"
     )
 
-print(f"\nlargest entry the staircase had to declare zero: {trace.residual:.2e}")
+print(f"\nlargest entry, in the returned bases, where a staircase demands a zero: {trace.residual:.2e}")
 print("dimension ledger matches input:", form.dims() == rep.dims)
 
 # The canonical form can be rebuilt and re-decomposed: a fixed point.

@@ -75,7 +75,11 @@ class ChainStep:
 
 @dataclass
 class ChainTrace:
-    """Accumulated per-vertex unitaries, the run's rank threshold, and per-step bookkeeping."""
+    """Accumulated per-vertex unitaries, the run's rank threshold, and per-step bookkeeping.
+
+    ``residual`` is :func:`chain_pattern_residual` of the input and these
+    unitaries.
+    """
 
     vertex_transforms: list[np.ndarray]
     threshold: float
@@ -90,9 +94,9 @@ def canon_chain(
 
     Returns the multiset ``{(i, j): multiplicity}`` together with the trace:
     the accumulated unitary change of basis at every vertex, the strip/block
-    sizes of every step, and the largest entry the staircase forms required
-    to vanish (measured after transformation, so it reflects the rank
-    decisions actually taken).
+    sizes of every step, and the residual: the input taken into the returned
+    bases, measured where some step's staircase form demands a zero (see
+    :func:`chain_pattern_residual`).
 
     Every step decides ranks against one threshold, ``tol.threshold`` of all
     the input's matrices, so a matrix consisting purely of noise does not
@@ -116,11 +120,10 @@ def canon_chain(
         sizes = [k for _, k in strips]
         axis = VERTICAL if clockwise else HORIZONTAL
         try:
-            reduced, left, right, ls = staircase_reduce(mats[r - 1], sizes, axis, tau)
+            _, left, right, ls = staircase_reduce(mats[r - 1], sizes, axis, tau)
         except QuiverError as exc:
             raise type(exc)(f"chain step {r}: {exc}") from exc
         s_here, s_next = (right.conj().T, left) if clockwise else (left, right.conj().T)
-        trace.residual = max(trace.residual, staircase_residual(reduced, sizes, ls, axis))
         trace.vertex_transforms[r - 1] = s_here @ trace.vertex_transforms[r - 1]
         trace.vertex_transforms[r] = s_next @ trace.vertex_transforms[r]
         if r < t - 1:
@@ -147,6 +150,7 @@ def canon_chain(
     for p, k in strips:
         if k:
             counts[(p, t)] += k
+    trace.residual = chain_pattern_residual(a, trace)
     return ChainCanonicalForm(t, counts), trace
 
 
@@ -161,8 +165,8 @@ def chain_pattern_residual(a: Representation, trace: ChainTrace) -> float:
     """Re-verify the staircase patterns from the recorded transforms.
 
     Applies the accumulated unitaries to the input and measures the largest
-    entry sitting where some step's staircase form demands a zero.  Equals
-    ``trace.residual`` up to re-application roundoff.
+    entry sitting where some step's staircase form demands a zero.
+    :func:`canon_chain` reports this value as ``trace.residual``.
     """
     worst = 0.0
     s = trace.vertex_transforms

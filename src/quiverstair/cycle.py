@@ -18,7 +18,7 @@ eigenvalues of its monodromy.
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +45,6 @@ from .quiver import (
 )
 
 __all__ = [
-    "ShaveStep",
     "ShaveResult",
     "shave",
     "push_down",
@@ -57,19 +56,6 @@ __all__ = [
 
 
 @dataclass
-class ShaveStep:
-    """Audit record for one shave step."""
-
-    step: int
-    arrow: int
-    vertex: int
-    clockwise: bool
-    shaved_dim: int
-    kept_dim: int
-    zeroed_norm: float
-
-
-@dataclass
 class ShaveResult:
     """Outcome of one full shave pass.
 
@@ -78,8 +64,9 @@ class ShaveResult:
     reduced cycle representation, whose clockwise arrows all have full row
     rank.  ``trace`` holds the accumulated unitary applied at each cycle
     vertex; its leading block at every vertex corresponds to the shaved
-    parts, in the order they were split off.  ``residual`` is the largest
-    Frobenius norm among the blocks the pass declared zero.
+    parts, in the order they were split off.  ``residual`` is
+    :func:`shave_glue_residual` of the input and this result: how far the
+    input, taken into the bases of ``trace``, is from the glued split.
     """
 
     a_prime: Representation | None
@@ -89,7 +76,11 @@ class ShaveResult:
     trace: list[np.ndarray]
     residual: float
     threshold: float
-    steps: list[ShaveStep] = field(default_factory=list)
+
+    @property
+    def steps(self) -> range:
+        """The walk's steps ``l..n``; empty when nothing was shaved."""
+        return range(self.l, self.n + 1)
 
 
 def _check_cycle(a: Representation, who: str):
@@ -120,7 +111,7 @@ def shave(a: Representation, tol: TolerancePolicy = DEFAULT_TOL) -> ShaveResult:
                 break
 
     trace = [np.eye(d, dtype=np.complex128) for d in a.dims]
-    if l == t + 1:
+    if l == t + 1:  # nothing to shave; the glue residual is exactly 0
         return ShaveResult(
             a_prime=None,
             a_tilde=Representation(shape, a.dims, a.matrices),
@@ -135,8 +126,6 @@ def shave(a: Representation, tol: TolerancePolicy = DEFAULT_TOL) -> ShaveResult:
     mats = [m.copy() for m in a.matrices]
     chain_dims: list[int] = []
     chain_mats: list[np.ndarray] = []
-    steps_log: list[ShaveStep] = []
-    residual = 0.0
 
     cap = t + 2 * sum(a.dims) + 2
     # strip of the current arrow's matrix hanging over the shaved part; the
@@ -150,31 +139,22 @@ def shave(a: Representation, tol: TolerancePolicy = DEFAULT_TOL) -> ShaveResult:
             )
         arrow = shape.wrap(r)
         vtx = shape.wrap(r + 1)  # the vertex ahead, and the next arrow
-        cw = shape.is_clockwise(arrow)
         cur = mats[arrow - 1]
 
-        if cw:
+        if shape.is_clockwise(arrow):
             # cur: d[vtx] x d[src]; shave off the row-deficient top part of vtx
             q, k = row_compress(cur, tau)
-            moved = q @ cur
             shaved = cur.shape[0] - k
-            zeroed = float(np.linalg.norm(moved[:shaved, :]))
-            mats[arrow - 1] = moved[shaved:, :]
-            lifted = q @ pending
-            c_mat = lifted[:shaved, :]  # chain matrix (r)' -> (r+1)'
+            mats[arrow - 1] = (q @ cur)[shaved:, :]
+            c_mat = (q @ pending)[:shaved, :]  # chain matrix (r)' -> (r+1)'
             s_new = q
         else:
             # cur: d[tgt] x d[vtx]; the pending strip sits above it (rows)
-            w, k = col_compress(pending, tau)
-            lifted = pending @ w
-            shaved = k
-            zeroed = float(np.linalg.norm(lifted[:, shaved:]))
-            c_mat = lifted[:, :shaved]  # chain matrix (r+1)' -> (r)'
-            moved = cur @ w
-            mats[arrow - 1] = moved[:, shaved:]
+            w, shaved = col_compress(pending, tau)
+            c_mat = (pending @ w)[:, :shaved]  # chain matrix (r+1)' -> (r)'
+            mats[arrow - 1] = (cur @ w)[:, shaved:]
             s_new = w.conj().T
 
-        residual = max(residual, zeroed)
         if r > l:
             chain_mats.append(c_mat)
         chain_dims.append(shaved)
@@ -193,21 +173,8 @@ def shave(a: Representation, tol: TolerancePolicy = DEFAULT_TOL) -> ShaveResult:
             pending_next = moved_nxt[:shaved, :]
             mats[vtx - 1] = moved_nxt[shaved:, :]
 
-        steps_log.append(
-            ShaveStep(
-                step=r,
-                arrow=arrow,
-                vertex=vtx,
-                clockwise=cw,
-                shaved_dim=shaved,
-                kept_dim=dims[vtx - 1],
-                zeroed_norm=zeroed,
-            )
-        )
-
         if r >= t and numerical_rank(pending_next, tau) == 0:
             n = r
-            residual = max(residual, float(np.linalg.norm(pending_next)))
             break
         pending = pending_next
         r += 1
@@ -216,16 +183,9 @@ def shave(a: Representation, tol: TolerancePolicy = DEFAULT_TOL) -> ShaveResult:
     prime_shape = QuiverShape(CHAIN, n + 1 - l, prime_orients)
     a_prime = Representation(prime_shape, tuple(chain_dims), tuple(chain_mats))
     a_tilde = Representation(shape, tuple(dims), tuple(mats))
-    return ShaveResult(
-        a_prime=a_prime,
-        a_tilde=a_tilde,
-        l=l,
-        n=n,
-        trace=trace,
-        residual=residual,
-        threshold=tau,
-        steps=steps_log,
-    )
+    res = ShaveResult(a_prime, a_tilde, l, n, trace, residual=0.0, threshold=tau)
+    res.residual = shave_glue_residual(a, res)
+    return res
 
 
 def _walk_layout(shape: QuiverShape, start: int, sizes) -> tuple[list[int], tuple[int, ...]]:
@@ -372,7 +332,9 @@ class RegularizingDecomposition:
     length ``r - l + 1``) to multiplicities; ``summands_by_pass`` splits the
     count by the shave pass that produced each label (direct pass,
     transposed pass).  ``trace`` is the composed per-vertex unitary of both
-    passes, acting on the original spaces.
+    passes, acting on the original spaces.  ``residual`` is the largest of
+    the two shaves' glue residuals and the two chain stages' pattern
+    residuals, each measured from that stage's input and returned unitaries.
     """
 
     shape: QuiverShape
@@ -433,11 +395,13 @@ def regularize(
     regular = transpose_rep(second.a_tilde)
 
     by_pass = []
+    residual = max(first.residual, second.residual)
     for res in (first, second):
         if res.a_prime is None:
             by_pass.append(Counter())
         else:
-            form, _ = canon_chain(res.a_prime, fixed)
+            form, chain_trace = canon_chain(res.a_prime, fixed)
+            residual = max(residual, chain_trace.residual)
             by_pass.append(_chain_labels_to_walks(a.shape, res.l, form.counts))
     summands = by_pass[0] + by_pass[1]
 
@@ -459,7 +423,7 @@ def regularize(
         monodromy_matrix=mono,
         monodromy_eigenvalues=eigs,
         trace=trace,
-        residual=max(first.residual, second.residual),
+        residual=residual,
         threshold=first.threshold,
         shaves=(first, second),
     )

@@ -48,6 +48,14 @@ def _is_real(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
+def _is_finite_real(x) -> bool:
+    """A real number that float64 holds finitely; integers beyond its range fail."""
+    try:
+        return _is_real(x) and math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def as_matrix(a) -> np.ndarray:
     """Coerce ``a`` to a 2-D complex128 ndarray."""
     m = np.asarray(a, dtype=np.complex128)
@@ -114,11 +122,12 @@ class TolerancePolicy:
     rel_factor: float = 1e-8
 
     def __post_init__(self):
-        if not all(_is_real(x) and math.isfinite(x) for x in (self.abs_floor, self.rel_factor)):
-            raise ValidationError(
-                f"tolerance parameters must be finite real numbers, got "
-                f"{self.abs_floor!r}/{self.rel_factor!r}"
-            )
+        for name in ("abs_floor", "rel_factor"):
+            x = getattr(self, name)
+            if not _is_finite_real(x):
+                raise ValidationError(
+                    f"tolerance parameters must be finite real numbers, got {name}={x!r}"
+                )
         if self.abs_floor < 0 or self.rel_factor < 0:
             raise ValidationError("tolerance parameters must be nonnegative")
 

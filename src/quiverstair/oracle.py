@@ -9,7 +9,6 @@ reproducible bit for bit and vertices use independent substreams.
 
 import cmath
 import numbers
-import sys
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -18,7 +17,7 @@ import numpy as np
 from .chain import ChainCanonicalForm, ChainTrace
 from .cycle import RegularizingDecomposition
 from .errors import ValidationError
-from .linalg import _is_real, unitarity_defect
+from .linalg import _is_finite_real, unitarity_defect
 from .quiver import (
     CHAIN,
     QuiverShape,
@@ -73,13 +72,18 @@ class PlantSpec:
             check_label(self.shape, a, b, m)
             labels[(int(a), int(b))] += int(m)
         object.__setattr__(self, "labels", tuple(sorted(labels.items())))
+        eigs = []
         for z in self.regular_eigs:
             if not isinstance(z, numbers.Number) or isinstance(z, bool):
                 raise ValidationError(f"regular eigenvalue {z!r} is not a number")
-        object.__setattr__(self, "regular_eigs", tuple(complex(z) for z in self.regular_eigs))
+            try:  # integers beyond float64 range
+                eigs.append(complex(z))
+            except OverflowError:
+                raise ValidationError(f"regular eigenvalue {z!r} is not finite") from None
+        object.__setattr__(self, "regular_eigs", tuple(eigs))
         if self.scramble not in (UNITARY, INVERTIBLE):
             raise ValidationError(f"unknown scramble mode {self.scramble!r}")
-        if not (_is_real(self.max_condition) and 1 <= self.max_condition <= sys.float_info.max):
+        if not (_is_finite_real(self.max_condition) and self.max_condition >= 1):
             raise ValidationError(
                 f"field 'max_condition' must be a finite number >= 1, got {self.max_condition!r}"
             )

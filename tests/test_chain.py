@@ -85,6 +85,37 @@ class TestWorkedExample:
         assert qs.chain_pattern_residual(scrambled, trace) <= 1e-10 * scale
 
 
+class TestResidualFromReturnedBases:
+    """``trace.residual`` is measured from the input and the returned unitaries."""
+
+    SPEC = qs.PlantSpec(
+        qs.chain_shape(4, "><>"), (((1, 3), 2), ((2, 4), 1), ((2, 2), 1), ((1, 4), 1)), seed=5
+    )
+
+    def test_equals_the_pattern_residual(self):
+        rep, _ = qs.plant(self.SPEC)
+        _, trace = qs.canon_chain(rep)
+        assert trace.residual == qs.chain_pattern_residual(rep, trace)
+
+    def test_bookkeeping_drift_shows(self, monkeypatch):
+        # a staircase step that hands back its left unitary with the rows
+        # reversed: still unitary, but no longer the basis the step reduced in
+        from quiverstair import chain
+
+        reduce = chain.staircase_reduce
+
+        def drifting(*args):
+            reduced, left, right, ls = reduce(*args)
+            return reduced, left[::-1], right, ls
+
+        monkeypatch.setattr(chain, "staircase_reduce", drifting)
+        rep, truth = qs.plant(self.SPEC)
+        form, trace = qs.canon_chain(rep)
+        assert trace.residual > 1e-8 * qs.representation_scale(rep)
+        report = qs.verify(rep, form, truth, trace=trace)
+        assert not next(c for c in report.checks if c.name == "residual").passed
+
+
 class TestAssembleCanonical:
     def test_full_intervals(self):
         shape = qs.chain_shape(3, "><")

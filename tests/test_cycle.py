@@ -112,6 +112,16 @@ class TestShaveBasics:
             assert qs.shave_glue_residual(rep, res) <= 1e-8 * scale
             assert res.residual <= 1e-8 * scale
 
+    @pytest.mark.parametrize(
+        "shape, labels, count",
+        [(qs.cycle_shape(2, ">>"), (((1, 4), 1), ((1, 1), 1)), 4), (qs.cycle_shape(3, "><>"), (), 0)],
+        ids=["shaved", "nothing-to-shave"],
+    )
+    def test_steps_count_the_walk(self, shape, labels, count):
+        rep, _ = qs.plant(qs.PlantSpec(shape, labels, regular_eigs=(2.0,), seed=1))
+        res = qs.shave(rep)
+        assert len(res.steps) == res.n - res.l + 1 == count
+
     def test_trace_unitary(self):
         rep, _ = qs.plant(random_cycle_spec(3))
         res = qs.shave(rep)
@@ -165,6 +175,10 @@ class TestGlueMask:
         res = qs.shave(rep)
         assert (res.l, res.n, res.a_prime.dims) == (2, 5, (2, 1, 1, 1))
         return rep, res, qs.shave_glue_residual(rep, res)
+
+    def test_result_residual_is_the_glue_residual(self, shaved):
+        _, res, base = shaved
+        assert res.residual == base
 
     @pytest.mark.parametrize("arrow, qr, qc, kept", CASES)
     def test_bump_in_block(self, shaved, arrow, qr, qc, kept):
@@ -484,6 +498,23 @@ class TestRegularize:
         rep = qs.Representation(qs.cycle_shape(2, "><"), dims, mats)
         with pytest.raises(InconsistencyError, match=message):
             qs.regularize(rep)
+
+    def test_residual_covers_the_chain_stages(self, monkeypatch):
+        from quiverstair import cycle
+
+        canon_chain = cycle.canon_chain
+
+        def bad_chain_stage(a, tol=qs.DEFAULT_TOL):
+            form, trace = canon_chain(a, tol)
+            trace.residual = 1.0
+            return form, trace
+
+        monkeypatch.setattr(cycle, "canon_chain", bad_chain_stage)
+        rep, truth = qs.plant(TestGlueMask.SPEC)
+        dec = qs.regularize(rep)
+        assert dec.residual >= 1.0
+        report = qs.verify(rep, dec, truth)
+        assert not next(c for c in report.checks if c.name == "residual").passed
 
     def test_regularity_decided_once(self, tmp_path, capsys):
         # Each arrow's sigma_min is 1e-3, above the input threshold, so the part

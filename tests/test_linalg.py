@@ -72,6 +72,11 @@ class TestTolerancePolicy:
         with pytest.raises(ValidationError, match="real numbers"):
             linalg.TolerancePolicy(**{field: value})
 
+    @pytest.mark.parametrize("field", ["abs_floor", "rel_factor"])
+    def test_integer_beyond_float_range_rejected(self, field):
+        with pytest.raises(ValidationError, match=f"finite real numbers, got {field}="):
+            linalg.TolerancePolicy(**{field: 10**400})
+
     def test_numpy_reals_accepted(self):
         tol = linalg.TolerancePolicy(abs_floor=np.float32(0.5), rel_factor=np.int64(0))
         assert tol.threshold(np.eye(2)) == 0.5

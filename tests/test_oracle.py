@@ -142,6 +142,10 @@ class TestPlant:
         with pytest.raises(ValidationError, match=name):
             qs.PlantSpec(shape=qs.cycle_shape(2, "><"), labels=(), **fields)
 
+    def test_eigenvalue_beyond_float_range_rejected(self):
+        with pytest.raises(ValidationError, match="regular eigenvalue .* is not finite"):
+            qs.PlantSpec(shape=qs.cycle_shape(2, "><"), labels=(), regular_eigs=(10**400,))
+
     def test_numpy_numbers_accepted(self):
         spec = qs.PlantSpec(
             shape=qs.cycle_shape(2, "><"), labels=(), regular_eigs=(np.int64(2), np.complex128(1j)),
