@@ -12,6 +12,12 @@ order the staircase form leaves at vertex ``r+1``: blocks first and the new
 bare vertex last for vertical steps, the bare vertex first for horizontal
 steps.  That ordering is load-bearing; it encodes the flag of subspaces the
 remaining transformations must respect.
+
+The vertex unitaries are the sweep's whole state.  Step ``r`` reads arrow
+``r`` from the input, taken into vertex ``r``'s current basis (vertex
+``r+1`` still has the input's), refines vertex ``r``'s unitary by the
+staircase's block-diagonal one on the strips, and sets vertex ``r+1``'s
+unitary to the staircase's other one.
 """
 
 from collections import Counter
@@ -112,25 +118,20 @@ def canon_chain(
     trace = ChainTrace(
         vertex_transforms=[np.eye(d, dtype=np.complex128) for d in a.dims], threshold=tau
     )
-    mats = list(a.matrices)
+    s = trace.vertex_transforms
     strips: list[tuple[int, int]] = [(1, a.dims[0])]
 
     for r in range(1, t):
         clockwise = a.shape.is_clockwise(r)
         sizes = [k for _, k in strips]
         axis = VERTICAL if clockwise else HORIZONTAL
+        m = a.matrices[r - 1] @ s[r - 1].conj().T if clockwise else s[r - 1] @ a.matrices[r - 1]
         try:
-            _, left, right, ls = staircase_reduce(mats[r - 1], sizes, axis, tau)
+            _, left, right, ls = staircase_reduce(m, sizes, axis, tau)
         except QuiverError as exc:
             raise type(exc)(f"chain step {r}: {exc}") from exc
-        s_here, s_next = (right.conj().T, left) if clockwise else (left, right.conj().T)
-        trace.vertex_transforms[r - 1] = s_here @ trace.vertex_transforms[r - 1]
-        trace.vertex_transforms[r] = s_next @ trace.vertex_transforms[r]
-        if r < t - 1:
-            if a.shape.is_clockwise(r + 1):
-                mats[r] = mats[r] @ s_next.conj().T
-            else:
-                mats[r] = s_next @ mats[r]
+        s_here, s[r] = (right.conj().T, left) if clockwise else (left, right.conj().T)
+        s[r - 1] = s_here @ s[r - 1]
 
         for (p, k), l in zip(strips, ls):
             if k - l:

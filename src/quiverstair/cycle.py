@@ -112,18 +112,9 @@ def shave(a: Representation, tol: TolerancePolicy = DEFAULT_TOL) -> ShaveResult:
 
     trace = [np.eye(d, dtype=np.complex128) for d in a.dims]
     if l == t + 1:  # nothing to shave; the glue residual is exactly 0
-        return ShaveResult(
-            a_prime=None,
-            a_tilde=Representation(shape, a.dims, a.matrices),
-            l=l,
-            n=t,
-            trace=trace,
-            residual=0.0,
-            threshold=tau,
-        )
+        return ShaveResult(None, a, l, t, trace, residual=0.0, threshold=tau)
 
-    dims = list(a.dims)
-    mats = [m.copy() for m in a.matrices]
+    mats = list(a.matrices)  # read-only; each step replaces entries
     chain_dims: list[int] = []
     chain_mats: list[np.ndarray] = []
 
@@ -159,8 +150,7 @@ def shave(a: Representation, tol: TolerancePolicy = DEFAULT_TOL) -> ShaveResult:
             chain_mats.append(c_mat)
         chain_dims.append(shaved)
 
-        pre = a.dims[vtx - 1] - dims[vtx - 1]  # dimensions already shaved off vtx
-        dims[vtx - 1] -= shaved
+        pre = a.dims[vtx - 1] - len(s_new)  # dimensions already shaved off vtx
         trace[vtx - 1][pre:] = s_new @ trace[vtx - 1][pre:]
 
         nxt_mat = mats[vtx - 1]
@@ -182,7 +172,9 @@ def shave(a: Representation, tol: TolerancePolicy = DEFAULT_TOL) -> ShaveResult:
     prime_orients = "".join(shape.orientations[shape.wrap(q) - 1] for q in range(l + 1, n + 1))
     prime_shape = QuiverShape(CHAIN, n + 1 - l, prime_orients)
     a_prime = Representation(prime_shape, tuple(chain_dims), tuple(chain_mats))
-    a_tilde = Representation(shape, tuple(dims), tuple(mats))
+    # vertex i's remaining dimension, read off arrow i, whose source or target it is
+    dims = [m.shape[1 if shape.is_clockwise(i) else 0] for i, m in enumerate(mats, 1)]
+    a_tilde = Representation(shape, dims, tuple(mats))
     res = ShaveResult(a_prime, a_tilde, l, n, trace, residual=0.0, threshold=tau)
     res.residual = shave_glue_residual(a, res)
     return res

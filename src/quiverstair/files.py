@@ -16,9 +16,9 @@ import json
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import _is_real
+from .linalg import _is_int, _is_real
 from .oracle import PlantSpec
-from .quiver import LABEL_TAG, QuiverShape, Representation, _is_int
+from .quiver import LABEL_TAG, QuiverShape, Representation
 
 __all__ = [
     "FORMAT_VERSION",

@@ -48,12 +48,36 @@ def _is_real(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
+def _is_int(x) -> bool:
+    """An integer of any type, numpy's included, but not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 def _is_finite_real(x) -> bool:
     """A real number that float64 holds finitely; integers beyond its range fail."""
     try:
         return _is_real(x) and math.isfinite(x)
     except OverflowError:
         return False
+
+
+def _check_threshold(threshold) -> None:
+    if not (_is_finite_real(threshold) and threshold >= 0):
+        raise ValidationError(f"threshold must be a finite real number >= 0, got {threshold!r}")
+
+
+def _rank(s: np.ndarray, threshold) -> int:
+    """The one rank rule: the number of singular values ``s`` above ``threshold``."""
+    _check_threshold(threshold)
+    return int(np.count_nonzero(s > threshold))
+
+
+def _sizes(name: str, xs) -> list[int]:
+    """``xs`` as a list of ints; only integers are accepted, numpy's included."""
+    xs = list(xs)
+    if not all(map(_is_int, xs)):
+        raise ValidationError(f"{name} must be integers, got {xs!r}")
+    return [int(x) for x in xs]
 
 
 def as_matrix(a) -> np.ndarray:
@@ -190,7 +214,7 @@ def svd_inverse(a, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
         return m.copy()
     u, s, vh = svd(m)
     tau = tol.from_sigma(s[0])
-    if s[-1] <= tau:
+    if _rank(s, tau) < len(s):
         raise ValidationError(
             f"matrix is numerically singular: sigma_min={s[-1]:.6g} <= tau={tau:.6g}"
         )
@@ -199,7 +223,7 @@ def svd_inverse(a, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
 
 def numerical_rank(a, threshold: float) -> int:
     """Number of singular values above ``threshold``."""
-    return int(np.sum(singular_values(a) > threshold))
+    return _rank(singular_values(a), threshold)
 
 
 def row_compress(a, threshold: float) -> tuple[np.ndarray, int]:
@@ -209,7 +233,7 @@ def row_compress(a, threshold: float) -> tuple[np.ndarray, int]:
     """
     m = as_matrix(a)
     u, s = svd(m)[:2]  # drop vh now, not at return: it is as large as the result
-    k = int(np.sum(s > threshold))
+    k = _rank(s, threshold)
     order = list(range(k, m.shape[0])) + list(range(k))
     q = u[:, order].conj().T
     return q, k
@@ -218,7 +242,7 @@ def row_compress(a, threshold: float) -> tuple[np.ndarray, int]:
 def col_compress(a, threshold: float) -> tuple[np.ndarray, int]:
     """Unitary ``w`` with ``a @ w = [c | 0]``, ``c`` of full column rank ``k``."""
     s, vh = svd(a)[1:]  # drop u now, not at return: it is as large as the result
-    return vh.conj().T, int(np.sum(s > threshold))
+    return vh.conj().T, _rank(s, threshold)
 
 
 def two_sided_reduce(a, threshold: float) -> tuple[np.ndarray, np.ndarray, int]:
@@ -229,7 +253,7 @@ def two_sided_reduce(a, threshold: float) -> tuple[np.ndarray, np.ndarray, int]:
     """
     m = as_matrix(a)
     u, sig, vh = svd(m)
-    k = int(np.sum(sig > threshold))
+    k = _rank(sig, threshold)
     n = m.shape[1]
     order = list(range(k, n)) + list(range(k))
     s_mat = vh.conj().T[:, order]
@@ -263,7 +287,8 @@ def staircase_reduce(
     axis.  All strips share the one ``threshold``.
     """
     m = as_matrix(a)
-    sizes = [int(x) for x in strip_sizes]
+    sizes = _sizes("strip_sizes", strip_sizes)
+    _check_threshold(threshold)
     if any(x < 0 for x in sizes):
         raise ValidationError("strip sizes must be nonnegative")
     if strip_axis not in (VERTICAL, HORIZONTAL):
@@ -302,8 +327,8 @@ def staircase_residual(a, strip_sizes, block_sizes, strip_axis: str) -> float:
     strip and block sizes; 0.0 when it demands no zero.
     """
     m = as_matrix(a)
-    sizes = [int(x) for x in strip_sizes]
-    ls = [int(x) for x in block_sizes]
+    sizes = _sizes("strip_sizes", strip_sizes)
+    ls = _sizes("block_sizes", block_sizes)
     if len(sizes) != len(ls):
         raise ValidationError("strip_sizes and block_sizes must have equal length")
     if strip_axis == HORIZONTAL:

@@ -17,12 +17,11 @@ import numpy as np
 from .chain import ChainCanonicalForm, ChainTrace
 from .cycle import RegularizingDecomposition
 from .errors import ValidationError
-from .linalg import _is_finite_real, unitarity_defect
+from .linalg import _is_finite_real, _is_int, unitarity_defect
 from .quiver import (
     CHAIN,
     QuiverShape,
     Representation,
-    _is_int,
     apply_isomorphism,
     assemble,
     check_label,

@@ -10,7 +10,6 @@ rows and ``dims[u]`` columns, so degenerate ``p x 0`` / ``0 x q`` matrices
 appear whenever a vertex has dimension zero.
 """
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +18,8 @@ from .errors import ValidationError
 from .linalg import (
     DEFAULT_TOL,
     TolerancePolicy,
+    _is_int,
+    _rank,
     as_matrix,
     block_diag,
     sigma_max,
@@ -57,11 +58,6 @@ COUNTERCLOCKWISE = "<"
 
 # The label kind of each quiver kind: intervals ``L`` on a chain, walks ``G`` on a cycle.
 LABEL_TAG = {CHAIN: "L", CYCLE: "G"}
-
-
-def _is_int(x) -> bool:
-    """An integer of any type, numpy's included, but not a bool."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -332,9 +328,9 @@ def regularity_defect(a: Representation, threshold: float) -> str | None:
         return f"uneven dimensions {a.dims}"
     if a.dims[0]:
         for i, m in enumerate(a.matrices, start=1):
-            smin = float(singular_values(m)[-1])
-            if smin <= threshold:
-                return f"singular at arrow {i}: sigma_min={smin:.6g} <= threshold {threshold:.6g}"
+            s = singular_values(m)
+            if _rank(s, threshold) < len(s):
+                return f"singular at arrow {i}: sigma_min={s[-1]:.6g} <= threshold {threshold:.6g}"
     return None
 
 

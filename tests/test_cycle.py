@@ -38,6 +38,11 @@ class TestShaveBasics:
         assert res.a_tilde.dims == rep.dims
         assert all(np.array_equal(x, y) for x, y in zip(res.a_tilde.matrices, rep.matrices))
 
+    def test_nothing_to_shave_returns_the_input(self):
+        shape = qs.cycle_shape(2, "><")
+        rep = qs.Representation(shape, (2, 2), (np.eye(2), 3 * np.eye(2)))
+        assert qs.shave(rep).a_tilde is rep
+
     def test_degenerate_zero_row_arrow_is_legal(self):
         # Clockwise arrows carrying 0 x q matrices satisfy the row condition
         # vacuously; the shave must pass through without error.

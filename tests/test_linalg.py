@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import bareiss_rank, random_complex
-from quiverstair import linalg
+from quiverstair import linalg, quiver
 from quiverstair.errors import NumericError, ValidationError
 
 TOL = linalg.DEFAULT_TOL
@@ -355,8 +355,60 @@ class TestInverse:
         assert np.linalg.norm(inv @ a - np.eye(4)) < 1e-10
 
     def test_singular_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="numerically singular"):
             linalg.svd_inverse(np.zeros((2, 2)))
 
     def test_empty(self):
         assert linalg.svd_inverse(np.zeros((0, 0))).shape == (0, 0)
+
+
+def _regularity_defect(threshold):
+    rep = quiver.Representation(quiver.cycle_shape(2, "><"), (2, 2), (np.eye(2), np.eye(2)))
+    return quiver.regularity_defect(rep, threshold)
+
+
+# every function that takes a rank threshold, called on a small input
+THRESHOLD_TAKERS = {
+    "numerical_rank": lambda tau: linalg.numerical_rank(np.eye(3), tau),
+    "row_compress": lambda tau: linalg.row_compress(np.eye(3), tau),
+    "col_compress": lambda tau: linalg.col_compress(np.eye(3), tau),
+    "two_sided_reduce": lambda tau: linalg.two_sided_reduce(np.eye(3), tau),
+    "staircase_reduce": lambda tau: linalg.staircase_reduce(np.eye(2), [1, 1], linalg.VERTICAL, tau),
+    "staircase_reduce, no strips": lambda tau: linalg.staircase_reduce(
+        np.zeros((2, 0)), [], linalg.VERTICAL, tau
+    ),
+    "regularity_defect": _regularity_defect,
+}
+
+
+class TestThresholdCheck:
+    @pytest.mark.parametrize("fn", THRESHOLD_TAKERS.values(), ids=THRESHOLD_TAKERS.keys())
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0, "x", None, True])
+    def test_bad_threshold_raises(self, fn, bad):
+        with pytest.raises(ValidationError, match="threshold must be a finite real number >= 0"):
+            fn(bad)
+
+    @pytest.mark.parametrize("fn", THRESHOLD_TAKERS.values(), ids=THRESHOLD_TAKERS.keys())
+    @pytest.mark.parametrize("good", [0, 1e-12, np.float64(1e-8)])
+    def test_good_threshold_accepted(self, fn, good):
+        fn(good)
+
+
+class TestSizeCheck:
+    @pytest.mark.parametrize("bad", [[1.9, 1.1], [True, True], ["1", "1"], [1.0, 1.0]])
+    def test_staircase_reduce_needs_integer_strips(self, bad):
+        with pytest.raises(ValidationError, match="strip_sizes must be integers"):
+            linalg.staircase_reduce(np.eye(2), bad, linalg.VERTICAL, 1e-12)
+
+    def test_numpy_integer_strips_accepted(self):
+        sizes = np.array([1, 1], dtype=np.int64)
+        assert linalg.staircase_reduce(np.eye(2), sizes, linalg.VERTICAL, 1e-12)[3] == [1, 1]
+        assert linalg.staircase_residual(np.eye(2), sizes, sizes, linalg.VERTICAL) == 0.0
+
+    @pytest.mark.parametrize("name", ["strip_sizes", "block_sizes"])
+    @pytest.mark.parametrize("bad", [1.9, True, "1"])
+    def test_staircase_residual_needs_integer_sizes(self, name, bad):
+        sizes = {"strip_sizes": [1, 1], "block_sizes": [1, 1]}
+        sizes[name] = [bad, 1]
+        with pytest.raises(ValidationError, match=f"{name} must be integers"):
+            linalg.staircase_residual(np.eye(2), sizes["strip_sizes"], sizes["block_sizes"], linalg.VERTICAL)
