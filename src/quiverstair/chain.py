@@ -31,6 +31,7 @@ from .linalg import (
     HORIZONTAL,
     VERTICAL,
     TolerancePolicy,
+    _check_tol,
     staircase_reduce,
     staircase_residual,
 )
@@ -110,6 +111,7 @@ def canon_chain(
 
     Numeric failures propagate with the step index attached.
     """
+    _check_tol(tol)
     if a.shape.kind != CHAIN:
         raise ValidationError("canon_chain needs a chain representation")
     t = a.shape.t
@@ -127,7 +129,7 @@ def canon_chain(
         axis = VERTICAL if clockwise else HORIZONTAL
         m = a.matrices[r - 1] @ s[r - 1].conj().T if clockwise else s[r - 1] @ a.matrices[r - 1]
         try:
-            _, left, right, ls = staircase_reduce(m, sizes, axis, tau)
+            left, right, ls = staircase_reduce(m, sizes, axis, tau)
         except QuiverError as exc:
             raise type(exc)(f"chain step {r}: {exc}") from exc
         s_here, s[r] = (right.conj().T, left) if clockwise else (left, right.conj().T)
@@ -166,15 +168,22 @@ def chain_pattern_residual(a: Representation, trace: ChainTrace) -> float:
     """Re-verify the staircase patterns from the recorded transforms.
 
     Applies the accumulated unitaries to the input and measures the largest
-    entry sitting where some step's staircase form demands a zero.
-    :func:`canon_chain` reports this value as ``trace.residual``.
+    entry sitting where some step's staircase form demands a zero; step ``r``
+    is read on arrow ``r`` of ``a``.  :func:`canon_chain` reports this value as
+    ``trace.residual``.  Raises :class:`ValidationError` if the trace does not
+    fit ``a``: a ``d_v x d_v`` transform per vertex, a step per arrow, and
+    patterns that fit the arrows' matrices.
     """
-    worst = 0.0
     s = trace.vertex_transforms
-    for step in trace.steps:
-        r = step.r
+    if [np.shape(q) for q in s] != [(d, d) for d in a.dims] or len(trace.steps) != a.shape.t - 1:
+        raise ValidationError(
+            f"trace does not fit a chain of dims {a.dims}: "
+            "it needs a d x d transform per vertex and a step per arrow"
+        )
+    worst = 0.0
+    for r, step in enumerate(trace.steps, start=1):
         u, v = a.shape.arrow_ends(r)
         m = s[v - 1] @ a.matrices[r - 1] @ s[u - 1].conj().T
-        axis = VERTICAL if step.orientation == CLOCKWISE else HORIZONTAL
+        axis = VERTICAL if a.shape.is_clockwise(r) else HORIZONTAL
         worst = max(worst, staircase_residual(m, step.strip_sizes, step.block_sizes, axis))
     return worst

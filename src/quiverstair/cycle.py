@@ -27,6 +27,8 @@ from .errors import InconsistencyError, NumericError, ValidationError
 from .linalg import (
     DEFAULT_TOL,
     TolerancePolicy,
+    _check_int,
+    _check_tol,
     col_compress,
     numerical_rank,
     row_compress,
@@ -97,6 +99,7 @@ def shave(a: Representation, tol: TolerancePolicy = DEFAULT_TOL) -> ShaveResult:
     :class:`InconsistencyError` if the walk exceeds its dimension-based step
     cap, which would indicate contradictory rank decisions.
     """
+    _check_tol(tol)
     _check_cycle(a, "shave")
     shape = a.shape
     t = shape.t
@@ -209,6 +212,8 @@ def push_down(
     """
     if shape.kind != CYCLE:
         raise ValidationError("push_down needs a cycle shape")
+    _check_int("push_down", "l", l)
+    _check_int("push_down", "n", n)
     m_len = n + 1 - l
     if m_len < 0:
         raise ValidationError(f"push_down got n={n} < l={l} - 1")
@@ -298,6 +303,7 @@ def monodromy(
     :class:`NumericError` if the product leaves the float64 range: a
     non-finite entry or an eigenvalue that is exactly 0.
     """
+    _check_tol(tol)
     _check_cycle(p, "monodromy")
     defect = regularity_defect(p, tol.threshold(*p.matrices))
     if defect:
@@ -380,6 +386,7 @@ def regularize(
     uneven dimensions; that signals tolerance trouble rather than a silent
     misclassification.
     """
+    _check_tol(tol)
     _check_cycle(a, "regularize")
     first = shave(a, tol)
     fixed = TolerancePolicy(abs_floor=first.threshold, rel_factor=0.0)

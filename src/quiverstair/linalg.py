@@ -8,6 +8,7 @@ inputs yield empty/identity transforms and rank 0 without caller-side special
 cases.
 """
 
+import cmath
 import math
 import numbers
 from dataclasses import dataclass
@@ -61,6 +62,19 @@ def _is_finite_real(x) -> bool:
         return False
 
 
+def _is_finite_number(z) -> bool:
+    """A real or complex number that complex128 holds finitely; not a bool."""
+    try:
+        return isinstance(z, numbers.Number) and not isinstance(z, bool) and cmath.isfinite(z)
+    except OverflowError:
+        return False
+
+
+def _check_int(who: str, name: str, x) -> None:
+    if not _is_int(x):
+        raise ValidationError(f"{who} needs an integer {name}, got {x!r}")
+
+
 def _check_threshold(threshold) -> None:
     if not (_is_finite_real(threshold) and threshold >= 0):
         raise ValidationError(f"threshold must be a finite real number >= 0, got {threshold!r}")
@@ -109,6 +123,7 @@ def f_block(n: int) -> np.ndarray:
 
     For ``n = 1`` this is the unique ``0 x 1`` matrix.
     """
+    _check_int("f_block", "n", n)
     if n < 1:
         raise ValidationError(f"f_block needs n >= 1, got {n}")
     return np.eye(n - 1, n, dtype=np.complex128)
@@ -116,6 +131,7 @@ def f_block(n: int) -> np.ndarray:
 
 def g_block(n: int) -> np.ndarray:
     """The ``(n-1) x n`` matrix with ones on the superdiagonal."""
+    _check_int("g_block", "n", n)
     if n < 1:
         raise ValidationError(f"g_block needs n >= 1, got {n}")
     return np.eye(n - 1, n, k=1, dtype=np.complex128)
@@ -123,6 +139,9 @@ def g_block(n: int) -> np.ndarray:
 
 def jordan_block(n: int, lam: complex) -> np.ndarray:
     """The ``n x n`` upper Jordan block with eigenvalue ``lam``."""
+    _check_int("jordan_block", "n", n)
+    if not _is_finite_number(lam):
+        raise ValidationError(f"jordan_block needs a finite number lam, got {lam!r}")
     if n < 0:
         raise ValidationError(f"jordan_block needs n >= 0, got {n}")
     out = np.eye(n, k=1, dtype=np.complex128)
@@ -172,6 +191,11 @@ class TolerancePolicy:
 DEFAULT_TOL = TolerancePolicy()
 
 
+def _check_tol(tol) -> None:
+    if not isinstance(tol, TolerancePolicy):
+        raise ValidationError(f"tol must be a TolerancePolicy, got {tol!r}")
+
+
 def _lapack_svd(m: np.ndarray, **kwargs):
     """``np.linalg.svd`` with a convergence failure reported as :class:`NumericError`."""
     try:
@@ -207,6 +231,7 @@ def sigma_max(*mats) -> float:
 
 def svd_inverse(a, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """Inverse of a square matrix via SVD, rejecting numerically singular input."""
+    _check_tol(tol)
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise ValidationError(f"cannot invert a {m.shape[0]}x{m.shape[1]} matrix")
@@ -265,9 +290,27 @@ def _flip(a: np.ndarray) -> np.ndarray:
     return a[::-1, ::-1].T
 
 
+def _strip_frame(a, strip_sizes, strip_axis: str) -> tuple[np.ndarray, np.ndarray]:
+    """Check the strips; return ``a`` and their bounds in :func:`staircase_reduce`'s frame."""
+    m = as_matrix(a)
+    sizes = _sizes("strip_sizes", strip_sizes)
+    if any(x < 0 for x in sizes):
+        raise ValidationError("strip sizes must be nonnegative")
+    if strip_axis not in (VERTICAL, HORIZONTAL):
+        raise ValidationError(f"unknown strip axis {strip_axis!r}")
+    along = m.shape[1] if strip_axis == VERTICAL else m.shape[0]
+    if sum(sizes) != along:
+        raise ValidationError(
+            f"strip sizes sum to {sum(sizes)}, expected {along} for {strip_axis} strips"
+        )
+    if strip_axis == HORIZONTAL:
+        m, sizes = _flip(m), sizes[::-1]
+    return m, np.concatenate([[0], np.cumsum(sizes)]).astype(int)
+
+
 def staircase_reduce(
     a, strip_sizes, strip_axis: str, threshold: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Reduce ``a`` to echelon-of-nonsingular-blocks form, strip by strip.
 
     ``strip_sizes`` partitions the columns (``strip_axis="vertical"``) or the
@@ -280,69 +323,50 @@ def staircase_reduce(
     reduction on ``J a^T J`` (``J`` reverses order) with the strips reversed,
     and flips the results back.
 
-    Returns ``(reduced, left, right, block_sizes)`` with ``reduced = left @ a
-    @ right`` and ``left``, ``right`` unitary.  The unitary on the strip axis
-    (``right`` for vertical strips, ``left`` for horizontal ones) is block
-    diagonal over the strips; the other one acts on the whole orthogonal
-    axis.  All strips share the one ``threshold``.
+    Returns ``(left, right, block_sizes)`` with ``left``, ``right`` unitary
+    and ``left @ a @ right`` in staircase form.  The unitary on the strip
+    axis (``right`` for vertical strips, ``left`` for horizontal ones) is
+    block diagonal over the strips; the other one acts on the whole
+    orthogonal axis.  All strips share the one ``threshold``.
     """
-    m = as_matrix(a)
-    sizes = _sizes("strip_sizes", strip_sizes)
+    m, bounds = _strip_frame(a, strip_sizes, strip_axis)
     _check_threshold(threshold)
-    if any(x < 0 for x in sizes):
-        raise ValidationError("strip sizes must be nonnegative")
-    if strip_axis not in (VERTICAL, HORIZONTAL):
-        raise ValidationError(f"unknown strip axis {strip_axis!r}")
-    along = m.shape[1] if strip_axis == VERTICAL else m.shape[0]
-    if sum(sizes) != along:
-        raise ValidationError(
-            f"strip sizes sum to {sum(sizes)}, expected {along} for {strip_axis} strips"
-        )
-    if strip_axis == HORIZONTAL:
-        m, sizes = _flip(m), sizes[::-1]
-    work = m.copy()
     left = np.eye(m.shape[0], dtype=np.complex128)
     right = np.eye(m.shape[1], dtype=np.complex128)
-    ls = [0] * len(sizes)
-    bounds = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
+    ls = []
     pinned = 0
-    for i in range(len(sizes)):
-        c0, c1 = bounds[i], bounds[i + 1]
-        p, s_mat, k = two_sided_reduce(work[pinned:, c0:c1], threshold)
-        work[pinned:, :] = p.conj().T @ work[pinned:, :]
-        work[:, c0:c1] = work[:, c0:c1] @ s_mat
+    for c0, c1 in zip(bounds, bounds[1:]):
+        # ``right`` is still the identity here: this is the strip of ``left @ m @ right``
+        p, s_mat, k = two_sided_reduce(left[pinned:, :] @ m[:, c0:c1], threshold)
         left[pinned:, :] = p.conj().T @ left[pinned:, :]
         right[c0:c1, c0:c1] = s_mat
-        ls[i] = k
+        ls.append(k)
         pinned += k
     if strip_axis == HORIZONTAL:
-        return _flip(work), _flip(right), _flip(left), ls[::-1]
-    return work, left, right, ls
+        return _flip(right), _flip(left), ls[::-1]
+    return left, right, ls
 
 
 def staircase_residual(a, strip_sizes, block_sizes, strip_axis: str) -> float:
     """Largest modulus in ``a`` where the staircase form demands a zero.
 
     The pattern is the one :func:`staircase_reduce` produces for the given
-    strip and block sizes; 0.0 when it demands no zero.
+    strip and block sizes; 0.0 when it demands no zero.  Each block must fit
+    its strip (``0 <= l_i <= k_i``), and all of them the orthogonal axis.
     """
-    m = as_matrix(a)
-    sizes = _sizes("strip_sizes", strip_sizes)
+    m, bounds = _strip_frame(a, strip_sizes, strip_axis)
     ls = _sizes("block_sizes", block_sizes)
-    if len(sizes) != len(ls):
+    if len(ls) != len(bounds) - 1:
         raise ValidationError("strip_sizes and block_sizes must have equal length")
     if strip_axis == HORIZONTAL:
-        m, sizes, ls = _flip(m), sizes[::-1], ls[::-1]
-    elif strip_axis != VERTICAL:
-        raise ValidationError(f"unknown strip axis {strip_axis!r}")
-    mask = np.zeros(m.shape, dtype=bool)
-    bounds = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
+        ls = ls[::-1]
     band = np.concatenate([[0], np.cumsum(ls)]).astype(int)
-    for i in range(len(sizes)):
-        c0, c1 = bounds[i], bounds[i + 1]
-        b0, b1 = band[i], band[i + 1]
+    if any(not 0 <= l <= k for l, k in zip(ls, np.diff(bounds))) or band[-1] > m.shape[0]:
+        raise ValidationError(f"block sizes must fit their strips and sum to at most {m.shape[0]}")
+    mask = np.zeros(m.shape, dtype=bool)
+    for l, c0, c1, b0, b1 in zip(ls, bounds, bounds[1:], band, band[1:]):
         mask[b1:, c0:c1] = True
-        mask[b0:b1, c0 : c1 - ls[i]] = True
+        mask[b0:b1, c0 : c1 - l] = True
     return float(np.abs(m[mask]).max(initial=0.0))
 
 

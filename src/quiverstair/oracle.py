@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import ChainCanonicalForm, ChainTrace
+from .chain import ChainCanonicalForm, ChainTrace, chain_pattern_residual
 from .cycle import RegularizingDecomposition
 from .errors import ValidationError
-from .linalg import _is_finite_real, _is_int, unitarity_defect
+from .linalg import _check_int, _is_finite_real, _is_int, unitarity_defect
 from .quiver import (
     CHAIN,
     QuiverShape,
@@ -110,6 +110,7 @@ def random_unitary(n: int, seed) -> np.ndarray:
     as QR of a complex Gaussian matrix with the R-diagonal phases divided
     out (Mezzadri's recipe).
     """
+    _check_int("random_unitary", "n", n)
     if n < 0:
         raise ValidationError("random_unitary needs n >= 0")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
@@ -124,6 +125,11 @@ def random_unitary(n: int, seed) -> np.ndarray:
 
 def random_invertible(n: int, seed, max_condition: float = 1e3) -> np.ndarray:
     """Random invertible matrix with condition number at most ``max_condition``."""
+    _check_int("random_invertible", "n", n)
+    if not (_is_finite_real(max_condition) and max_condition >= 1):
+        raise ValidationError(
+            f"random_invertible needs a finite max_condition >= 1, got {max_condition!r}"
+        )
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     if n == 0:
         return np.zeros((0, 0), dtype=np.complex128)
@@ -244,8 +250,12 @@ def verify(
 
     ``result`` is a :class:`ChainCanonicalForm`, which needs the matching
     :class:`ChainTrace` for the residual and unitarity checks, or a
-    :class:`RegularizingDecomposition`.  Failures are report entries, not
-    exceptions.
+    :class:`RegularizingDecomposition`.  A chain's residual is measured here,
+    :func:`chain_pattern_residual` of ``a`` and the trace, which raises
+    :class:`ValidationError` if the trace does not fit ``a``; a cycle
+    result's stored ``residual`` is read as it is, since the result does not
+    carry every unitary its residual is measured from.  Failures are report
+    entries, not exceptions.
     """
     if a.shape != truth.shape:
         raise ValidationError("representation and truth have different shapes")
@@ -257,7 +267,8 @@ def verify(
             raise ValidationError(
                 f"a canonical form of a t={result.t} chain cannot verify a {_describe(a.shape)}"
             )
-        counts, residual, transforms = result.counts, trace.residual, trace.vertex_transforms
+        counts, transforms = result.counts, trace.vertex_transforms
+        residual = chain_pattern_residual(a, trace)
     elif isinstance(result, RegularizingDecomposition):
         if result.shape != a.shape:
             raise ValidationError(

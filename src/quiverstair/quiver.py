@@ -18,6 +18,7 @@ from .errors import ValidationError
 from .linalg import (
     DEFAULT_TOL,
     TolerancePolicy,
+    _check_tol,
     _is_int,
     _rank,
     as_matrix,
@@ -340,6 +341,7 @@ def is_regular(a: Representation, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
     Nonsingularity is judged against one threshold taken from the scale of
     the whole representation, not of each matrix.
     """
+    _check_tol(tol)
     if a.shape.kind != CYCLE:
         raise ValidationError("is_regular applies to cycle representations")
     return regularity_defect(a, tol.threshold(*a.matrices)) is None

@@ -6,6 +6,18 @@ import numpy as np
 
 import quiverstair as qs
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # tier-1 runs property tests reproducibly and fast: the same examples on
+    # every run, nothing stored between runs
+    settings.register_profile(
+        "tier1", derandomize=True, database=None, deadline=None, max_examples=150
+    )
+    settings.load_profile("tier1")
+
 EIG_CHOICES = (2, -2, 3, -3, 1 + 1j, 1 - 1j)
 
 

@@ -105,8 +105,8 @@ class TestResidualFromReturnedBases:
         reduce = chain.staircase_reduce
 
         def drifting(*args):
-            reduced, left, right, ls = reduce(*args)
-            return reduced, left[::-1], right, ls
+            left, right, ls = reduce(*args)
+            return left[::-1], right, ls
 
         monkeypatch.setattr(chain, "staircase_reduce", drifting)
         rep, truth = qs.plant(self.SPEC)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+import quiverstair as qs
 from conftest import bareiss_rank, random_complex
-from quiverstair import linalg, quiver
+from quiverstair import cycle, linalg, oracle, quiver
 from quiverstair.errors import NumericError, ValidationError
 
 TOL = linalg.DEFAULT_TOL
@@ -262,15 +263,16 @@ class TestStaircase:
     def test_single_strip_degenerates_to_two_sided(self):
         rng = np.random.default_rng(2)
         a = random_complex(rng, 4, 3)
-        red, _, _, ls = linalg.staircase_reduce(a, [3], linalg.VERTICAL, TOL.threshold(a))
+        left, right, ls = linalg.staircase_reduce(a, [3], linalg.VERTICAL, TOL.threshold(a))
         _, _, k = linalg.two_sided_reduce(a, TOL.threshold(a))
         assert ls == [k]
+        red = left @ a @ right
         assert linalg.staircase_residual(red, [3], ls, linalg.VERTICAL) <= TOL.threshold(a)
 
     def test_zero_width_strips_are_carried(self):
         rng = np.random.default_rng(4)
         a = random_complex(rng, 3, 4)
-        _, _, _, ls = linalg.staircase_reduce(a, [0, 4, 0], linalg.VERTICAL, TOL.threshold(a))
+        _, _, ls = linalg.staircase_reduce(a, [0, 4, 0], linalg.VERTICAL, TOL.threshold(a))
         assert ls[0] == 0 and ls[2] == 0
         _, _, k = linalg.two_sided_reduce(a, TOL.threshold(a))
         assert ls[1] == k
@@ -289,8 +291,9 @@ class TestStaircase:
         q = random_unitary(4, 21)
         w = linalg.block_diag(random_unitary(3, 22), random_unitary(2, 23))
         a = q @ b @ w
-        red, _, _, ls = linalg.staircase_reduce(a, [3, 2], linalg.VERTICAL, TOL.threshold(a))
+        left, right, ls = linalg.staircase_reduce(a, [3, 2], linalg.VERTICAL, TOL.threshold(a))
         assert ls == [2, 1]
+        red = left @ a @ right
         assert linalg.staircase_residual(red, [3, 2], ls, linalg.VERTICAL) <= TOL.threshold(a)
 
     @pytest.mark.parametrize("axis", [linalg.VERTICAL, linalg.HORIZONTAL])
@@ -303,12 +306,11 @@ class TestStaircase:
             sizes = [cuts[0], cuts[1] - cuts[0], along - cuts[1]]
             r = int(rng.integers(0, min(m, n) + 1))
             a = random_complex(rng, m, r) @ random_complex(rng, r, n) if r else np.zeros((m, n), complex)
-            red, left, right, ls = linalg.staircase_reduce(a, sizes, axis, TOL.threshold(a))
+            left, right, ls = linalg.staircase_reduce(a, sizes, axis, TOL.threshold(a))
             assert sum(ls) == linalg.numerical_rank(a, TOL.threshold(a))
             assert linalg.unitarity_defect(left) <= 1e-12 * max(1, max(a.shape))
             assert linalg.unitarity_defect(right) <= 1e-12 * max(1, max(a.shape))
-            assert linalg.staircase_residual(red, sizes, ls, axis) <= TOL.threshold(a)
-            assert np.linalg.norm(red - left @ a @ right) <= 1e-12 * max(1.0, np.linalg.norm(a))
+            assert linalg.staircase_residual(left @ a @ right, sizes, ls, axis) <= TOL.threshold(a)
             # the strip-axis unitary acts within each strip
             strip_unitary = right if axis == linalg.VERTICAL else left
             inside = np.zeros(strip_unitary.shape, dtype=bool)
@@ -339,6 +341,32 @@ class TestStaircase:
         for i, j in zeros:
             a[i, j] = 0.0
         assert linalg.staircase_residual(a, sizes, [1, 1], axis) == 0.0
+
+    @pytest.mark.parametrize(
+        "strips, blocks, axis",
+        [
+            ([1, 1], [1, 1], linalg.VERTICAL),
+            ([2, 2], [1, 1], linalg.HORIZONTAL),
+            ([-1, 4], [0, 1], linalg.VERTICAL),
+            ([3], [5], linalg.VERTICAL),
+            ([3], [-1], linalg.VERTICAL),
+            ([2, 1], [2, 1], linalg.VERTICAL),
+            ([1, 1], [2, 0], linalg.HORIZONTAL),
+        ],
+        ids=[
+            "a column short",
+            "a row too many",
+            "negative strip",
+            "block wider than its strip",
+            "negative block",
+            "blocks need 3 of 2 rows",
+            "block taller than its strip",
+        ],
+    )
+    def test_residual_rejects_patterns_that_do_not_fit(self, strips, blocks, axis):
+        a = np.arange(1.0, 7.0).reshape(2, 3)
+        with pytest.raises(ValidationError):
+            linalg.staircase_residual(a, strips, blocks, axis)
 
     def test_strip_size_mismatch_raises(self):
         with pytest.raises(ValidationError):
@@ -402,7 +430,7 @@ class TestSizeCheck:
 
     def test_numpy_integer_strips_accepted(self):
         sizes = np.array([1, 1], dtype=np.int64)
-        assert linalg.staircase_reduce(np.eye(2), sizes, linalg.VERTICAL, 1e-12)[3] == [1, 1]
+        assert linalg.staircase_reduce(np.eye(2), sizes, linalg.VERTICAL, 1e-12)[2] == [1, 1]
         assert linalg.staircase_residual(np.eye(2), sizes, sizes, linalg.VERTICAL) == 0.0
 
     @pytest.mark.parametrize("name", ["strip_sizes", "block_sizes"])
@@ -412,3 +440,78 @@ class TestSizeCheck:
         sizes[name] = [bad, 1]
         with pytest.raises(ValidationError, match=f"{name} must be integers"):
             linalg.staircase_residual(np.eye(2), sizes["strip_sizes"], sizes["block_sizes"], linalg.VERTICAL)
+
+
+_CYCLE2 = qs.cycle_shape(2, "><")
+_CHAIN = qs.Representation(qs.chain_shape(2, ">"), (1, 1), (np.eye(1),))
+_REGULAR = qs.Representation(_CYCLE2, (1, 1), (np.eye(1), np.eye(1)))
+
+# every function that takes a TolerancePolicy, called on a small input
+TOL_TAKERS = {
+    "canon_chain": lambda tol: qs.canon_chain(_CHAIN, tol),
+    "shave": lambda tol: cycle.shave(_REGULAR, tol),
+    "regularize": lambda tol: cycle.regularize(_REGULAR, tol),
+    "monodromy": lambda tol: cycle.monodromy(_REGULAR, tol),
+    "is_regular": lambda tol: quiver.is_regular(_REGULAR, tol),
+    "svd_inverse": lambda tol: linalg.svd_inverse(np.eye(2), tol),
+}
+
+
+class TestToleranceCheck:
+    @pytest.mark.parametrize("fn", TOL_TAKERS.values(), ids=TOL_TAKERS.keys())
+    @pytest.mark.parametrize("bad", [1e-8, "x", None, linalg.DEFAULT_TOL.from_sigma])
+    def test_non_policy_raises(self, fn, bad):
+        with pytest.raises(ValidationError, match="tol must be a TolerancePolicy, got"):
+            fn(bad)
+
+    @pytest.mark.parametrize("fn", TOL_TAKERS.values(), ids=TOL_TAKERS.keys())
+    def test_policy_accepted(self, fn):
+        fn(linalg.TolerancePolicy(abs_floor=1e-10))
+
+
+# (call, the argument its error must name)
+BAD_BUILDING_BLOCK_ARGS = {
+    "random_unitary(2.5)": (lambda: oracle.random_unitary(2.5, 0), "integer n"),
+    "random_unitary(True)": (lambda: oracle.random_unitary(True, 0), "integer n"),
+    "random_invertible(2.5)": (lambda: oracle.random_invertible(2.5, 0), "integer n"),
+    "random_invertible(max_condition=0.5)": (
+        lambda: oracle.random_invertible(2, 0, max_condition=0.5),
+        "max_condition",
+    ),
+    "random_invertible(max_condition=inf)": (
+        lambda: oracle.random_invertible(2, 0, max_condition=np.inf),
+        "max_condition",
+    ),
+    "random_invertible(max_condition='9')": (
+        lambda: oracle.random_invertible(2, 0, max_condition="9"),
+        "max_condition",
+    ),
+    "jordan_block(2.5)": (lambda: linalg.jordan_block(2.5, 1), "integer n"),
+    "jordan_block(lam='x')": (lambda: linalg.jordan_block(2, "x"), "lam"),
+    "jordan_block(lam=nan)": (lambda: linalg.jordan_block(2, complex(1, np.nan)), "lam"),
+    "jordan_block(lam=10**400)": (lambda: linalg.jordan_block(2, 10**400), "lam"),
+    "jordan_block(lam=True)": (lambda: linalg.jordan_block(2, True), "lam"),
+    "f_block(True)": (lambda: linalg.f_block(True), "integer n"),
+    "f_block(2.0)": (lambda: linalg.f_block(2.0), "integer n"),
+    "g_block('3')": (lambda: linalg.g_block("3"), "integer n"),
+    "push_down(l=1.5)": (lambda: cycle.push_down(None, 1.5, 0.5, _CYCLE2), "integer l"),
+    "push_down(l='a')": (lambda: cycle.push_down(None, "a", 0, _CYCLE2), "integer l"),
+    "push_down(n=0.0)": (lambda: cycle.push_down(None, 1, 0.0, _CYCLE2), "integer n"),
+}
+
+
+class TestBuildingBlockArguments:
+    @pytest.mark.parametrize(
+        "call, name", BAD_BUILDING_BLOCK_ARGS.values(), ids=BAD_BUILDING_BLOCK_ARGS.keys()
+    )
+    def test_bad_argument_named(self, call, name):
+        with pytest.raises(ValidationError, match=name):
+            call()
+
+    def test_numpy_numbers_accepted(self):
+        two = np.int64(2)
+        assert oracle.random_unitary(two, 0).shape == (2, 2)
+        assert oracle.random_invertible(two, 0, max_condition=np.float32(10)).shape == (2, 2)
+        assert linalg.jordan_block(two, np.complex64(1j))[1, 1] == 1j
+        assert linalg.f_block(two).shape == linalg.g_block(two).shape == (1, 2)
+        assert cycle.push_down(None, np.int64(1), np.int64(0), _CYCLE2).dims == (0, 0)

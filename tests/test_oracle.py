@@ -167,6 +167,29 @@ class TestPlant:
             qs.PlantSpec(shape=qs.cycle_shape(3, ">>>"), labels=(((4, 5), 1),), seed=0)
 
 
+def _trace_of_other_dims(trace):
+    # same shape as TestVerify.CHAIN5, other vertex dimensions
+    spec = qs.PlantSpec(qs.chain_shape(5, "><>>"), (((1, 5), 2), ((3, 4), 1)), seed=4)
+    return qs.canon_chain(qs.plant(spec)[0])[1]
+
+
+def _drop_last_step(trace):
+    trace.steps.pop()
+    return trace
+
+
+def _oversize_first_block(trace):
+    trace.steps[0].block_sizes = [k + 1 for k in trace.steps[0].strip_sizes]
+    return trace
+
+
+TRACE_TAMPERS = {
+    "other dims": _trace_of_other_dims,
+    "a step short": _drop_last_step,
+    "oversized block": _oversize_first_block,
+}
+
+
 class TestVerify:
     def test_self_consistent_cycle_plant_passes(self):
         spec = random_cycle_spec(8)
@@ -218,6 +241,27 @@ class TestVerify:
         form, _ = qs.canon_chain(rep)
         with pytest.raises(ValidationError, match="ChainTrace"):
             qs.verify(rep, form, truth)
+
+    CHAIN5 = qs.PlantSpec(
+        qs.chain_shape(5, "><>>"), (((1, 3), 2), ((2, 5), 1), ((4, 4), 1), ((1, 5), 1)), seed=4
+    )
+
+    def test_swapped_chain_transforms_fail_the_residual_check(self):
+        rep, truth = qs.plant(self.CHAIN5)
+        form, trace = qs.canon_chain(rep)
+        assert qs.verify(rep, form, truth, trace=trace).passed
+        trace.vertex_transforms = [qs.random_unitary(d, 100 + v) for v, d in enumerate(rep.dims)]
+        report = qs.verify(rep, form, truth, trace=trace)
+        (check,) = [c for c in report.checks if c.name == "residual"]
+        assert not check.passed
+        assert report.residual == check.measured == qs.chain_pattern_residual(rep, trace)
+
+    @pytest.mark.parametrize("tamper", TRACE_TAMPERS.values(), ids=TRACE_TAMPERS.keys())
+    def test_trace_that_does_not_fit_raises(self, tamper):
+        rep, truth = qs.plant(self.CHAIN5)
+        form, trace = qs.canon_chain(rep)
+        with pytest.raises(ValidationError, match="does not fit|must fit"):
+            qs.verify(rep, form, truth, trace=tamper(trace))
 
     def test_noisy_batch_passes_default_tolerances(self):
         from conftest import add_noise
