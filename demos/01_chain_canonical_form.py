@@ -49,9 +49,9 @@ for (i, j), mult in form.sorted_labels():
 
 print(f"\nrank threshold for every step (from the whole input): {trace.threshold:.2e}")
 print("per-step staircase bookkeeping (strip sizes -> revealed block sizes):")
-for step in trace.steps:
+for r, step in enumerate(trace.steps, 1):
     print(
-        f"  arrow {step.r} ({step.orientation}): strips {step.strip_sizes}"
+        f"  arrow {r} ({step.orientation}): strips {step.strip_sizes}"
         f" -> blocks {step.block_sizes}"
     )
 

@@ -46,7 +46,7 @@ print("\nfirst shave: started at arrow", res.l, "stopped after step", res.n)
 pushed = qs.push_down(res.a_prime, res.l, res.n, shape)
 print("  shaved chain pushes down to dimensions", pushed.dims)
 print("  remaining cycle has dimensions        ", res.a_tilde.dims)
-print(f"  glue residual (transform, split, compare): {res.residual:.2e}")
+print(f"  glue residual, reduction_residual(rep, res): {qs.reduction_residual(rep, res):.2e}")
 
 report = qs.verify(rep, dec, truth)
 print("\nverification against the planted truth:", "PASS" if report.passed else "FAIL")

@@ -41,7 +41,7 @@ from .chain import (
     ChainTrace,
     assemble_canonical,
     canon_chain,
-    chain_pattern_residual,
+    reduction_residual,
 )
 from .cycle import (
     RegularizingDecomposition,
@@ -50,7 +50,6 @@ from .cycle import (
     push_down,
     regularize,
     shave,
-    shave_glue_residual,
 )
 from .oracle import (
     PlantSpec,
@@ -96,11 +95,10 @@ __all__ = [
     "ChainTrace",
     "canon_chain",
     "assemble_canonical",
-    "chain_pattern_residual",
+    "reduction_residual",
     "ShaveResult",
     "shave",
     "push_down",
-    "shave_glue_residual",
     "monodromy",
     "RegularizingDecomposition",
     "regularize",

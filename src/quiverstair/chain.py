@@ -38,7 +38,6 @@ from .linalg import (
 from .quiver import (
     CHAIN,
     CLOCKWISE,
-    COUNTERCLOCKWISE,
     QuiverShape,
     Representation,
     assemble,
@@ -51,7 +50,7 @@ __all__ = [
     "ChainTrace",
     "canon_chain",
     "assemble_canonical",
-    "chain_pattern_residual",
+    "reduction_residual",
 ]
 
 
@@ -72,9 +71,8 @@ class ChainCanonicalForm:
 
 @dataclass
 class ChainStep:
-    """Audit record for one staircase step."""
+    """Audit record for one staircase step: its arrow's orientation and pattern."""
 
-    r: int
     orientation: str
     strip_sizes: list[int]
     block_sizes: list[int]
@@ -84,14 +82,31 @@ class ChainStep:
 class ChainTrace:
     """Accumulated per-vertex unitaries, the run's rank threshold, and per-step bookkeeping.
 
-    ``residual`` is :func:`chain_pattern_residual` of the input and these
-    unitaries.
+    ``residual`` is :func:`reduction_residual` of the input and this trace.
     """
 
     vertex_transforms: list[np.ndarray]
     threshold: float
     steps: list[ChainStep] = field(default_factory=list)
     residual: float = 0.0
+
+    def misfits(self, shape: QuiverShape, moved: list[np.ndarray]) -> list[float]:
+        """Each step's staircase residual on its arrow of ``moved``, the input in these bases.
+
+        Raises :class:`ValidationError` unless the steps are oriented as ``shape``'s arrows.
+        """
+        if [step.orientation for step in self.steps] != list(shape.orientations):
+            raise ValidationError(
+                f"trace does not fit a chain of orientations {shape.orientations!r}: "
+                "it needs a step per arrow, oriented as the arrow"
+            )
+        return [
+            staircase_residual(
+                m, step.strip_sizes, step.block_sizes,
+                VERTICAL if step.orientation == CLOCKWISE else HORIZONTAL,
+            )
+            for m, step in zip(moved, self.steps)
+        ]
 
 
 def canon_chain(
@@ -103,7 +118,7 @@ def canon_chain(
     the accumulated unitary change of basis at every vertex, the strip/block
     sizes of every step, and the residual: the input taken into the returned
     bases, measured where some step's staircase form demands a zero (see
-    :func:`chain_pattern_residual`).
+    :func:`reduction_residual`).
 
     Every step decides ranks against one threshold, ``tol.threshold`` of all
     the input's matrices, so a matrix consisting purely of noise does not
@@ -141,19 +156,12 @@ def canon_chain(
         bare = a.dims[r] - sum(ls)
         survivors = [(p, l) for (p, _), l in zip(strips, ls)]
         strips = survivors + [(r + 1, bare)] if clockwise else [(r + 1, bare)] + survivors
-        trace.steps.append(
-            ChainStep(
-                r=r,
-                orientation=CLOCKWISE if clockwise else COUNTERCLOCKWISE,
-                strip_sizes=sizes,
-                block_sizes=ls,
-            )
-        )
+        trace.steps.append(ChainStep(a.shape.orientations[r - 1], sizes, ls))
 
     for p, k in strips:
         if k:
             counts[(p, t)] += k
-    trace.residual = chain_pattern_residual(a, trace)
+    trace.residual = reduction_residual(a, trace)
     return ChainCanonicalForm(t, counts), trace
 
 
@@ -164,26 +172,21 @@ def assemble_canonical(form: ChainCanonicalForm, shape: QuiverShape) -> Represen
     return assemble(shape, form.sorted_labels())
 
 
-def chain_pattern_residual(a: Representation, trace: ChainTrace) -> float:
-    """Re-verify the staircase patterns from the recorded transforms.
+def reduction_residual(a: Representation, result) -> float:
+    """How far the input, taken into a result's unitary bases, is from the form it claims.
 
-    Applies the accumulated unitaries to the input and measures the largest
-    entry sitting where some step's staircase form demands a zero; step ``r``
-    is read on arrow ``r`` of ``a``.  :func:`canon_chain` reports this value as
-    ``trace.residual``.  Raises :class:`ValidationError` if the trace does not
-    fit ``a``: a ``d_v x d_v`` transform per vertex, a step per arrow, and
-    patterns that fit the arrows' matrices.
+    ``result`` is a :class:`ChainTrace` (staircase patterns in the bases
+    ``vertex_transforms``) or a ``ShaveResult`` (the glued split in the bases
+    ``trace``).  Forms ``S_v A S_u^H`` on each arrow ``u -> v`` and returns
+    the largest of ``result.misfits`` on them; raises
+    :class:`ValidationError` if the result does not fit ``a``.
     """
-    s = trace.vertex_transforms
-    if [np.shape(q) for q in s] != [(d, d) for d in a.dims] or len(trace.steps) != a.shape.t - 1:
+    s = result.vertex_transforms if isinstance(result, ChainTrace) else result.trace
+    if [np.shape(q) for q in s] != [(d, d) for d in a.dims]:
         raise ValidationError(
-            f"trace does not fit a chain of dims {a.dims}: "
-            "it needs a d x d transform per vertex and a step per arrow"
+            f"trace does not fit a {a.shape.kind} of dims {a.dims}: "
+            "it needs a d x d transform per vertex"
         )
-    worst = 0.0
-    for r, step in enumerate(trace.steps, start=1):
-        u, v = a.shape.arrow_ends(r)
-        m = s[v - 1] @ a.matrices[r - 1] @ s[u - 1].conj().T
-        axis = VERTICAL if a.shape.is_clockwise(r) else HORIZONTAL
-        worst = max(worst, staircase_residual(m, step.strip_sizes, step.block_sizes, axis))
-    return worst
+    ends = [a.shape.arrow_ends(i) for i in range(1, len(a.matrices) + 1)]
+    moved = [s[v - 1] @ m @ s[u - 1].conj().T for m, (u, v) in zip(a.matrices, ends)]
+    return float(np.max([0.0, *result.misfits(a.shape, moved)]))  # np.max: a nan anywhere wins

@@ -16,13 +16,12 @@ plus a regular representation, whose isomorphism class is captured by the
 eigenvalues of its monodromy.
 """
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import canon_chain
+from .chain import canon_chain, reduction_residual
 from .errors import InconsistencyError, NumericError, ValidationError
 from .linalg import (
     DEFAULT_TOL,
@@ -50,7 +49,6 @@ __all__ = [
     "ShaveResult",
     "shave",
     "push_down",
-    "shave_glue_residual",
     "monodromy",
     "RegularizingDecomposition",
     "regularize",
@@ -67,7 +65,7 @@ class ShaveResult:
     rank.  ``trace`` holds the accumulated unitary applied at each cycle
     vertex; its leading block at every vertex corresponds to the shaved
     parts, in the order they were split off.  ``residual`` is
-    :func:`shave_glue_residual` of the input and this result: how far the
+    :func:`reduction_residual` of the input and this result: how far the
     input, taken into the bases of ``trace``, is from the glued split.
     """
 
@@ -83,6 +81,34 @@ class ShaveResult:
     def steps(self) -> range:
         """The walk's steps ``l..n``; empty when nothing was shaved."""
         return range(self.l, self.n + 1)
+
+    def misfits(self, shape: QuiverShape, moved: list[np.ndarray]) -> list[float]:
+        """Per arrow, the Frobenius norm of ``moved`` minus the glued split, where pinned.
+
+        ``moved`` is the input taken into the bases of ``trace``, and the
+        split is ``push_down(a_prime) ⊕ a_tilde``.  Pinned are the chain and
+        cycle blocks themselves, the blocks zeroed by the compressions, and
+        the strip dropped by the stopping rule.  Positions below the block
+        diagonal are not; they carry couplings that the split removes exactly
+        but only by non-unitary (triangular) changes of basis.  Raises
+        :class:`ValidationError` if the split does not fit ``moved``.
+        """
+        glued = direct_sum(push_down(self.a_prime, self.l, self.n, shape), self.a_tilde)
+        if [g.shape for g in glued.matrices] != [m.shape for m in moved]:
+            raise ValidationError(f"the glued split of dims {glued.dims} does not fit the input")
+        # the walk position of every basis vector; the cycle part's is inf
+        sizes = self.a_prime.dims if self.a_prime is not None else ()
+        offsets, _ = _walk_layout(shape, self.l + 1, sizes)
+        pos = [np.full(d, np.inf) for d in glued.dims]
+        for q, (off, size) in enumerate(zip(offsets, sizes), self.l + 1):
+            pos[shape.wrap(q) - 1][off : off + size] = q
+        out = []
+        for i, (m, g) in enumerate(zip(moved, glued.matrices), 1):
+            u, v = shape.arrow_ends(i)
+            qr, qc = pos[v - 1][:, None], pos[u - 1]
+            pinned = (qr <= qc + 1) | ((qr == np.inf) & (qc == self.n + 1))
+            out.append(float(np.linalg.norm((m - g)[pinned])))
+        return out
 
 
 def _check_cycle(a: Representation, who: str):
@@ -179,7 +205,7 @@ def shave(a: Representation, tol: TolerancePolicy = DEFAULT_TOL) -> ShaveResult:
     dims = [m.shape[1 if shape.is_clockwise(i) else 0] for i, m in enumerate(mats, 1)]
     a_tilde = Representation(shape, dims, tuple(mats))
     res = ShaveResult(a_prime, a_tilde, l, n, trace, residual=0.0, threshold=tau)
-    res.residual = shave_glue_residual(a, res)
+    res.residual = reduction_residual(a, res)
     return res
 
 
@@ -247,45 +273,6 @@ def push_down(
             r0, c0 = offsets[j - 1], offsets[j]
         mats[i - 1][r0 : r0 + blockm.shape[0], c0 : c0 + blockm.shape[1]] = blockm
     return Representation(shape, dims, tuple(mats))
-
-
-def shave_glue_residual(a: Representation, res: ShaveResult) -> float:
-    """Verify the shave's split against the recorded transformations.
-
-    Applies the accumulated unitaries to the input, ``S_v A S_u^H`` on each
-    arrow ``u -> v``, and compares against ``push_down(a_prime) ⊕ a_tilde``.  The comparison covers
-    every position whose value the algorithm pinned: the chain and cycle
-    blocks themselves, the blocks zeroed by the compressions, and the strip
-    dropped by the stopping rule.  Positions below the block diagonal are
-    excluded; they carry couplings that the split removes exactly but only
-    by non-unitary (triangular) changes of basis.
-
-    Returns the largest Frobenius norm of the covered difference.
-    """
-    shape, s = a.shape, res.trace
-    glued = direct_sum(push_down(res.a_prime, res.l, res.n, shape), res.a_tilde)
-    sizes = res.a_prime.dims if res.a_prime is not None else ()
-    offsets, pushed = _walk_layout(shape, res.l + 1, sizes)
-    # (position, offset, size) of every block of each vertex's basis; the
-    # cycle part comes last, at position inf
-    parts = [[] for _ in range(shape.t)]
-    for q, (off, size) in enumerate(zip(offsets, sizes), res.l + 1):
-        parts[shape.wrap(q) - 1].append((q, off, size))
-    for v in range(shape.t):
-        parts[v].append((math.inf, pushed[v], res.a_tilde.dims[v]))
-
-    worst = 0.0
-    for i in range(1, shape.t + 1):
-        u, v = shape.arrow_ends(i)
-        diff = s[v - 1] @ a.matrices[i - 1] @ s[u - 1].conj().T - glued.matrices[i - 1]
-        include = np.zeros(diff.shape, dtype=bool)
-        for qr, r0, dr in parts[v - 1]:
-            for qc, c0, dc in parts[u - 1]:
-                if qr <= qc + 1 or (qr == math.inf and qc == res.n + 1):
-                    include[r0 : r0 + dr, c0 : c0 + dc] = True
-        if include.any():
-            worst = max(worst, float(np.linalg.norm(diff[include])))
-    return worst
 
 
 def monodromy(

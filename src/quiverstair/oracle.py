@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import ChainCanonicalForm, ChainTrace, chain_pattern_residual
+from .chain import ChainCanonicalForm, ChainTrace, reduction_residual
 from .cycle import RegularizingDecomposition
 from .errors import ValidationError
 from .linalg import _check_int, _is_finite_real, _is_int, unitarity_defect
@@ -99,21 +99,36 @@ class PlantSpec:
         return Counter({lab: m for lab, m in self.labels if m})
 
 
-def _vertex_rng(seed: int, vertex: int) -> np.random.Generator:
-    return np.random.default_rng([int(seed), int(vertex)])
+def _rng(who: str, seed) -> np.random.Generator:
+    """The random stream ``seed`` names, so that a result is deterministic per seed.
+
+    A ``numpy.random.Generator`` is used as it is; a nonnegative integer
+    (numpy's included, bools not) or a nonempty list or tuple of them seeds a
+    new one.
+    """
+    if isinstance(seed, np.random.Generator):
+        return seed
+    ints = seed if isinstance(seed, (list, tuple)) else [seed]
+    if not (ints and all(_is_int(x) and x >= 0 for x in ints)):
+        raise ValidationError(
+            f"{who} needs a seed that is a Generator, a nonnegative integer or a nonempty "
+            f"list or tuple of them, got {seed!r}"
+        )
+    return np.random.default_rng(seed)
 
 
 def random_unitary(n: int, seed) -> np.ndarray:
     """Haar-distributed ``n x n`` unitary, deterministic per seed.
 
-    ``seed`` may be an integer or a ``numpy.random.Generator``.  Implemented
+    ``seed`` is a ``numpy.random.Generator``, a nonnegative integer, or a
+    nonempty list or tuple of them, like ``[seed, vertex]``.  Implemented
     as QR of a complex Gaussian matrix with the R-diagonal phases divided
     out (Mezzadri's recipe).
     """
     _check_int("random_unitary", "n", n)
     if n < 0:
         raise ValidationError("random_unitary needs n >= 0")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = _rng("random_unitary", seed)
     if n == 0:
         return np.zeros((0, 0), dtype=np.complex128)
     z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
@@ -124,13 +139,16 @@ def random_unitary(n: int, seed) -> np.ndarray:
 
 
 def random_invertible(n: int, seed, max_condition: float = 1e3) -> np.ndarray:
-    """Random invertible matrix with condition number at most ``max_condition``."""
+    """Random invertible matrix with condition number at most ``max_condition``.
+
+    ``seed`` takes the forms :func:`random_unitary` takes.
+    """
     _check_int("random_invertible", "n", n)
     if not (_is_finite_real(max_condition) and max_condition >= 1):
         raise ValidationError(
             f"random_invertible needs a finite max_condition >= 1, got {max_condition!r}"
         )
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = _rng("random_invertible", seed)
     if n == 0:
         return np.zeros((0, 0), dtype=np.complex128)
     u = random_unitary(n, rng)
@@ -161,13 +179,11 @@ def plant(spec: PlantSpec) -> tuple[Representation, PlantSpec]:
     if spec.regular_eigs:
         rep = direct_sum(rep, _regular_summand(shape, spec.regular_eigs))
     transforms = []
-    for v in range(1, shape.t + 1):
-        rng = _vertex_rng(spec.seed, v)
-        d = rep.dims[v - 1]
+    for v, d in enumerate(rep.dims, 1):
         if spec.scramble == UNITARY:
-            transforms.append(random_unitary(d, rng))
+            transforms.append(random_unitary(d, [spec.seed, v]))
         else:
-            transforms.append(random_invertible(d, rng, spec.max_condition))
+            transforms.append(random_invertible(d, [spec.seed, v], spec.max_condition))
     return apply_isomorphism(rep, transforms), spec
 
 
@@ -250,12 +266,12 @@ def verify(
 
     ``result`` is a :class:`ChainCanonicalForm`, which needs the matching
     :class:`ChainTrace` for the residual and unitarity checks, or a
-    :class:`RegularizingDecomposition`.  A chain's residual is measured here,
-    :func:`chain_pattern_residual` of ``a`` and the trace, which raises
-    :class:`ValidationError` if the trace does not fit ``a``; a cycle
-    result's stored ``residual`` is read as it is, since the result does not
-    carry every unitary its residual is measured from.  Failures are report
-    entries, not exceptions.
+    :class:`RegularizingDecomposition`.  A chain's residual is measured here
+    by the one residual rule, :func:`reduction_residual` of ``a`` and the
+    trace, which raises :class:`ValidationError` if the trace does not fit
+    ``a``.  A cycle result's stored ``residual`` is still read as it is,
+    since the result does not yet carry every unitary its residual is
+    measured from.  Failures are report entries, not exceptions.
     """
     if a.shape != truth.shape:
         raise ValidationError("representation and truth have different shapes")
@@ -268,7 +284,7 @@ def verify(
                 f"a canonical form of a t={result.t} chain cannot verify a {_describe(a.shape)}"
             )
         counts, transforms = result.counts, trace.vertex_transforms
-        residual = chain_pattern_residual(a, trace)
+        residual = reduction_residual(a, trace)
     elif isinstance(result, RegularizingDecomposition):
         if result.shape != a.shape:
             raise ValidationError(
@@ -299,7 +315,7 @@ def verify(
     res_bound = 1e-8 * scale
     checks.append(CheckResult("residual", residual <= res_bound, residual, res_bound))
 
-    udef = max((unitarity_defect(s) for s in transforms), default=0.0)
+    udef = float(np.max([0.0, *map(unitarity_defect, transforms)]))  # np.max: a nan anywhere wins
     ubound = 1e-12 * max(a.dims, default=1)
     checks.append(CheckResult("unitarity", udef <= ubound, udef, ubound))
     return VerificationReport(

@@ -82,7 +82,7 @@ class TestWorkedExample:
         assert form.counts == expected
         scale = qs.representation_scale(scrambled)
         assert trace.residual <= 1e-10 * scale
-        assert qs.chain_pattern_residual(scrambled, trace) <= 1e-10 * scale
+        assert qs.reduction_residual(scrambled, trace) <= 1e-10 * scale
 
 
 class TestResidualFromReturnedBases:
@@ -95,7 +95,7 @@ class TestResidualFromReturnedBases:
     def test_equals_the_pattern_residual(self):
         rep, _ = qs.plant(self.SPEC)
         _, trace = qs.canon_chain(rep)
-        assert trace.residual == qs.chain_pattern_residual(rep, trace)
+        assert trace.residual == qs.reduction_residual(rep, trace)
 
     def test_bookkeeping_drift_shows(self, monkeypatch):
         # a staircase step that hands back its left unitary with the rows
@@ -114,6 +114,25 @@ class TestResidualFromReturnedBases:
         assert trace.residual > 1e-8 * qs.representation_scale(rep)
         report = qs.verify(rep, form, truth, trace=trace)
         assert not next(c for c in report.checks if c.name == "residual").passed
+
+    # v is 0-based; vertex 1 is left out: it is one strip whose copies all
+    # cross arrow 1, so the staircase form leaves its basis free
+    @pytest.mark.parametrize("v", [1, 2, 3])
+    def test_one_swapped_vertex_unitary_shows(self, v):
+        rep, _ = qs.plant(self.SPEC)
+        _, trace = qs.canon_chain(rep)
+        assert rep.dims[v] >= 2
+        trace.vertex_transforms[v] = qs.random_unitary(rep.dims[v], [70, v])
+        assert qs.reduction_residual(rep, trace) > 1e-8 * qs.representation_scale(rep)
+
+    def test_trace_of_flipped_arrows_raises(self):
+        # the transpose has the same dims, with every arrow flipped
+        rep, _ = qs.plant(self.SPEC)
+        _, trace = qs.canon_chain(rep)
+        flipped = qs.transpose_rep(rep)
+        assert flipped.dims == rep.dims and flipped.shape.orientations == "<><"
+        with pytest.raises(ValidationError, match="does not fit"):
+            qs.reduction_residual(flipped, trace)
 
 
 class TestAssembleCanonical:
@@ -221,14 +240,14 @@ class TestChainProperties:
                 assert qs.unitarity_defect(s) <= 1e-12 * max(1, dmax)
             scale = qs.representation_scale(rep)
             assert trace.residual <= 1e-8 * scale
-            assert qs.chain_pattern_residual(rep, trace) <= 1e-8 * max(scale, 1.0)
+            assert qs.reduction_residual(rep, trace) <= 1e-8 * max(scale, 1.0)
 
     def test_step_records_partition_dimensions(self):
         rep, _ = worked_example()
         _, trace = qs.canon_chain(rep)
-        for step in trace.steps:
-            assert sum(step.strip_sizes) == rep.dims[step.r - 1]
-            assert sum(step.block_sizes) <= min(rep.dims[step.r - 1], rep.dims[step.r])
+        for r, step in enumerate(trace.steps, 1):
+            assert sum(step.strip_sizes) == rep.dims[r - 1]
+            assert sum(step.block_sizes) <= min(rep.dims[r - 1], rep.dims[r])
 
 
 class TestNonUnitaryScrambleStress:

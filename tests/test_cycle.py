@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from collections import Counter
 
@@ -114,7 +115,7 @@ class TestShaveBasics:
             rep, _ = qs.plant(random_cycle_spec(seed))
             res = qs.shave(rep)
             scale = max(qs.representation_scale(rep), 1.0)
-            assert qs.shave_glue_residual(rep, res) <= 1e-8 * scale
+            assert qs.reduction_residual(rep, res) <= 1e-8 * scale
             assert res.residual <= 1e-8 * scale
 
     @pytest.mark.parametrize(
@@ -155,7 +156,7 @@ def _glue_blocks(res, shape):
 
 
 class TestGlueMask:
-    """``shave_glue_residual`` compares exactly the blocks the split pins down:
+    """``reduction_residual`` of a shave compares exactly the blocks the split pins down:
     chain rows against chain columns on or above the block diagonal
     (``qr <= qc + 1``), everything in cycle columns, and cycle rows only
     against the last chain position ``n + 1`` and against cycle columns."""
@@ -179,7 +180,7 @@ class TestGlueMask:
         rep, _ = qs.plant(self.SPEC)
         res = qs.shave(rep)
         assert (res.l, res.n, res.a_prime.dims) == (2, 5, (2, 1, 1, 1))
-        return rep, res, qs.shave_glue_residual(rep, res)
+        return rep, res, qs.reduction_residual(rep, res)
 
     def test_result_residual_is_the_glue_residual(self, shaved):
         _, res, base = shaved
@@ -198,12 +199,75 @@ class TestGlueMask:
         mats = list(rep.matrices)
         mats[arrow - 1] = mats[arrow - 1] + s[v - 1].conj().T @ bump @ s[u - 1]
         bumped = qs.Representation(self.SHAPE, rep.dims, tuple(mats))
-        got = qs.shave_glue_residual(bumped, res)
+        got = qs.reduction_residual(bumped, res)
         assert base <= 1e-14
         if kept:
             assert got == pytest.approx(1e-3, rel=1e-9)
         else:
             assert got == pytest.approx(base, abs=1e-15)
+
+
+class TestShaveReductionResidual:
+    """``reduction_residual`` of a shave result fits it to the input first, and
+    sees any returned unitary swapped after the run."""
+
+    SHAPE, SPEC = TestGlueMask.SHAPE, TestGlueMask.SPEC
+
+    @pytest.fixture(scope="class")
+    def shaved(self):
+        rep, _ = qs.plant(self.SPEC)
+        return rep, qs.shave(rep)
+
+    @pytest.mark.parametrize("v", range(2))
+    def test_one_swapped_vertex_unitary_shows(self, shaved, v):
+        rep, res = shaved
+        assert rep.dims[v] >= 2
+        trace = list(res.trace)
+        trace[v] = qs.random_unitary(rep.dims[v], [71, v])
+        swapped = dataclasses.replace(res, trace=trace)
+        assert qs.reduction_residual(rep, swapped) > 1e-8 * qs.representation_scale(rep)
+
+    @staticmethod
+    def block_loop_residual(rep, res):
+        """The glue residual as a loop over the pinned blocks, for reference."""
+        shape, s, blocks = rep.shape, res.trace, _glue_blocks(res, rep.shape)
+        glued = qs.direct_sum(qs.push_down(res.a_prime, res.l, res.n, shape), res.a_tilde)
+        worst = 0.0
+        for i in range(1, shape.t + 1):
+            u, v = shape.arrow_ends(i)
+            diff = s[v - 1] @ rep.matrices[i - 1] @ s[u - 1].conj().T - glued.matrices[i - 1]
+            include = np.zeros(diff.shape, dtype=bool)
+            for qr, r0, dr in blocks[v]:
+                for qc, c0, dc in blocks[u]:
+                    if qr <= qc + 1 or (qr == float("inf") and qc == res.n + 1):
+                        include[r0 : r0 + dr, c0 : c0 + dc] = True
+            if include.any():
+                worst = max(worst, float(np.linalg.norm(diff[include])))
+        return worst
+
+    def test_equals_the_block_loop(self):
+        shaved = 0
+        for seed in range(20):
+            rep, _ = qs.plant(random_cycle_spec(seed))
+            res = qs.shave(rep)
+            if res.a_prime is not None:
+                shaved += 1
+                want = self.block_loop_residual(rep, res)
+                assert qs.reduction_residual(rep, res) == res.residual == want, seed
+        assert shaved >= 10
+
+    def test_cycle_of_other_dims_raises(self, shaved):
+        rep, res = shaved
+        other, _ = qs.plant(dataclasses.replace(self.SPEC, regular_eigs=(2.0, 3.0)))
+        assert other.shape == rep.shape and other.dims != rep.dims
+        with pytest.raises(ValidationError, match="does not fit"):
+            qs.reduction_residual(other, res)
+
+    def test_split_that_does_not_fit_raises(self, shaved):
+        rep, res = shaved
+        short = dataclasses.replace(res, a_tilde=qs.zero_representation(self.SHAPE))
+        with pytest.raises(ValidationError, match="does not fit"):
+            qs.reduction_residual(rep, short)
 
 
 class TestWalkLayout:

@@ -1,6 +1,7 @@
 import base64
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -409,7 +410,7 @@ class TestCli:
         )
         assert rc == 0
         truth_path = str(out) + ".truth.json"
-        assert json.loads(open(truth_path).read())["labels"] == [["G", 1, 2, 2]]
+        assert json.loads(Path(truth_path).read_text(encoding="utf-8"))["labels"] == [["G", 1, 2, 2]]
         assert files.load_representation(out).dims == (2, 2, 0)
         assert cli.main(["verify", str(out), truth_path]) == 0
 
@@ -423,9 +424,9 @@ class TestCli:
             ]
         )
         truth_path = str(out) + ".truth.json"
-        truth = json.loads(open(truth_path).read())
+        truth = json.loads(Path(truth_path).read_text(encoding="utf-8"))
         truth["labels"] = [["G", 1, 3, 1]]
-        open(truth_path, "w").write(json.dumps(truth))
+        Path(truth_path).write_text(json.dumps(truth), encoding="utf-8")
         assert cli.main(["verify", str(out), truth_path]) == 1
 
     def test_canon_json_report(self, tmp_path, capsys):

@@ -36,6 +36,47 @@ class TestRandomUnitary:
             qs.random_unitary(-1, 0)
 
 
+RANDOM_MATRICES = {"random_unitary": qs.random_unitary, "random_invertible": random_invertible}
+
+BAD_SEEDS = {
+    "negative": -1,
+    "negative entry": [1, -1],
+    "float": 2.5,
+    "string": "x",
+    "bool": True,
+    "None": None,
+    "empty list": [],
+    "bool entry": [True],
+    "float entry": [1.0],
+    "nested": [[1, 2]],
+    "array": np.array([1, 2]),
+}
+
+# each accepted seed, made fresh per call, and the plain seed it equals
+GOOD_SEEDS = {
+    "int": (lambda: 7, 7),
+    "numpy int": (lambda: np.int64(7), 7),
+    "list": (lambda: [7, 2], [7, 2]),
+    "tuple": (lambda: (7, 2), [7, 2]),
+    "numpy entries": (lambda: [np.uint8(7), np.int32(2)], [7, 2]),
+    "generator": (lambda: np.random.default_rng(7), 7),
+}
+
+
+class TestSeeds:
+    @pytest.mark.parametrize("make", RANDOM_MATRICES.values(), ids=RANDOM_MATRICES.keys())
+    @pytest.mark.parametrize("seed", BAD_SEEDS.values(), ids=BAD_SEEDS.keys())
+    def test_rejected(self, make, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            make(3, seed)
+
+    @pytest.mark.parametrize("make", RANDOM_MATRICES.values(), ids=RANDOM_MATRICES.keys())
+    @pytest.mark.parametrize("seed, plain", GOOD_SEEDS.values(), ids=GOOD_SEEDS.keys())
+    def test_accepted_and_deterministic(self, make, seed, plain):
+        assert np.array_equal(make(3, seed()), make(3, seed()))
+        assert np.array_equal(make(3, seed()), make(3, plain))
+
+
 class TestRandomInvertible:
     def test_condition_bounded(self):
         for seed in range(20):
@@ -183,8 +224,17 @@ def _oversize_first_block(trace):
     return trace
 
 
+def _trace_of_flipped_arrows(trace):
+    # the dims of TestVerify.CHAIN5, every arrow flipped
+    spec = qs.PlantSpec(
+        qs.chain_shape(5, "<><<"), (((1, 3), 2), ((2, 5), 1), ((4, 4), 1), ((1, 5), 1)), seed=4
+    )
+    return qs.canon_chain(qs.plant(spec)[0])[1]
+
+
 TRACE_TAMPERS = {
     "other dims": _trace_of_other_dims,
+    "flipped arrows": _trace_of_flipped_arrows,
     "a step short": _drop_last_step,
     "oversized block": _oversize_first_block,
 }
@@ -254,7 +304,16 @@ class TestVerify:
         report = qs.verify(rep, form, truth, trace=trace)
         (check,) = [c for c in report.checks if c.name == "residual"]
         assert not check.passed
-        assert report.residual == check.measured == qs.chain_pattern_residual(rep, trace)
+        assert report.residual == check.measured == qs.reduction_residual(rep, trace)
+
+    @pytest.mark.parametrize("v", range(5))
+    def test_nan_transform_fails_both_checks(self, v):
+        rep, truth = qs.plant(self.CHAIN5)
+        form, trace = qs.canon_chain(rep)
+        trace.vertex_transforms[v] = np.full_like(trace.vertex_transforms[v], np.nan)
+        report = qs.verify(rep, form, truth, trace=trace)
+        failed = {c.name for c in report.checks if not c.passed}
+        assert failed == {"residual", "unitarity"}
 
     @pytest.mark.parametrize("tamper", TRACE_TAMPERS.values(), ids=TRACE_TAMPERS.keys())
     def test_trace_that_does_not_fit_raises(self, tamper):
