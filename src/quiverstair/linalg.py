@@ -197,22 +197,28 @@ def _check_tol(tol) -> None:
 
 
 def _lapack_svd(m: np.ndarray, **kwargs):
-    """``np.linalg.svd`` with a convergence failure reported as :class:`NumericError`."""
+    """``np.linalg.svd`` with a convergence failure, or a non-finite singular value
+    (LAPACK's answer to an inf or nan entry), reported as :class:`NumericError`."""
+
+    def where() -> str:
+        return f"on a {m.shape[0]}x{m.shape[1]} matrix with Frobenius norm {np.linalg.norm(m):.6g}"
+
     try:
-        return np.linalg.svd(m, **kwargs)
+        out = np.linalg.svd(m, **kwargs)
     except np.linalg.LinAlgError as exc:
-        raise NumericError(
-            f"SVD failed to converge on a {m.shape[0]}x{m.shape[1]} matrix "
-            f"with Frobenius norm {np.linalg.norm(m):.6g}: {exc}"
-        ) from exc
+        raise NumericError(f"SVD failed to converge {where()}: {exc}") from exc
+    if not np.isfinite(out[1] if kwargs.get("compute_uv", True) else out).all():
+        raise NumericError(f"SVD gave a non-finite singular value {where()}")
+    return out
 
 
 def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Full SVD ``a = u @ diag(s) @ vh`` with square unitary ``u`` and ``vh``.
 
     ``s`` has ``min(rows, cols)`` nonincreasing entries.  A convergence
-    failure in the underlying solver is reported as :class:`NumericError`
-    with the matrix norm attached.
+    failure in the underlying solver, or a non-finite singular value (an inf
+    or nan entry), is reported as :class:`NumericError` with the matrix norm
+    attached.
     """
     return _lapack_svd(as_matrix(a), full_matrices=True)
 
@@ -328,6 +334,11 @@ def staircase_reduce(
     axis (``right`` for vertical strips, ``left`` for horizontal ones) is
     block diagonal over the strips; the other one acts on the whole
     orthogonal axis.  All strips share the one ``threshold``.
+
+    A strip with no columns, or one that meets no free row because the
+    strips before it pinned them all, takes no SVD and no update: it gets
+    block size 0 and the identity, exactly what the SVD of its empty
+    matrix would give.
     """
     m, bounds = _strip_frame(a, strip_sizes, strip_axis)
     _check_threshold(threshold)
@@ -336,6 +347,10 @@ def staircase_reduce(
     ls = []
     pinned = 0
     for c0, c1 in zip(bounds, bounds[1:]):
+        if c0 == c1 or pinned == m.shape[0]:
+            # nothing to reduce: the SVD of an empty matrix gives identities and rank 0
+            ls.append(0)
+            continue
         # ``right`` is still the identity here: this is the strip of ``left @ m @ right``
         p, s_mat, k = two_sided_reduce(left[pinned:, :] @ m[:, c0:c1], threshold)
         left[pinned:, :] = p.conj().T @ left[pinned:, :]
@@ -365,6 +380,8 @@ def staircase_residual(a, strip_sizes, block_sizes, strip_axis: str) -> float:
         raise ValidationError(f"block sizes must fit their strips and sum to at most {m.shape[0]}")
     mask = np.zeros(m.shape, dtype=bool)
     for l, c0, c1, b0, b1 in zip(ls, bounds, bounds[1:], band, band[1:]):
+        if c0 == c1:
+            continue
         mask[b1:, c0:c1] = True
         mask[b0:b1, c0 : c1 - l] = True
     return float(np.abs(m[mask]).max(initial=0.0))

@@ -136,6 +136,46 @@ class TestSvd:
             fn(np.ones((2, 3)))
 
 
+INF_ROW = [[np.inf, 1.0]]
+
+
+def _staircase_of_inf_row():
+    # the strip product meets 0 * inf before the SVD sees the strip
+    with np.errstate(invalid="ignore"):
+        return linalg.staircase_reduce(INF_ROW, [2], linalg.VERTICAL, 0.1)
+
+
+class TestNonFiniteSvd:
+    """LAPACK answers an inf entry with nan singular values; each entry point raises."""
+
+    @pytest.mark.parametrize(
+        "call, shape",
+        [
+            (lambda: linalg.svd(INF_ROW), "1x2"),
+            (lambda: linalg.singular_values(INF_ROW), "1x2"),
+            (lambda: linalg.numerical_rank(INF_ROW, 0.1), "1x2"),
+            (lambda: linalg.row_compress(INF_ROW, 0.1), "1x2"),
+            (lambda: linalg.col_compress(INF_ROW, 0.1), "1x2"),
+            (lambda: linalg.two_sided_reduce(INF_ROW, 0.1), "1x2"),
+            (_staircase_of_inf_row, "1x2"),
+            (lambda: linalg.sigma_max([[np.inf]]), "1x1"),
+            (lambda: TOL.threshold(INF_ROW), "1x2"),
+            (lambda: linalg.svd_inverse([[np.inf, 0.0], [0.0, 1.0]]), "2x2"),
+        ],
+        ids=[
+            "svd", "singular_values", "numerical_rank", "row_compress", "col_compress",
+            "two_sided_reduce", "staircase_reduce", "sigma_max", "threshold", "svd_inverse",
+        ],
+    )
+    def test_raises_numeric_error(self, call, shape):
+        with pytest.raises(NumericError, match=f"non-finite singular value on a {shape} matrix"):
+            call()
+
+    def test_message_carries_the_norm(self):
+        with pytest.raises(NumericError, match="Frobenius norm inf$"):
+            linalg.numerical_rank(INF_ROW, 0.1)
+
+
 class TestNumericalRank:
     def test_identity(self):
         assert linalg.numerical_rank(np.eye(4), TOL.threshold(np.eye(4))) == 4
@@ -373,6 +413,53 @@ class TestStaircase:
             linalg.staircase_reduce(np.eye(3), [2, 2], linalg.VERTICAL, TOL.threshold(np.eye(3)))
         with pytest.raises(ValidationError):
             linalg.staircase_reduce(np.eye(3), [1, 2], "diagonal", TOL.threshold(np.eye(3)))
+
+
+class TestEmptyStripsTakeNoSvd:
+    """A strip with no columns, or with every row already pinned, calls no ``two_sided_reduce``."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        shapes = []
+        reduce = linalg.two_sided_reduce
+
+        def counted(a, threshold):
+            shapes.append(np.shape(a))
+            return reduce(a, threshold)
+
+        monkeypatch.setattr(linalg, "two_sided_reduce", counted)
+        return shapes
+
+    def test_zero_width_strips(self, calls):
+        a = random_complex(np.random.default_rng(4), 3, 2)
+        _, _, ls = linalg.staircase_reduce(a, [0, 2, 0], linalg.VERTICAL, TOL.threshold(a))
+        assert calls == [(3, 2)]
+        assert ls == [0, 2, 0]
+
+    @pytest.mark.parametrize("axis", [linalg.VERTICAL, linalg.HORIZONTAL])
+    def test_strip_after_every_row_is_pinned(self, calls, axis):
+        a = random_complex(np.random.default_rng(8), 2, 4)
+        if axis == linalg.HORIZONTAL:
+            a = a.T
+        # the first strip reduced (leftmost, or bottom for horizontal strips) is full rank 2
+        left, right, ls = linalg.staircase_reduce(a, [2, 2], axis, TOL.threshold(a))
+        assert calls == [(2, 2)]
+        if axis == linalg.VERTICAL:
+            assert ls == [2, 0]
+            assert np.array_equal(right[2:, 2:], np.eye(2))
+        else:
+            assert ls == [0, 2]
+            assert np.array_equal(left[:2, :2], np.eye(2))
+        assert linalg.staircase_residual(left @ a @ right, [2, 2], ls, axis) <= TOL.threshold(a)
+
+    def test_chain_sweep_passes_no_empty_matrix(self, calls):
+        t = 32
+        labels = tuple(((i, min(t, i + i % 5)), 1 + i % 2) for i in range(1, t + 1))
+        spec = qs.PlantSpec(shape=qs.chain_shape(t, "><" * (t // 2 - 1) + ">"), labels=labels, seed=3)
+        rep, _ = qs.plant(spec)
+        form, _ = qs.canon_chain(rep)
+        assert dict(form.counts) == {lab: m for lab, m in labels}
+        assert calls and all(min(shape) > 0 for shape in calls)
 
 
 class TestInverse:

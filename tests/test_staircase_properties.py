@@ -23,20 +23,25 @@ def partitions(draw, total):
     return sizes if total or draw(st.booleans()) else []
 
 
-@hypothesis.given(
-    rows=st.integers(0, 6), cols=st.integers(0, 6), seed=st.integers(0, 2**32 - 1),
-    axis=AXES, data=st.data(),
-)
-def test_reduction_reaches_the_pattern(rows, cols, seed, axis, data):
-    rng = np.random.default_rng(seed)
-    rank = data.draw(st.integers(0, min(rows, cols)), label="rank")
+@st.composite
+def staircase_cases(draw):
+    """A matrix of drawn shape and rank, an axis, and strips along that axis."""
+    rows, cols = draw(st.integers(0, 6), label="rows"), draw(st.integers(0, 6), label="cols")
+    rank = draw(st.integers(0, min(rows, cols)), label="rank")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
     a = random_complex(rng, rows, rank) @ random_complex(rng, rank, cols)
-    sizes = data.draw(partitions(cols if axis == linalg.VERTICAL else rows), label="strips")
+    axis = draw(AXES, label="axis")
+    return a, draw(partitions(cols if axis == linalg.VERTICAL else rows), label="strips"), axis
+
+
+@hypothesis.given(staircase_cases())
+def test_reduction_reaches_the_pattern(case):
+    a, sizes, axis = case
     tau = TOL.threshold(a)
     left, right, ls = linalg.staircase_reduce(a, sizes, axis, tau)
     assert linalg.staircase_residual(left @ a @ right, sizes, ls, axis) <= tau
     for q in (left, right):
-        assert linalg.unitarity_defect(q) <= 1e-12 * max(1, rows, cols)
+        assert linalg.unitarity_defect(q) <= 1e-12 * max(1, *a.shape)
     strip_unitary = right if axis == linalg.VERTICAL else left
     bounds = np.cumsum([0, *sizes])
     outside = np.ones(strip_unitary.shape, dtype=bool)
@@ -44,6 +49,25 @@ def test_reduction_reaches_the_pattern(rows, cols, seed, axis, data):
         outside[b0:b1, b0:b1] = False
     assert not strip_unitary[outside].any()
     assert sum(ls) == linalg.numerical_rank(a, tau)
+
+
+@hypothesis.given(staircase_cases(), st.data())
+def test_zero_width_strips_change_nothing(case, data):
+    a, sizes, axis = case
+    padded, inserted = list(sizes), [False] * len(sizes)
+    for at in data.draw(st.lists(st.integers(0, len(sizes)), min_size=1, max_size=3), label="at"):
+        padded.insert(at, 0)
+        inserted.insert(at, True)
+    tau = TOL.threshold(a)
+    left, right, ls = linalg.staircase_reduce(a, sizes, axis, tau)
+    p_left, p_right, p_ls = linalg.staircase_reduce(a, padded, axis, tau)
+    assert np.array_equal(p_left, left) and np.array_equal(p_right, right)
+    kept = iter(ls)
+    assert p_ls == [0 if new else next(kept) for new in inserted]
+    reduced = left @ a @ right
+    assert linalg.staircase_residual(reduced, padded, p_ls, axis) == linalg.staircase_residual(
+        reduced, sizes, ls, axis
+    )
 
 
 @hypothesis.given(
