@@ -29,9 +29,7 @@ from .quiver import (
     cycle_shape,
     direct_sum,
     g_label_dims,
-    is_regular,
     make_G,
-    make_L,
     representation_scale,
     transpose_rep,
     zero_representation,
@@ -87,10 +85,8 @@ __all__ = [
     "direct_sum",
     "transpose_rep",
     "apply_isomorphism",
-    "make_L",
     "make_G",
     "g_label_dims",
-    "is_regular",
     "ChainCanonicalForm",
     "ChainTrace",
     "canon_chain",

@@ -295,15 +295,14 @@ def monodromy(
     defect = regularity_defect(p, tol.threshold(*p.matrices))
     if defect:
         raise ValidationError(f"monodromy needs a regular representation: {defect}")
-    d = p.dims[0]
-    out = np.eye(d, dtype=np.complex128)
+    out = np.eye(p.dims[0], dtype=np.complex128)
     with np.errstate(all="ignore"):
         for i in range(1, p.shape.t + 1):
             m = p.matrices[i - 1]
             out = (m if p.shape.is_clockwise(i) else svd_inverse(m, tol)) @ out
     if not np.isfinite(out).all():
         raise NumericError("monodromy product overflowed: non-finite entries")
-    eigs = np.linalg.eigvals(out) if d else np.zeros(0, dtype=np.complex128)
+    eigs = np.linalg.eigvals(out)
     if (eigs == 0).any():
         raise NumericError("monodromy product underflowed: an eigenvalue is exactly 0")
     return out, eigs
@@ -337,7 +336,7 @@ class RegularizingDecomposition:
         return label_dims(self.shape.t, self.summands.items())
 
     def regular_dim(self) -> int:
-        return self.regular_part.dims[0] if self.regular_part.dims else 0
+        return self.regular_part.dims[0]
 
     def dims(self) -> tuple[int, ...]:
         """Vertexwise dimensions of the direct sum the decomposition describes."""

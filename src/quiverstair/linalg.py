@@ -50,8 +50,8 @@ def _is_real(x) -> bool:
 
 
 def _is_int(x) -> bool:
-    """An integer of any type, numpy's included, but not a bool."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+    """A Python ``int`` or any ``numpy.integer``; neither ``bool`` nor ``numpy.bool_``."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _is_finite_real(x) -> bool:
@@ -351,8 +351,11 @@ def staircase_reduce(
             # nothing to reduce: the SVD of an empty matrix gives identities and rank 0
             ls.append(0)
             continue
-        # ``right`` is still the identity here: this is the strip of ``left @ m @ right``
-        p, s_mat, k = two_sided_reduce(left[pinned:, :] @ m[:, c0:c1], threshold)
+        # ``right`` is still the identity here: this is the strip of ``left @ m @ right``.
+        # A non-finite entry is left to the SVD, which names it in a NumericError.
+        with np.errstate(invalid="ignore", over="ignore"):
+            strip = left[pinned:, :] @ m[:, c0:c1]
+        p, s_mat, k = two_sided_reduce(strip, threshold)
         left[pinned:, :] = p.conj().T @ left[pinned:, :]
         right[c0:c1, c0:c1] = s_mat
         ls.append(k)

@@ -129,8 +129,6 @@ def random_unitary(n: int, seed) -> np.ndarray:
     if n < 0:
         raise ValidationError("random_unitary needs n >= 0")
     rng = _rng("random_unitary", seed)
-    if n == 0:
-        return np.zeros((0, 0), dtype=np.complex128)
     z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r).copy()
@@ -149,8 +147,6 @@ def random_invertible(n: int, seed, max_condition: float = 1e3) -> np.ndarray:
             f"random_invertible needs a finite max_condition >= 1, got {max_condition!r}"
         )
     rng = _rng("random_invertible", seed)
-    if n == 0:
-        return np.zeros((0, 0), dtype=np.complex128)
     u = random_unitary(n, rng)
     v = random_unitary(n, rng)
     half = np.log(max_condition) / 2.0
@@ -198,8 +194,6 @@ def _matched_distance(xs, ys) -> float:
     ys = np.asarray(list(ys), dtype=np.complex128)
     if xs.size != ys.size:
         return float("inf")
-    if xs.size == 0:
-        return 0.0
     d = np.abs(xs[:, None] - ys[None, :])
     worst = 0.0
     for _ in range(xs.size):

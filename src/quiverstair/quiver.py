@@ -16,9 +16,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .linalg import (
-    DEFAULT_TOL,
-    TolerancePolicy,
-    _check_tol,
     _is_int,
     _rank,
     as_matrix,
@@ -45,11 +42,9 @@ __all__ = [
     "check_label",
     "label_dims",
     "assemble",
-    "make_L",
     "make_G",
     "g_label_dims",
     "regularity_defect",
-    "is_regular",
 ]
 
 CHAIN = "chain"
@@ -288,18 +283,6 @@ def assemble(shape: QuiverShape, labels) -> Representation:
     return Representation(shape, dims, tuple(mats))
 
 
-def make_L(i: int, j: int, shape: QuiverShape) -> Representation:
-    """Interval indecomposable of a chain: dimension 1 on vertices ``i..j``.
-
-    Arrows strictly inside the interval carry ``I_1``; all other matrices are
-    the degenerate ``0x0``, ``1x0`` or ``0x1`` zero maps the dimensions
-    dictate.
-    """
-    if shape.kind != CHAIN:
-        raise ValidationError("make_L needs a chain shape")
-    return assemble(shape, [((i, j), 1)])
-
-
 def g_label_dims(shape: QuiverShape, l: int, r: int) -> tuple[int, ...]:
     """Vertex dimensions of ``G(l, r)``: how many walk positions lie over each vertex."""
     if shape.kind != CYCLE:
@@ -327,21 +310,9 @@ def regularity_defect(a: Representation, threshold: float) -> str | None:
     """
     if len(set(a.dims)) > 1:
         return f"uneven dimensions {a.dims}"
-    if a.dims[0]:
-        for i, m in enumerate(a.matrices, start=1):
-            s = singular_values(m)
-            if _rank(s, threshold) < len(s):
-                return f"singular at arrow {i}: sigma_min={s[-1]:.6g} <= threshold {threshold:.6g}"
+    for i, m in enumerate(a.matrices, start=1):
+        s = singular_values(m)
+        if _rank(s, threshold) < len(s):
+            return f"singular at arrow {i}: sigma_min={s[-1]:.6g} <= threshold {threshold:.6g}"
     return None
 
-
-def is_regular(a: Representation, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
-    """True iff all vertex dimensions agree and every matrix is nonsingular.
-
-    Nonsingularity is judged against one threshold taken from the scale of
-    the whole representation, not of each matrix.
-    """
-    _check_tol(tol)
-    if a.shape.kind != CYCLE:
-        raise ValidationError("is_regular applies to cycle representations")
-    return regularity_defect(a, tol.threshold(*a.matrices)) is None

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 
 import quiverstair as qs
+from quiverstair.quiver import assemble, regularity_defect
 
 try:
     from hypothesis import settings
@@ -114,7 +115,12 @@ def primed_chain_for_walk(shape, i, j):
         shape.orientations[shape.wrap(l0 + c) - 1] for c in range(1, length)
     )
     chain = qs.chain_shape(length, orient)
-    return qs.make_L(1, length, chain), l0, n0
+    return assemble(chain, [((1, length), 1)]), l0, n0
+
+
+def is_regular(rep, tol=qs.DEFAULT_TOL) -> bool:
+    """Whether the cycle ``rep`` is regular at ``tol.threshold`` of all its matrices."""
+    return regularity_defect(rep, tol.threshold(*rep.matrices)) is None
 
 
 def noise_arrow_chain():

@@ -1,4 +1,5 @@
-"""Interval labels of a chain from its generalized rank invariant.
+"""Interval labels of a chain from its generalized rank invariant, and walk
+labels of a cycle from the same invariant on its universal cover.
 
 A chain representation with arrows of any orientation is a zigzag module;
 its interval decomposition is its zigzag barcode (Carlsson & de Silva,
@@ -13,11 +14,23 @@ Möbius inversion gives the multiplicity of ``[i, j]``::
 with ``rk = 0`` outside ``1..t``.  Every rank is an SVD rank of a block
 matrix, so this shares no code with the staircase sweep: no strips, no
 ``assemble`` and no ``canon_chain``.
+
+A cycle is read through its universal cover, the infinite zigzag whose
+position ``q`` lies over vertex ``[q]`` and whose arrow ``q`` is cycle arrow
+``[q]``.  The pullback of a walk module is the direct sum of the interval
+lifts of the walk, and a regular (band) part, an isomorphism on every arrow,
+pulls back to copies of the whole window (Gabriel, LNM 903, 1981; Bongartz &
+Gabriel, Invent. Math. 65, 1982).  So on the window ``1..N`` the walk
+multiplicities are the interval multiplicities that touch neither end, with
+starts counted in one period, and the regular dimension is the multiplicity
+of ``[1, N]``.  No shave, push-down or chain sweep is used.
 """
 
 from collections import Counter
 
 import numpy as np
+
+import quiverstair as qs
 
 
 def _rank(m: np.ndarray, tau: float) -> int:
@@ -30,8 +43,8 @@ def _null_space(m: np.ndarray, tau: float) -> np.ndarray:
     """Orthonormal basis of the kernel of ``m``."""
     if min(m.shape) == 0:
         return np.eye(m.shape[1], dtype=np.complex128)
-    vh = np.linalg.svd(m)[2]
-    return vh[_rank(m, tau) :].conj().T
+    _, s, vh = np.linalg.svd(m)
+    return vh[int(np.sum(s > tau)) :].conj().T
 
 
 def generalized_rank(rep, i: int, j: int, tau: float) -> int:
@@ -84,3 +97,36 @@ def interval_counts(rep, tau: float) -> Counter:
             if m:
                 out[(i, j)] = m
     return out
+
+
+def cycle_counts(rep, tau: float) -> tuple[Counter, int]:
+    """Walk multiplicities ``{(l, r): m}`` and the regular dimension of the cycle ``rep``.
+
+    A walk of length ``L`` visits every vertex at least ``L // t`` times, so
+    the window ``N = t + t * (min d + 1) + 2`` holds the lift of every walk
+    that starts at ``2..t+1`` away from both ends, and no lift spans it all.
+    Only ``rk(i, j)`` with ``i`` in ``1..t+1`` is needed.  A negative
+    multiplicity, which flags rank decisions that contradict each other, is
+    returned as it is.
+    """
+    shape, t = rep.shape, rep.shape.t
+    n = t + t * (min(rep.dims) + 1) + 2
+    cover = qs.Representation(
+        qs.chain_shape(n, "".join(shape.orientations[shape.wrap(q) - 1] for q in range(1, n))),
+        tuple(rep.dims[shape.wrap(q) - 1] for q in range(1, n + 1)),
+        tuple(rep.matrices[shape.wrap(q) - 1] for q in range(1, n)),
+    )
+    rk: dict = {}
+
+    def rank(i, j):
+        if (i, j) not in rk:
+            rk[i, j] = generalized_rank(cover, i, j, tau)
+        return rk[i, j]
+
+    walks: Counter = Counter()
+    for i in range(2, t + 2):
+        for j in range(i, n):
+            m = rank(i, j) - rank(i - 1, j) - rank(i, j + 1) + rank(i - 1, j + 1)
+            if m:
+                walks[(shape.wrap(i), shape.wrap(i) + j - i)] = m
+    return walks, rank(1, n)

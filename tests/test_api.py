@@ -40,6 +40,13 @@ def test_kernel_internals_live_in_linalg_only():
         assert name in linalg.__all__
 
 
+@pytest.mark.parametrize("name", ["make_L", "is_regular"])
+def test_second_paths_are_not_in_the_package(name):
+    # intervals come from quiver.assemble, regularity from quiver.regularity_defect
+    assert name not in qs.__all__
+    assert [m for m in MODULES if hasattr(importlib.import_module(m), name)] == []
+
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 

@@ -5,7 +5,8 @@ import pytest
 
 import quiverstair as qs
 from conftest import noise_arrow_chain, random_chain_spec
-from quiverstair.errors import ValidationError
+from quiverstair.errors import NumericError, ValidationError
+from quiverstair.quiver import assemble
 
 
 def worked_example():
@@ -60,6 +61,21 @@ class TestCanonChainBasics:
         form, trace = qs.canon_chain(rep)
         assert form.counts == Counter({(1, 2): 4, (3, 3): 4})
         assert trace.threshold == qs.DEFAULT_TOL.threshold(*rep.matrices)
+
+    def test_numeric_error_names_the_step(self, monkeypatch):
+        from quiverstair import chain
+
+        reduce, calls = chain.staircase_reduce, []
+
+        def failing_at_step_2(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise NumericError("SVD failed to converge")
+            return reduce(*args)
+
+        monkeypatch.setattr(chain, "staircase_reduce", failing_at_step_2)
+        with pytest.raises(NumericError, match=r"^chain step 2: SVD failed to converge$"):
+            qs.canon_chain(noise_arrow_chain())
 
     def test_rejects_cycles(self):
         with pytest.raises(ValidationError):
@@ -221,9 +237,7 @@ class TestChainProperties:
 
     def test_direct_sum_associative_up_to_isomorphism(self):
         shape = qs.chain_shape(3, "><")
-        a = qs.make_L(1, 2, shape)
-        b = qs.make_L(2, 3, shape)
-        c = qs.make_L(1, 3, shape)
+        a, b, c = (assemble(shape, [(label, 1)]) for label in ((1, 2), (2, 3), (1, 3)))
         left, _ = qs.canon_chain(qs.direct_sum(qs.direct_sum(a, b), c))
         right, _ = qs.canon_chain(qs.direct_sum(a, qs.direct_sum(b, c)))
         assert left.counts == right.counts == Counter({(1, 2): 1, (2, 3): 1, (1, 3): 1})

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 import quiverstair as qs
-from conftest import add_noise, primed_chain_for_walk, random_cycle_spec
+from conftest import add_noise, is_regular, primed_chain_for_walk, random_cycle_spec
 from quiverstair import cli, files
 from quiverstair.cycle import _walk_layout
 from quiverstair.errors import InconsistencyError, NumericError, ValidationError
+from quiverstair.quiver import assemble
 
 
 def assemble_cycle(spec):
@@ -319,7 +320,7 @@ class TestPushDown:
         m = n0 + 1 - l0
         orient = "".join(shape.orientations[shape.wrap(l0 + c) - 1] for c in range(1, m))
         chain_sh = qs.chain_shape(m, orient)
-        inner = qs.make_L(2, m - 1, chain_sh)
+        inner = assemble(chain_sh, [((2, m - 1), 1)])
         pushed = qs.push_down(inner, l0, n0, shape)
         start = shape.wrap(l0 + 2)
         walk = qs.make_G(start, start + (m - 3), shape)
@@ -329,7 +330,7 @@ class TestPushDown:
 
     def test_inconsistent_lengths_rejected(self):
         shape = qs.cycle_shape(3, ">>>")
-        chain = qs.make_L(1, 2, qs.chain_shape(2, ">"))
+        chain = assemble(qs.chain_shape(2, ">"), [((1, 2), 1)])
         with pytest.raises(ValidationError):
             qs.push_down(chain, 1, 4, shape)
         with pytest.raises(ValidationError):
@@ -337,7 +338,7 @@ class TestPushDown:
 
     def test_orientation_mismatch_rejected(self):
         shape = qs.cycle_shape(3, ">>>")
-        chain = qs.make_L(1, 2, qs.chain_shape(2, "<"))
+        chain = assemble(qs.chain_shape(2, "<"), [((1, 2), 1)])
         with pytest.raises(ValidationError):
             qs.push_down(chain, 1, 2, shape)
 
@@ -368,6 +369,14 @@ class TestMonodromy:
         mono, _ = qs.monodromy(rep)
         assert np.allclose(mono, m_inv @ a1)
 
+    def test_empty_cycle(self):
+        rep = qs.zero_representation(qs.cycle_shape(3, "><>"))
+        assert is_regular(rep)
+        mono, eigs = qs.monodromy(rep)
+        assert mono.shape == (0, 0) and eigs.shape == (0,) and eigs.dtype == np.complex128
+        dec = qs.regularize(rep)
+        assert dec.summands == Counter() and dec.regular_dim() == 0
+
     def test_requires_regular(self):
         shape = qs.cycle_shape(2, "><")
         rep = qs.Representation(shape, (2, 2), (np.eye(2), qs.jordan_block(2, 0)))
@@ -383,7 +392,7 @@ class TestMonodromy:
         # Every arrow is regular, but 200 of them multiply past the float64 range.
         a = np.diag(diagonal).astype(complex)
         rep = qs.Representation(qs.cycle_shape(200, ">" * 200), (2,) * 200, (a,) * 200)
-        assert qs.is_regular(rep)
+        assert is_regular(rep)
         for entry in (qs.monodromy, qs.regularize):
             with pytest.raises(NumericError, match=message):
                 entry(rep)
@@ -596,7 +605,7 @@ class TestRegularize:
         assert dec.regular_dim() == 2
         assert dec.dims() == rep.dims
         assert np.allclose(np.sort(np.abs(dec.monodromy_eigenvalues)), [1e-6, 1e6], rtol=1e-12)
-        assert qs.is_regular(rep)
+        assert is_regular(rep)
         _, eigs = qs.monodromy(rep)
         assert np.array_equal(eigs, dec.monodromy_eigenvalues)
         path = tmp_path / "regular.json"

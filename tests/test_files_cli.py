@@ -480,6 +480,35 @@ class TestCli:
         assert "regular dimension: 2" in text
         assert "monodromy eigenvalues" in text
 
+    def test_regularize_reports_walk_label_rows(self, tmp_path, capsys):
+        out = tmp_path / "cyc.json"
+        cli.main(
+            [
+                "gen", str(out),
+                "--kind", "cycle", "--t", "4", "--orientations", "><<>",
+                "--labels", "G:2:5,G:1:1:2,G:3:4", "--regular-eigs", "2", "--seed", "11",
+            ]
+        )
+        rep = files.load_representation(out)
+        capsys.readouterr()
+        assert cli.main(["regularize", str(out), "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["labels"]
+        assert {(row["low"], row["high"]): row["count"] for row in rows} == {
+            (1, 1): 2, (2, 5): 1, (3, 4): 1
+        }
+        for row in rows:
+            assert row["kind"] == "G"
+            assert row["dims"] == list(qs.g_label_dims(rep.shape, row["low"], row["high"]))
+            assert sum(row["pass_counts"]) == row["count"]
+        assert cli.main(["regularize", str(out)]) == 0
+        text = capsys.readouterr().out.splitlines()
+        assert [line for line in text if line.startswith("  G(")] == [
+            f"  G({row['low']},{row['high']}) x {row['count']} dims={tuple(row['dims'])}"
+            f" passes={row['pass_counts']}"
+            for row in rows
+        ]
+        assert "  G(1,1) x 2 dims=(1, 0, 0, 0) passes=" in "\n".join(text)
+
     def test_verify_json_contains_thresholds(self, tmp_path, capsys):
         out = tmp_path / "inst.json"
         cli.main(
@@ -740,13 +769,14 @@ def _verify_argv(tmp_path, truth):
         lambda p: ["canon", _edited_file(p, lambda d: d.update(orientations=5))],
         lambda p: _verify_argv(p, _edited_truth(p, lambda d: d.update(orientations=5))),
         lambda p: _verify_argv(p, _edited_truth(p, lambda d: d.update(kind=["chain"]))),
+        lambda p: _verify_argv(p, _edited_truth(p, lambda d: d["labels"][1].__setitem__(0, "G"))),
     ],
     ids=["entry-text", "entry-null", "entry-numeric-text", "entry-bool", "rows-float",
          "input-directory", "input-not-utf8", "truth-directory", "truth-not-utf8",
          "gen-label-text", "gen-label-L-on-cycle", "gen-label-G-on-chain", "gen-eig-text",
          "gen-eig-inf", "gen-eig-overflow", "gen-seed-negative", "gen-output-directory",
          "matrices-int", "matrices-null", "orientations-int", "truth-orientations-int",
-         "truth-kind-list"],
+         "truth-kind-list", "truth-label-tag-of-other-kind"],
 )
 def test_bad_input_exits_2(tmp_path, capsys, argv):
     args = argv(tmp_path)

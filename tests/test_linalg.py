@@ -139,12 +139,6 @@ class TestSvd:
 INF_ROW = [[np.inf, 1.0]]
 
 
-def _staircase_of_inf_row():
-    # the strip product meets 0 * inf before the SVD sees the strip
-    with np.errstate(invalid="ignore"):
-        return linalg.staircase_reduce(INF_ROW, [2], linalg.VERTICAL, 0.1)
-
-
 class TestNonFiniteSvd:
     """LAPACK answers an inf entry with nan singular values; each entry point raises."""
 
@@ -157,7 +151,8 @@ class TestNonFiniteSvd:
             (lambda: linalg.row_compress(INF_ROW, 0.1), "1x2"),
             (lambda: linalg.col_compress(INF_ROW, 0.1), "1x2"),
             (lambda: linalg.two_sided_reduce(INF_ROW, 0.1), "1x2"),
-            (_staircase_of_inf_row, "1x2"),
+            # the strip product meets 0 * inf before the SVD sees the strip
+            (lambda: linalg.staircase_reduce(INF_ROW, [2], linalg.VERTICAL, 0.1), "1x2"),
             (lambda: linalg.sigma_max([[np.inf]]), "1x1"),
             (lambda: TOL.threshold(INF_ROW), "1x2"),
             (lambda: linalg.svd_inverse([[np.inf, 0.0], [0.0, 1.0]]), "2x2"),
@@ -510,18 +505,21 @@ class TestThresholdCheck:
 
 
 class TestSizeCheck:
-    @pytest.mark.parametrize("bad", [[1.9, 1.1], [True, True], ["1", "1"], [1.0, 1.0]])
+    @pytest.mark.parametrize(
+        "bad", [[1.9, 1.1], [True, True], ["1", "1"], [1.0, 1.0], [np.bool_(True)] * 2]
+    )
     def test_staircase_reduce_needs_integer_strips(self, bad):
         with pytest.raises(ValidationError, match="strip_sizes must be integers"):
             linalg.staircase_reduce(np.eye(2), bad, linalg.VERTICAL, 1e-12)
 
     def test_numpy_integer_strips_accepted(self):
-        sizes = np.array([1, 1], dtype=np.int64)
-        assert linalg.staircase_reduce(np.eye(2), sizes, linalg.VERTICAL, 1e-12)[2] == [1, 1]
-        assert linalg.staircase_residual(np.eye(2), sizes, sizes, linalg.VERTICAL) == 0.0
+        for dtype in (np.int64, np.uint8):
+            sizes = np.array([1, 1], dtype=dtype)
+            assert linalg.staircase_reduce(np.eye(2), sizes, linalg.VERTICAL, 1e-12)[2] == [1, 1]
+            assert linalg.staircase_residual(np.eye(2), sizes, sizes, linalg.VERTICAL) == 0.0
 
     @pytest.mark.parametrize("name", ["strip_sizes", "block_sizes"])
-    @pytest.mark.parametrize("bad", [1.9, True, "1"])
+    @pytest.mark.parametrize("bad", [1.9, True, "1", np.bool_(True)])
     def test_staircase_residual_needs_integer_sizes(self, name, bad):
         sizes = {"strip_sizes": [1, 1], "block_sizes": [1, 1]}
         sizes[name] = [bad, 1]
@@ -539,7 +537,6 @@ TOL_TAKERS = {
     "shave": lambda tol: cycle.shave(_REGULAR, tol),
     "regularize": lambda tol: cycle.regularize(_REGULAR, tol),
     "monodromy": lambda tol: cycle.monodromy(_REGULAR, tol),
-    "is_regular": lambda tol: quiver.is_regular(_REGULAR, tol),
     "svd_inverse": lambda tol: linalg.svd_inverse(np.eye(2), tol),
 }
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import quiverstair as qs
-from conftest import random_cycle_spec
+from conftest import is_regular, random_cycle_spec
 from quiverstair.errors import ValidationError
 from quiverstair.oracle import random_invertible
 
@@ -12,6 +12,12 @@ from quiverstair.oracle import random_invertible
 class TestRandomUnitary:
     def test_empty(self):
         assert qs.random_unitary(0, 1).shape == (0, 0)
+        # the general path: a 0 x 0 complex matrix, and no draw from the stream
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        for m in (qs.random_unitary(0, rng), random_invertible(0, rng)):
+            assert m.shape == (0, 0) and m.dtype == np.complex128
+        assert rng.bit_generator.state == state
 
     def test_unitary_within_tolerance(self):
         for n in (1, 2, 5, 9):
@@ -120,14 +126,14 @@ class TestPlant:
         rep, truth = qs.plant(spec)
         assert rep.dims == (2,) * t
         assert truth.label_counts() == Counter({(1, 2 * t): 1})
-        assert not qs.is_regular(rep)
+        assert not is_regular(rep)
 
     def test_pure_regular_plant(self):
         shape = qs.cycle_shape(3, ">><")
         spec = qs.PlantSpec(shape=shape, labels=(), regular_eigs=(2.0, 3.0), seed=4)
         rep, _ = qs.plant(spec)
         assert rep.dims == (2, 2, 2)
-        assert qs.is_regular(rep)
+        assert is_regular(rep)
         _, eigs = qs.monodromy(rep)
         assert np.allclose(np.sort_complex(eigs), [2.0, 3.0], atol=1e-9)
 
@@ -276,6 +282,15 @@ class TestVerify:
         (check,) = [c for c in report.checks if c.name == "eigenvalues"]
         assert not check.passed
         assert report.eigenvalue_distance == check.measured == pytest.approx(3.5)
+
+    def test_one_more_truth_eigenvalue_is_infinitely_far(self):
+        shape = qs.cycle_shape(2, "><")
+        rep, _ = qs.plant(qs.PlantSpec(shape=shape, labels=(), regular_eigs=(1.5, 5.0)))
+        other = qs.PlantSpec(shape=shape, labels=(), regular_eigs=(1.5, 5.0, 2.0))
+        report = qs.verify(rep, qs.regularize(rep), other)
+        (check,) = [c for c in report.checks if c.name == "eigenvalues"]
+        assert not check.passed
+        assert report.eigenvalue_distance == check.measured == np.inf
 
     def test_chain_verification_with_trace(self):
         shape = qs.chain_shape(3, "><")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import quiverstair as qs
-from conftest import random_complex
+from conftest import is_regular, random_complex
 from quiverstair.errors import ValidationError
 from quiverstair.quiver import assemble, label_dims
 
@@ -228,21 +228,23 @@ class TestIsomorphism:
 
 
 class TestMakeL:
+    """Interval summands ``L(i, j)``, as :func:`assemble` makes them."""
+
     def test_single_vertex_on_two_chain(self):
-        forward = qs.make_L(1, 1, qs.chain_shape(2, ">"))
+        forward = assemble(qs.chain_shape(2, ">"), [((1, 1), 1)])
         assert forward.dims == (1, 0)
         assert forward.matrices[0].shape == (0, 1)
-        backward = qs.make_L(1, 1, qs.chain_shape(2, "<"))
+        backward = assemble(qs.chain_shape(2, "<"), [((1, 1), 1)])
         assert backward.matrices[0].shape == (1, 0)
 
     def test_full_interval(self):
         shape = qs.chain_shape(4, "><>")
-        rep = qs.make_L(1, 4, shape)
+        rep = assemble(shape, [((1, 4), 1)])
         assert rep.dims == (1, 1, 1, 1)
         assert all(np.array_equal(m, np.eye(1)) for m in rep.matrices)
 
     def test_inner_interval(self):
-        rep = qs.make_L(2, 3, qs.chain_shape(4, ">>>"))
+        rep = assemble(qs.chain_shape(4, ">>>"), [((2, 3), 1)])
         assert rep.dims == (0, 1, 1, 0)
         assert rep.matrices[1].shape == (1, 1)
         assert rep.matrices[0].shape == (1, 0)
@@ -252,9 +254,7 @@ class TestMakeL:
         shape = qs.chain_shape(3, ">>")
         for bad in ((0, 1), (2, 1), (1, 4)):
             with pytest.raises(ValidationError):
-                qs.make_L(*bad, shape)
-        with pytest.raises(ValidationError):
-            qs.make_L(1, 1, qs.cycle_shape(3, ">>>"))
+                assemble(shape, [(bad, 1)])
 
 
 class TestMakeG:
@@ -388,7 +388,7 @@ class TestAssemble:
         "build",
         [
             lambda: qs.make_G(1, 2.5, qs.cycle_shape(3, ">>>")),
-            lambda: qs.make_L(1.0, 2, qs.chain_shape(3, ">>")),
+            lambda: assemble(qs.chain_shape(3, ">>"), [((1.0, 2), 1)]),
             lambda: assemble(qs.chain_shape(3, ">>"), [((1, 2), 1.5)]),
             lambda: qs.g_label_dims(qs.cycle_shape(3, ">>>"), "1", 2),
         ],
@@ -420,29 +420,31 @@ class TestAssemble:
 
 
 class TestIsRegular:
+    """Regularity as :func:`regularity_defect` judges it at an input's threshold."""
+
     def test_identities(self):
         shape = qs.cycle_shape(2, "><")
         rep = qs.Representation(shape, (3, 3), (np.eye(3), np.eye(3)))
-        assert qs.is_regular(rep)
+        assert is_regular(rep)
 
     def test_nilpotent_not_regular(self):
         shape = qs.cycle_shape(2, "><")
         rep = qs.Representation(shape, (2, 2), (np.eye(2), qs.jordan_block(2, 0)))
-        assert not qs.is_regular(rep)
+        assert not is_regular(rep)
 
     def test_jordan_nonzero_eigenvalue(self):
         shape = qs.cycle_shape(3, ">>>")
         rep = qs.Representation(shape, (2, 2, 2), (np.eye(2), np.eye(2), qs.jordan_block(2, 2.0)))
-        assert qs.is_regular(rep)
+        assert is_regular(rep)
 
     def test_uneven_dims(self):
         shape = qs.cycle_shape(2, "><")
         rep = qs.Representation(shape, (1, 2), (np.zeros((2, 1)), np.zeros((2, 1))))
-        assert not qs.is_regular(rep)
+        assert not is_regular(rep)
 
     def test_judged_at_the_whole_input_scale(self):
         # 1e-3 * I is nonsingular at its own scale but zero beside 1e6 * I.
         shape = qs.cycle_shape(2, "><")
         rep = qs.Representation(shape, (2, 2), (1e6 * np.eye(2), 1e-3 * np.eye(2)))
-        assert not qs.is_regular(rep)
-        assert qs.is_regular(rep, qs.TolerancePolicy(rel_factor=1e-10))
+        assert not is_regular(rep)
+        assert is_regular(rep, qs.TolerancePolicy(rel_factor=1e-10))

@@ -1,4 +1,5 @@
-"""canon_chain against an independent oracle: the generalized rank invariant."""
+"""canon_chain and regularize against an independent oracle: the generalized
+rank invariant, of the chain itself or of a window of the cycle's cover."""
 
 from collections import Counter
 
@@ -6,7 +7,8 @@ import numpy as np
 import pytest
 
 import quiverstair as qs
-from rank_oracle import generalized_rank, interval_counts
+from quiverstair import cycle
+from rank_oracle import cycle_counts, generalized_rank, interval_counts
 
 
 def _orientations(rng, arrows: int) -> str:
@@ -29,9 +31,13 @@ def _unplanted(seed: int):
     rng = np.random.default_rng([5000, seed])
     t = int(rng.integers(1, 8))
     shape = qs.chain_shape(t, _orientations(rng, t - 1))
-    dims = tuple(int(d) for d in rng.integers(0, 5, size=t))
+    return _random_arrows(rng, shape, tuple(int(d) for d in rng.integers(0, 5, size=t)))
+
+
+def _random_arrows(rng, shape, dims):
+    """Each arrow of random rank, with singular values in [1, 10]."""
     mats = []
-    for r in range(1, t):
+    for r in range(1, shape.arrow_count + 1):
         u, w = shape.arrow_ends(r)
         rows, cols = dims[w - 1], dims[u - 1]
         k = int(rng.integers(0, min(rows, cols) + 1))
@@ -61,3 +67,55 @@ def test_rank_of_a_zigzag_by_hand():
     ranks = {(i, j): generalized_rank(rep, i, j, 1e-12) for i in (1, 2, 3) for j in range(i, 4)}
     assert ranks == {(1, 1): 1, (1, 2): 1, (1, 3): 0, (2, 2): 1, (2, 3): 0, (3, 3): 1}
     assert interval_counts(rep, 1e-12) == Counter({(1, 2): 1, (3, 3): 1})
+
+
+def _planted_cycle(seed: int):
+    """Up to 2 walks of length up to 2t+1 and up to 2 regular eigenvalues."""
+    rng = np.random.default_rng([6000, seed])
+    t = int(rng.integers(2, 6))
+    labels = Counter()
+    for _ in range(int(rng.integers(0, 3))):
+        l = int(rng.integers(1, t + 1))
+        labels[(l, l + int(rng.integers(0, 2 * t + 1)))] += 1
+    eigs = tuple((-1) ** k * rng.uniform(1, 3) for k in range(int(rng.integers(0, 3))))
+    shape = qs.cycle_shape(t, _orientations(rng, t))
+    spec = qs.PlantSpec(shape, tuple(labels.items()), regular_eigs=eigs, seed=seed)
+    return qs.plant(spec)[0], labels, len(eigs)
+
+
+def _unplanted_cycle(seed: int):
+    """Random cycle: dims 0..3, arrows as :func:`_random_arrows` draws them."""
+    rng = np.random.default_rng([7000, seed])
+    t = int(rng.integers(2, 6))
+    shape = qs.cycle_shape(t, _orientations(rng, t))
+    return _random_arrows(rng, shape, tuple(int(d) for d in rng.integers(0, 4, size=t)))
+
+
+def _oracle_and_regularize(rep):
+    dec = qs.regularize(rep)
+    walks, regular = cycle_counts(rep, dec.threshold)
+    assert all(m > 0 for m in walks.values()), walks  # wide margins: no contradictory ranks
+    return (walks, regular), (+dec.summands, dec.regular_dim())
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_planted_cycle_oracle_truth_and_regularize_agree(seed):
+    rep, labels, regular = _planted_cycle(seed)
+    oracle, got = _oracle_and_regularize(rep)
+    assert oracle == (labels, regular) == got
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_unplanted_cycle_oracle_and_regularize_agree(seed):
+    oracle, got = _oracle_and_regularize(_unplanted_cycle(seed))
+    assert oracle == got
+
+
+def test_off_by_one_walk_start_is_caught(monkeypatch):
+    to_walks = cycle._chain_labels_to_walks
+    monkeypatch.setattr(
+        cycle, "_chain_labels_to_walks", lambda shape, l, counts: to_walks(shape, l + 1, counts)
+    )
+    spec = qs.PlantSpec(qs.cycle_shape(3, "><>"), (((2, 4), 1),), regular_eigs=(2.0,), seed=1)
+    oracle, got = _oracle_and_regularize(qs.plant(spec)[0])
+    assert oracle == (Counter({(2, 4): 1}), 1) != got
