@@ -2,16 +2,18 @@
 
 The algorithm sweeps the chain left to right.  Entering step ``r`` the basis
 of vertex ``r`` is partitioned into strips, one per interval start vertex
-``p_i``, each strip holding ``k_i`` copies of a partial interval
-``p_i -> ... -> r``.  The staircase reduction of the matrix on arrow ``r``
-reveals how many of those copies extend across the arrow (``l_i``); the other
-``k_i - l_i`` copies split off as finished summands ``L(p_i, r)``.  Vertical
-strips (clockwise arrow) are processed left to right, horizontal strips
-(counterclockwise) bottom-up, and the surviving strips inherit the basis
-order the staircase form leaves at vertex ``r+1``: blocks first and the new
-bare vertex last for vertical steps, the bare vertex first for horizontal
+``p_i`` with live copies, each strip holding ``k_i >= 1`` copies of a partial
+interval ``p_i -> ... -> r``.  The staircase reduction of the matrix on arrow
+``r`` reveals how many of those copies extend across the arrow (``l_i``); the
+other ``k_i - l_i`` copies split off as finished summands ``L(p_i, r)``.
+Vertical strips (clockwise arrow) are processed left to right, horizontal
+strips (counterclockwise) bottom-up, and the surviving strips inherit the
+basis order the staircase form leaves at vertex ``r+1``: blocks first and the
+new bare vertex last for vertical steps, the bare vertex first for horizontal
 steps.  That ordering is load-bearing; it encodes the flag of subspaces the
-remaining transformations must respect.
+remaining transformations must respect.  A strip left with no copies is
+dropped at once, so the sweep carries, and its trace records, only live
+strips: at most ``d_r`` per step, and a cost linear in ``t``.
 
 The vertex unitaries are the sweep's whole state.  Step ``r`` reads arrow
 ``r`` from the input, taken into vertex ``r``'s current basis (vertex
@@ -136,7 +138,7 @@ def canon_chain(
         vertex_transforms=[np.eye(d, dtype=np.complex128) for d in a.dims], threshold=tau
     )
     s = trace.vertex_transforms
-    strips: list[tuple[int, int]] = [(1, a.dims[0])]
+    strips: list[tuple[int, int]] = [(1, a.dims[0])] if a.dims[0] else []
 
     for r in range(1, t):
         clockwise = a.shape.is_clockwise(r)
@@ -156,11 +158,11 @@ def canon_chain(
         bare = a.dims[r] - sum(ls)
         survivors = [(p, l) for (p, _), l in zip(strips, ls)]
         strips = survivors + [(r + 1, bare)] if clockwise else [(r + 1, bare)] + survivors
+        strips = [(p, k) for p, k in strips if k]
         trace.steps.append(ChainStep(a.shape.orientations[r - 1], sizes, ls))
 
     for p, k in strips:
-        if k:
-            counts[(p, t)] += k
+        counts[(p, t)] += k
     trace.residual = reduction_residual(a, trace)
     return ChainCanonicalForm(t, counts), trace
 

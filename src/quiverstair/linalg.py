@@ -339,9 +339,18 @@ def staircase_reduce(
     strips before it pinned them all, takes no SVD and no update: it gets
     block size 0 and the identity, exactly what the SVD of its empty
     matrix would give.
+
+    A non-finite entry in ``a`` raises :class:`NumericError` up front, with
+    ``a``'s shape and Frobenius norm, wherever it sits in the strips.
     """
     m, bounds = _strip_frame(a, strip_sizes, strip_axis)
     _check_threshold(threshold)
+    if not np.isfinite(m).all():
+        rows, cols = m.shape if strip_axis == VERTICAL else m.shape[::-1]
+        raise NumericError(
+            f"non-finite entry in a {rows}x{cols} matrix "
+            f"with Frobenius norm {np.linalg.norm(m):.6g}"
+        )
     left = np.eye(m.shape[0], dtype=np.complex128)
     right = np.eye(m.shape[1], dtype=np.complex128)
     ls = []
@@ -352,7 +361,7 @@ def staircase_reduce(
             ls.append(0)
             continue
         # ``right`` is still the identity here: this is the strip of ``left @ m @ right``.
-        # A non-finite entry is left to the SVD, which names it in a NumericError.
+        # An entry that overflows here is left to the SVD, which names it in a NumericError.
         with np.errstate(invalid="ignore", over="ignore"):
             strip = left[pinned:, :] @ m[:, c0:c1]
         p, s_mat, k = two_sided_reduce(strip, threshold)
@@ -383,8 +392,6 @@ def staircase_residual(a, strip_sizes, block_sizes, strip_axis: str) -> float:
         raise ValidationError(f"block sizes must fit their strips and sum to at most {m.shape[0]}")
     mask = np.zeros(m.shape, dtype=bool)
     for l, c0, c1, b0, b1 in zip(ls, bounds, bounds[1:], band, band[1:]):
-        if c0 == c1:
-            continue
         mask[b1:, c0:c1] = True
         mask[b0:b1, c0 : c1 - l] = True
     return float(np.abs(m[mask]).max(initial=0.0))

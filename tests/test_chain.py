@@ -274,3 +274,50 @@ class TestNonUnitaryScrambleStress:
             rep, truth = qs.plant(spec)
             form, _ = qs.canon_chain(rep)
             assert form.counts == truth.label_counts(), seed
+
+
+def chain_sweep_plant(seed=1, t=128):
+    """A planted chain of the benchmark's ``chain-sweep`` recipe: 16 intervals of
+    each length 1..8 per 128 vertices at drawn starts, balanced shuffled orientations."""
+    rng = np.random.default_rng(seed)
+    lengths = [ln for ln in range(1, 9) for _ in range(t // 8)]
+    starts = [int(rng.integers(1, t - ln + 2)) for ln in lengths]
+    labels = Counter((s, s + ln - 1) for s, ln in zip(starts, lengths))
+    flags = np.array([">"] * (t // 2) + ["<"] * ((t - 1) // 2))
+    rng.shuffle(flags)
+    spec = qs.PlantSpec(qs.chain_shape(t, "".join(flags)), tuple(labels.items()), seed=seed)
+    return qs.plant(spec)
+
+
+class TestLiveStrips:
+    """The sweep carries and records only strips that hold copies."""
+
+    def test_steps_record_no_empty_strip(self):
+        rep, truth = chain_sweep_plant()
+        form, trace = qs.canon_chain(rep)
+        assert form.counts == truth.label_counts()
+        assert all(0 not in step.strip_sizes for step in trace.steps)
+        # carrying every strip would record t(t-1)/2 = 8128 sizes
+        assert sum(len(step.strip_sizes) for step in trace.steps) <= sum(rep.dims)
+
+    def test_staircase_sees_no_zero_width_strip(self, monkeypatch):
+        from quiverstair import chain
+
+        reduce, seen = chain.staircase_reduce, []
+
+        def recording(m, sizes, *args):
+            seen.append(list(sizes))
+            return reduce(m, sizes, *args)
+
+        monkeypatch.setattr(chain, "staircase_reduce", recording)
+        rep, _ = chain_sweep_plant()
+        qs.canon_chain(rep)
+        assert len(seen) == rep.shape.t - 1
+        assert not any(0 in sizes for sizes in seen)
+
+    def test_empty_first_vertex_opens_no_strip(self):
+        rep = qs.plant(qs.PlantSpec(qs.chain_shape(3, "><"), (((2, 3), 2),), seed=1))[0]
+        form, trace = qs.canon_chain(rep)
+        assert rep.dims == (0, 2, 2)
+        assert [step.strip_sizes for step in trace.steps] == [[], [2]]
+        assert form.counts == Counter({(2, 3): 2})

@@ -137,38 +137,63 @@ class TestSvd:
 
 
 INF_ROW = [[np.inf, 1.0]]
+SVD_SAYS = "non-finite singular value on a {} matrix"
 
 
 class TestNonFiniteSvd:
     """LAPACK answers an inf entry with nan singular values; each entry point raises."""
 
     @pytest.mark.parametrize(
-        "call, shape",
+        "call, message",
         [
-            (lambda: linalg.svd(INF_ROW), "1x2"),
-            (lambda: linalg.singular_values(INF_ROW), "1x2"),
-            (lambda: linalg.numerical_rank(INF_ROW, 0.1), "1x2"),
-            (lambda: linalg.row_compress(INF_ROW, 0.1), "1x2"),
-            (lambda: linalg.col_compress(INF_ROW, 0.1), "1x2"),
-            (lambda: linalg.two_sided_reduce(INF_ROW, 0.1), "1x2"),
-            # the strip product meets 0 * inf before the SVD sees the strip
-            (lambda: linalg.staircase_reduce(INF_ROW, [2], linalg.VERTICAL, 0.1), "1x2"),
-            (lambda: linalg.sigma_max([[np.inf]]), "1x1"),
-            (lambda: TOL.threshold(INF_ROW), "1x2"),
-            (lambda: linalg.svd_inverse([[np.inf, 0.0], [0.0, 1.0]]), "2x2"),
+            (lambda: linalg.svd(INF_ROW), SVD_SAYS.format("1x2")),
+            (lambda: linalg.singular_values(INF_ROW), SVD_SAYS.format("1x2")),
+            (lambda: linalg.numerical_rank(INF_ROW, 0.1), SVD_SAYS.format("1x2")),
+            (lambda: linalg.row_compress(INF_ROW, 0.1), SVD_SAYS.format("1x2")),
+            (lambda: linalg.col_compress(INF_ROW, 0.1), SVD_SAYS.format("1x2")),
+            (lambda: linalg.two_sided_reduce(INF_ROW, 0.1), SVD_SAYS.format("1x2")),
+            # refused up front, before a strip product or an SVD sees the entry
+            (
+                lambda: linalg.staircase_reduce(INF_ROW, [2], linalg.VERTICAL, 0.1),
+                "^non-finite entry in a 1x2 matrix with Frobenius norm inf$",
+            ),
+            (lambda: linalg.sigma_max([[np.inf]]), SVD_SAYS.format("1x1")),
+            (lambda: TOL.threshold(INF_ROW), SVD_SAYS.format("1x2")),
+            (lambda: linalg.svd_inverse([[np.inf, 0.0], [0.0, 1.0]]), SVD_SAYS.format("2x2")),
         ],
         ids=[
             "svd", "singular_values", "numerical_rank", "row_compress", "col_compress",
             "two_sided_reduce", "staircase_reduce", "sigma_max", "threshold", "svd_inverse",
         ],
     )
-    def test_raises_numeric_error(self, call, shape):
-        with pytest.raises(NumericError, match=f"non-finite singular value on a {shape} matrix"):
+    def test_raises_numeric_error(self, call, message):
+        with pytest.raises(NumericError, match=message):
             call()
 
     def test_message_carries_the_norm(self):
         with pytest.raises(NumericError, match="Frobenius norm inf$"):
             linalg.numerical_rank(INF_ROW, 0.1)
+
+
+class TestStaircaseRefusesNonFinite:
+    """``staircase_reduce`` checks its whole input once, before any strip is reduced."""
+
+    @pytest.mark.parametrize(
+        "a, strips, axis, shape, norm",
+        [
+            ([[np.inf, 1], [0, 1]], [1, 1], linalg.VERTICAL, "2x2", "inf"),
+            ([[1, 0], [1, np.inf], [0, 2]], [1, 2], linalg.HORIZONTAL, "3x2", "inf"),
+            # the first strip pins the only row, so no later strip reads the inf
+            ([[1, 0, np.inf]], [2, 1], linalg.VERTICAL, "1x3", "inf"),
+            ([[1, 0], [np.nan, 1]], [2], linalg.HORIZONTAL, "2x2", "nan"),
+        ],
+        ids=["vertical", "horizontal", "behind-pinned-rows", "nan"],
+    )
+    def test_names_the_input(self, a, strips, axis, shape, norm):
+        with pytest.raises(
+            NumericError, match=f"^non-finite entry in a {shape} matrix with Frobenius norm {norm}$"
+        ):
+            linalg.staircase_reduce(a, strips, axis, 0.1)
 
 
 class TestNumericalRank:
