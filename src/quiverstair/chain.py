@@ -42,6 +42,7 @@ from .quiver import (
     CLOCKWISE,
     QuiverShape,
     Representation,
+    _check_kind,
     assemble,
     label_dims,
 )
@@ -129,8 +130,7 @@ def canon_chain(
     Numeric failures propagate with the step index attached.
     """
     _check_tol(tol)
-    if a.shape.kind != CHAIN:
-        raise ValidationError("canon_chain needs a chain representation")
+    _check_kind("canon_chain", a.shape, CHAIN)
     t = a.shape.t
     counts: Counter = Counter()
     tau = tol.threshold(*a.matrices)

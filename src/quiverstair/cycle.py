@@ -38,6 +38,7 @@ from .quiver import (
     CYCLE,
     QuiverShape,
     Representation,
+    _check_kind,
     direct_sum,
     label_dims,
     regularity_defect,
@@ -111,11 +112,6 @@ class ShaveResult:
         return out
 
 
-def _check_cycle(a: Representation, who: str):
-    if a.shape.kind != CYCLE:
-        raise ValidationError(f"{who} needs a cycle representation")
-
-
 def shave(a: Representation, tol: TolerancePolicy = DEFAULT_TOL) -> ShaveResult:
     """Split a cycle representation into a shaved chain and a reduced cycle.
 
@@ -126,7 +122,7 @@ def shave(a: Representation, tol: TolerancePolicy = DEFAULT_TOL) -> ShaveResult:
     cap, which would indicate contradictory rank decisions.
     """
     _check_tol(tol)
-    _check_cycle(a, "shave")
+    _check_kind("shave", a.shape, CYCLE)
     shape = a.shape
     t = shape.t
     tau = tol.threshold(*a.matrices)
@@ -236,13 +232,10 @@ def push_down(
     order, of the chain matrices lying over it, padded with the degenerate
     boundary blocks at the two chain ends.
     """
-    if shape.kind != CYCLE:
-        raise ValidationError("push_down needs a cycle shape")
-    _check_int("push_down", "l", l)
-    _check_int("push_down", "n", n)
+    _check_kind("push_down", shape, CYCLE)
+    l = _check_int("push_down", "l", l)
+    n = _check_int("push_down", "n", n, l - 1)
     m_len = n + 1 - l
-    if m_len < 0:
-        raise ValidationError(f"push_down got n={n} < l={l} - 1")
     if b is None:
         if m_len != 0:
             raise ValidationError(f"push_down got no chain but n-l+1={m_len} vertices")
@@ -291,7 +284,7 @@ def monodromy(
     non-finite entry or an eigenvalue that is exactly 0.
     """
     _check_tol(tol)
-    _check_cycle(p, "monodromy")
+    _check_kind("monodromy", p.shape, CYCLE)
     defect = regularity_defect(p, tol.threshold(*p.matrices))
     if defect:
         raise ValidationError(f"monodromy needs a regular representation: {defect}")
@@ -373,7 +366,7 @@ def regularize(
     misclassification.
     """
     _check_tol(tol)
-    _check_cycle(a, "regularize")
+    _check_kind("regularize", a.shape, CYCLE)
     first = shave(a, tol)
     fixed = TolerancePolicy(abs_floor=first.threshold, rel_factor=0.0)
     second = shave(transpose_rep(first.a_tilde), fixed)

@@ -167,7 +167,7 @@ def plant_spec_to_dict(spec: PlantSpec) -> dict:
         "kind": spec.shape.kind,
         "t": spec.shape.t,
         "orientations": spec.shape.orientations,
-        "labels": [[LABEL_TAG[spec.shape.kind], a, b, m] for (a, b), m in spec.labels if m],
+        "labels": [[LABEL_TAG[spec.shape.kind], a, b, m] for (a, b), m in spec.labels],
         "regular_eigs": [[z.real, z.imag] for z in spec.regular_eigs],
         "seed": spec.seed,
         "scramble": spec.scramble,

@@ -70,19 +70,26 @@ def _is_finite_number(z) -> bool:
         return False
 
 
-def _check_int(who: str, name: str, x) -> None:
-    if not _is_int(x):
-        raise ValidationError(f"{who} needs an integer {name}, got {x!r}")
+def _check_int(who: str, name: str, x, minimum: int | None = None) -> int:
+    """The one integer rule: ``x`` is an integer, and at least ``minimum`` if given.
+
+    Returns ``x`` as a Python ``int``, so later arithmetic cannot wrap around.
+    """
+    if not (_is_int(x) and (minimum is None or x >= minimum)):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ValidationError(f"{who} needs an integer {name}{bound}, got {x!r}")
+    return int(x)
 
 
-def _check_threshold(threshold) -> None:
-    if not (_is_finite_real(threshold) and threshold >= 0):
-        raise ValidationError(f"threshold must be a finite real number >= 0, got {threshold!r}")
+def _check_real(name: str, x, minimum: float) -> None:
+    """The one real-bound rule: ``x`` is a finite real number of at least ``minimum``."""
+    if not (_is_finite_real(x) and x >= minimum):
+        raise ValidationError(f"{name} must be a finite real number >= {minimum}, got {x!r}")
 
 
 def _rank(s: np.ndarray, threshold) -> int:
     """The one rank rule: the number of singular values ``s`` above ``threshold``."""
-    _check_threshold(threshold)
+    _check_real("threshold", threshold, 0)
     return int(np.count_nonzero(s > threshold))
 
 
@@ -123,27 +130,21 @@ def f_block(n: int) -> np.ndarray:
 
     For ``n = 1`` this is the unique ``0 x 1`` matrix.
     """
-    _check_int("f_block", "n", n)
-    if n < 1:
-        raise ValidationError(f"f_block needs n >= 1, got {n}")
+    _check_int("f_block", "n", n, 1)
     return np.eye(n - 1, n, dtype=np.complex128)
 
 
 def g_block(n: int) -> np.ndarray:
     """The ``(n-1) x n`` matrix with ones on the superdiagonal."""
-    _check_int("g_block", "n", n)
-    if n < 1:
-        raise ValidationError(f"g_block needs n >= 1, got {n}")
+    _check_int("g_block", "n", n, 1)
     return np.eye(n - 1, n, k=1, dtype=np.complex128)
 
 
 def jordan_block(n: int, lam: complex) -> np.ndarray:
     """The ``n x n`` upper Jordan block with eigenvalue ``lam``."""
-    _check_int("jordan_block", "n", n)
+    _check_int("jordan_block", "n", n, 0)
     if not _is_finite_number(lam):
         raise ValidationError(f"jordan_block needs a finite number lam, got {lam!r}")
-    if n < 0:
-        raise ValidationError(f"jordan_block needs n >= 0, got {n}")
     out = np.eye(n, k=1, dtype=np.complex128)
     np.fill_diagonal(out, lam)
     return out
@@ -166,13 +167,7 @@ class TolerancePolicy:
 
     def __post_init__(self):
         for name in ("abs_floor", "rel_factor"):
-            x = getattr(self, name)
-            if not _is_finite_real(x):
-                raise ValidationError(
-                    f"tolerance parameters must be finite real numbers, got {name}={x!r}"
-                )
-        if self.abs_floor < 0 or self.rel_factor < 0:
-            raise ValidationError("tolerance parameters must be nonnegative")
+            _check_real(f"field {name!r}", getattr(self, name), 0)
 
     def from_sigma(self, sigma_max: float) -> float:
         return max(self.abs_floor, self.rel_factor * float(sigma_max))
@@ -344,7 +339,7 @@ def staircase_reduce(
     ``a``'s shape and Frobenius norm, wherever it sits in the strips.
     """
     m, bounds = _strip_frame(a, strip_sizes, strip_axis)
-    _check_threshold(threshold)
+    _check_real("threshold", threshold, 0)
     if not np.isfinite(m).all():
         rows, cols = m.shape if strip_axis == VERTICAL else m.shape[::-1]
         raise NumericError(

@@ -7,8 +7,6 @@ draws from ``numpy.random.default_rng([seed, v])``, so plants are
 reproducible bit for bit and vertices use independent substreams.
 """
 
-import cmath
-import numbers
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -17,7 +15,7 @@ import numpy as np
 from .chain import ChainCanonicalForm, ChainTrace, reduction_residual
 from .cycle import RegularizingDecomposition
 from .errors import ValidationError
-from .linalg import _check_int, _is_finite_real, _is_int, unitarity_defect
+from .linalg import _check_int, _check_real, _is_finite_number, _is_int, unitarity_defect
 from .quiver import (
     CHAIN,
     QuiverShape,
@@ -49,7 +47,8 @@ class PlantSpec:
 
     ``labels`` holds ``(label, multiplicity)`` pairs, or is a mapping from
     labels to multiplicities: ``(i, j)`` intervals for chains, ``(l, r)``
-    walks for cycles.  The multiplicities of a repeated label add up.
+    walks for cycles.  The multiplicities of a repeated label add up, and
+    only labels with a positive total are stored.
     ``regular_eigs`` adds one regular dimension per eigenvalue (cycles
     only).  ``scramble`` selects unitary basis changes (default) or general
     invertible ones with condition number at most ``max_condition``.
@@ -63,40 +62,29 @@ class PlantSpec:
     max_condition: float = 1e3
 
     def __post_init__(self):
-        if not (_is_int(self.seed) and self.seed >= 0):
-            raise ValidationError(f"field 'seed' must be a nonnegative integer, got {self.seed!r}")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _check_int("PlantSpec", "seed", self.seed, 0))
         labels: Counter = Counter()
         for (a, b), m in (self.labels.items() if isinstance(self.labels, dict) else self.labels):
             check_label(self.shape, a, b, m)
             labels[(int(a), int(b))] += int(m)
-        object.__setattr__(self, "labels", tuple(sorted(labels.items())))
+        object.__setattr__(self, "labels", tuple(sorted((+labels).items())))
         eigs = []
         for z in self.regular_eigs:
-            if not isinstance(z, numbers.Number) or isinstance(z, bool):
-                raise ValidationError(f"regular eigenvalue {z!r} is not a number")
-            try:  # integers beyond float64 range
-                eigs.append(complex(z))
-            except OverflowError:
-                raise ValidationError(f"regular eigenvalue {z!r} is not finite") from None
+            if not _is_finite_number(z):
+                raise ValidationError(f"regular eigenvalue {z!r} is not a finite number")
+            eigs.append(complex(z))
+            if abs(eigs[-1]) <= 1e-9:
+                raise ValidationError(f"regular eigenvalue {z!r} too close to zero")
         object.__setattr__(self, "regular_eigs", tuple(eigs))
         if self.scramble not in (UNITARY, INVERTIBLE):
             raise ValidationError(f"unknown scramble mode {self.scramble!r}")
-        if not (_is_finite_real(self.max_condition) and self.max_condition >= 1):
-            raise ValidationError(
-                f"field 'max_condition' must be a finite number >= 1, got {self.max_condition!r}"
-            )
+        _check_real("field 'max_condition'", self.max_condition, 1)
         object.__setattr__(self, "max_condition", float(self.max_condition))
         if self.shape.kind == CHAIN and self.regular_eigs:
             raise ValidationError("chains have no regular part")
-        for z in self.regular_eigs:
-            if not cmath.isfinite(z):
-                raise ValidationError(f"regular eigenvalue {z} is not finite")
-            if abs(z) <= 1e-9:
-                raise ValidationError(f"regular eigenvalue {z} too close to zero")
 
     def label_counts(self) -> Counter:
-        return Counter({lab: m for lab, m in self.labels if m})
+        return Counter(dict(self.labels))
 
 
 def _rng(who: str, seed) -> np.random.Generator:
@@ -125,9 +113,7 @@ def random_unitary(n: int, seed) -> np.ndarray:
     as QR of a complex Gaussian matrix with the R-diagonal phases divided
     out (Mezzadri's recipe).
     """
-    _check_int("random_unitary", "n", n)
-    if n < 0:
-        raise ValidationError("random_unitary needs n >= 0")
+    _check_int("random_unitary", "n", n, 0)
     rng = _rng("random_unitary", seed)
     z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
@@ -141,11 +127,8 @@ def random_invertible(n: int, seed, max_condition: float = 1e3) -> np.ndarray:
 
     ``seed`` takes the forms :func:`random_unitary` takes.
     """
-    _check_int("random_invertible", "n", n)
-    if not (_is_finite_real(max_condition) and max_condition >= 1):
-        raise ValidationError(
-            f"random_invertible needs a finite max_condition >= 1, got {max_condition!r}"
-        )
+    _check_int("random_invertible", "n", n, 0)
+    _check_real("random_invertible's max_condition", max_condition, 1)
     rng = _rng("random_invertible", seed)
     u = random_unitary(n, rng)
     v = random_unitary(n, rng)

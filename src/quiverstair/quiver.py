@@ -114,6 +114,12 @@ class QuiverShape:
             raise ValidationError(f"arrow index {arrow} out of range 1..{self.arrow_count}")
 
 
+def _check_kind(who: str, shape: QuiverShape, kind: str) -> None:
+    """The one kind rule: ``shape`` is a quiver of ``kind``."""
+    if shape.kind != kind:
+        raise ValidationError(f"{who} needs a {kind}, got a {shape.kind}")
+
+
 def chain_shape(t: int, orientations: str) -> QuiverShape:
     return QuiverShape(CHAIN, t, orientations)
 
@@ -285,8 +291,7 @@ def assemble(shape: QuiverShape, labels) -> Representation:
 
 def g_label_dims(shape: QuiverShape, l: int, r: int) -> tuple[int, ...]:
     """Vertex dimensions of ``G(l, r)``: how many walk positions lie over each vertex."""
-    if shape.kind != CYCLE:
-        raise ValidationError("g_label_dims needs a cycle shape")
+    _check_kind("g_label_dims", shape, CYCLE)
     check_label(shape, l, r)
     return label_dims(shape.t, [((l, r), 1)])
 
@@ -297,8 +302,7 @@ def make_G(l: int, r: int, shape: QuiverShape) -> Representation:
     The space at vertex ``v`` is spanned by the walk indices lying over ``v``
     (increasing order); see :func:`assemble` for where the ones go.
     """
-    if shape.kind != CYCLE:
-        raise ValidationError("make_G needs a cycle shape")
+    _check_kind("make_G", shape, CYCLE)
     return assemble(shape, [((l, r), 1)])
 
 

@@ -3,6 +3,7 @@ lists the user-facing API while the dense-kernel internals stay in linalg.
 Every function the benchmark's tracer wraps is still bound where it looks,
 and every root name the benchmark uses is still listed."""
 
+import ast
 import importlib
 import importlib.util
 import re
@@ -45,6 +46,26 @@ def test_second_paths_are_not_in_the_package(name):
     # intervals come from quiver.assemble, regularity from quiver.regularity_defect
     assert name not in qs.__all__
     assert [m for m in MODULES if hasattr(importlib.import_module(m), name)] == []
+
+
+VALUE_RULE_MODULES = {"numbers", "cmath", "math"}
+
+
+def test_value_rules_live_in_linalg_only():
+    # integers, finite reals and finite numbers are judged by linalg's helpers alone
+    package = Path(qs.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = {alias.name.partition(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = {node.module.partition(".")[0]}
+            else:
+                continue
+            offenders += [f"{path.name}: {n}" for n in sorted(names & VALUE_RULE_MODULES)]
+    assert [o for o in offenders if not o.startswith("linalg.py:")] == []
+    assert offenders  # the rules themselves are still there
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"

@@ -61,7 +61,7 @@ CHAIN_SPEC = qs.PlantSpec(qs.chain_shape(4, "><>"), (((1, 3), 2), ((2, 4), 1)), 
 SPEC_NON_INTEGERS = [
     (lambda d: d.update(t=3.7), "'t' must be an integer"),
     (lambda d: d.update(t="4"), "'t' must be an integer"),
-    (lambda d: d.update(seed=2.5), "'seed' must be a nonnegative integer"),
+    (lambda d: d.update(seed=2.5), "PlantSpec needs an integer seed >= 0, got 2.5"),
     (lambda d: d["labels"][0].__setitem__(1, 1.9), "must be integers"),
     (lambda d: d["labels"][0].__setitem__(2, "3"), "must be integers"),
     (lambda d: d["labels"][0].__setitem__(3, True), "must be integers"),
@@ -151,6 +151,11 @@ class TestFiles:
         assert back.shape == spec.shape
         assert back.label_counts() == spec.label_counts()
         assert back.regular_eigs == spec.regular_eigs
+
+    def test_plant_spec_with_zero_multiplicity_roundtrips(self):
+        spec = qs.PlantSpec(qs.cycle_shape(2, "><"), (((1, 2), 0), ((1, 1), 1)), seed=1)
+        assert spec.labels == (((1, 1), 1),)
+        assert files.plant_spec_from_dict(files.plant_spec_to_dict(spec)) == spec
 
     def test_malformed_entry_count(self, tmp_path):
         rep = make_rep()
@@ -303,7 +308,7 @@ class TestFiles:
     def test_non_finite_plant_spec_rejected(self, tmp_path):
         d = files.plant_spec_to_dict(random_cycle_spec(2))
         d["regular_eigs"] = [[float("inf"), 0.0]]
-        with pytest.raises(ValidationError, match="not finite"):
+        with pytest.raises(ValidationError, match="regular eigenvalue .* is not a finite number"):
             files.plant_spec_from_dict(d)
 
     @pytest.mark.parametrize("edit, match", SPEC_NON_INTEGERS, ids=SPEC_NON_INTEGER_IDS)
@@ -413,6 +418,14 @@ class TestCli:
         assert json.loads(Path(truth_path).read_text(encoding="utf-8"))["labels"] == [["G", 1, 2, 2]]
         assert files.load_representation(out).dims == (2, 2, 0)
         assert cli.main(["verify", str(out), truth_path]) == 0
+
+    def test_gen_zero_count_label_truth_equals_spec(self, tmp_path):
+        out = tmp_path / "inst.json"
+        labels = "G:1:1,G:1:2:0"
+        argv = ["--kind", "cycle", "--t", "2", "--orientations", "><", "--labels", labels]
+        assert cli.main(["gen", str(out), *argv]) == 0
+        want = qs.PlantSpec(qs.cycle_shape(2, "><"), (((1, 1), 1), ((1, 2), 0)))
+        assert files.load_plant_spec(str(out) + ".truth.json") == want
 
     def test_tampered_truth_exits_1(self, tmp_path):
         out = tmp_path / "inst.json"

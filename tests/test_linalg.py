@@ -33,14 +33,6 @@ class TestBlockConstructors:
         assert np.signbit(d.real).all() and np.signbit(d.imag).all()
         assert linalg.jordan_block(0, 1.0).shape == (0, 0)
 
-    def test_invalid_sizes(self):
-        with pytest.raises(ValidationError):
-            linalg.f_block(0)
-        with pytest.raises(ValidationError):
-            linalg.g_block(-1)
-        with pytest.raises(ValidationError):
-            linalg.jordan_block(-2, 0.0)
-
 
 class TestTolerancePolicy:
     def test_threshold_floor(self):
@@ -70,12 +62,14 @@ class TestTolerancePolicy:
         "value", ["1", None, 1e-8 + 0j, True], ids=["string", "none", "complex", "bool"]
     )
     def test_non_real_params_rejected(self, field, value):
-        with pytest.raises(ValidationError, match="real numbers"):
+        message = f"field '{field}' must be a finite real number >= 0, got"
+        with pytest.raises(ValidationError, match=message):
             linalg.TolerancePolicy(**{field: value})
 
     @pytest.mark.parametrize("field", ["abs_floor", "rel_factor"])
     def test_integer_beyond_float_range_rejected(self, field):
-        with pytest.raises(ValidationError, match=f"finite real numbers, got {field}="):
+        message = f"field '{field}' must be a finite real number >= 0, got 1000"
+        with pytest.raises(ValidationError, match=message):
             linalg.TolerancePolicy(**{field: 10**400})
 
     def test_numpy_reals_accepted(self):
@@ -582,7 +576,15 @@ class TestToleranceCheck:
 BAD_BUILDING_BLOCK_ARGS = {
     "random_unitary(2.5)": (lambda: oracle.random_unitary(2.5, 0), "integer n"),
     "random_unitary(True)": (lambda: oracle.random_unitary(True, 0), "integer n"),
+    "random_unitary(-1)": (
+        lambda: oracle.random_unitary(-1, 0),
+        "random_unitary needs an integer n >= 0, got -1",
+    ),
     "random_invertible(2.5)": (lambda: oracle.random_invertible(2.5, 0), "integer n"),
+    "random_invertible(-1)": (
+        lambda: oracle.random_invertible(-1, 0),
+        "random_invertible needs an integer n >= 0, got -1",
+    ),
     "random_invertible(max_condition=0.5)": (
         lambda: oracle.random_invertible(2, 0, max_condition=0.5),
         "max_condition",
@@ -596,16 +598,34 @@ BAD_BUILDING_BLOCK_ARGS = {
         "max_condition",
     ),
     "jordan_block(2.5)": (lambda: linalg.jordan_block(2.5, 1), "integer n"),
+    "jordan_block(-2)": (
+        lambda: linalg.jordan_block(-2, 0.0),
+        "jordan_block needs an integer n >= 0, got -2",
+    ),
     "jordan_block(lam='x')": (lambda: linalg.jordan_block(2, "x"), "lam"),
     "jordan_block(lam=nan)": (lambda: linalg.jordan_block(2, complex(1, np.nan)), "lam"),
     "jordan_block(lam=10**400)": (lambda: linalg.jordan_block(2, 10**400), "lam"),
     "jordan_block(lam=True)": (lambda: linalg.jordan_block(2, True), "lam"),
     "f_block(True)": (lambda: linalg.f_block(True), "integer n"),
     "f_block(2.0)": (lambda: linalg.f_block(2.0), "integer n"),
+    "f_block(0)": (lambda: linalg.f_block(0), "f_block needs an integer n >= 1, got 0"),
     "g_block('3')": (lambda: linalg.g_block("3"), "integer n"),
+    "g_block(-1)": (lambda: linalg.g_block(-1), "g_block needs an integer n >= 1, got -1"),
     "push_down(l=1.5)": (lambda: cycle.push_down(None, 1.5, 0.5, _CYCLE2), "integer l"),
     "push_down(l='a')": (lambda: cycle.push_down(None, "a", 0, _CYCLE2), "integer l"),
     "push_down(n=0.0)": (lambda: cycle.push_down(None, 1, 0.0, _CYCLE2), "integer n"),
+    "push_down(n=l-2)": (
+        lambda: cycle.push_down(None, 3, 1, _CYCLE2),
+        "push_down needs an integer n >= 2, got 1",
+    ),
+    "push_down(l=uint8(3), n=0)": (
+        lambda: cycle.push_down(None, np.uint8(3), 0, _CYCLE2),
+        "push_down needs an integer n >= 2, got 0",
+    ),
+    "push_down(l=0, n=uint8(255))": (
+        lambda: cycle.push_down(None, 0, np.uint8(255), _CYCLE2),
+        r"push_down got no chain but n-l\+1=256 vertices",
+    ),
 }
 
 

@@ -190,7 +190,7 @@ class TestPlant:
             qs.PlantSpec(shape=qs.cycle_shape(2, "><"), labels=(), **fields)
 
     def test_eigenvalue_beyond_float_range_rejected(self):
-        with pytest.raises(ValidationError, match="regular eigenvalue .* is not finite"):
+        with pytest.raises(ValidationError, match="regular eigenvalue .* is not a finite number"):
             qs.PlantSpec(shape=qs.cycle_shape(2, "><"), labels=(), regular_eigs=(10**400,))
 
     def test_numpy_numbers_accepted(self):

@@ -67,6 +67,28 @@ class TestQuiverShape:
         assert c.reversed().orientations == "<><"
 
 
+_CHAIN2 = qs.chain_shape(2, ">")
+_CYCLE2 = qs.cycle_shape(2, "><")
+
+# every function that takes a quiver of one kind, called on the other kind
+WRONG_KIND_CALLS = {
+    "canon_chain": (lambda: qs.canon_chain(qs.zero_representation(_CYCLE2)), "chain", "cycle"),
+    "shave": (lambda: qs.shave(qs.zero_representation(_CHAIN2)), "cycle", "chain"),
+    "monodromy": (lambda: qs.monodromy(qs.zero_representation(_CHAIN2)), "cycle", "chain"),
+    "regularize": (lambda: qs.regularize(qs.zero_representation(_CHAIN2)), "cycle", "chain"),
+    "push_down": (lambda: qs.push_down(None, 1, 0, _CHAIN2), "cycle", "chain"),
+    "g_label_dims": (lambda: qs.g_label_dims(_CHAIN2, 1, 1), "cycle", "chain"),
+    "make_G": (lambda: qs.make_G(1, 1, _CHAIN2), "cycle", "chain"),
+}
+
+
+@pytest.mark.parametrize("who", WRONG_KIND_CALLS)
+def test_wrong_kind_named(who):
+    call, want, got = WRONG_KIND_CALLS[who]
+    with pytest.raises(ValidationError, match=f"^{who} needs a {want}, got a {got}$"):
+        call()
+
+
 class TestRepresentation:
     def test_shape_validation(self):
         shape = qs.chain_shape(2, ">")

@@ -119,3 +119,42 @@ def test_off_by_one_walk_start_is_caught(monkeypatch):
     spec = qs.PlantSpec(qs.cycle_shape(3, "><>"), (((2, 4), 1),), regular_eigs=(2.0,), seed=1)
     oracle, got = _oracle_and_regularize(qs.plant(spec)[0])
     assert oracle == (Counter({(2, 4): 1}), 1) != got
+
+
+# the t = 2 cycle whose two arrows both point 1 -> 2 holds the pencil (A, B)
+PENCIL_SHAPE = qs.cycle_shape(2, "><")
+
+
+def _pencil(a, b):
+    return qs.Representation(PENCIL_SHAPE, (a.shape[1], a.shape[0]), (a, b))
+
+
+# the classical pencil families and their walk labels, n >= 1
+PENCIL_FAMILIES = {
+    "(I_n, J_n(0))": (lambda n: _pencil(np.eye(n), qs.jordan_block(n, 0)), lambda n: (1, 2 * n)),
+    "(J_n(0), I_n)": (lambda n: _pencil(qs.jordan_block(n, 0), np.eye(n)), lambda n: (2, 2 * n + 1)),
+    "(F_n, G_n)": (lambda n: _pencil(qs.f_block(n), qs.g_block(n)), lambda n: (1, 2 * n - 1)),
+    "(F_n^T, G_n^T)": (lambda n: _pencil(qs.f_block(n).T, qs.g_block(n).T), lambda n: (2, 2 * n)),
+}
+
+
+def _scrambled(rep, seed):
+    return qs.apply_isomorphism(rep, [qs.random_unitary(d, [seed, v]) for v, d in enumerate(rep.dims, 1)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("family", PENCIL_FAMILIES)
+def test_pencil_family_oracle_label_and_regularize_agree(family, n):
+    make, label = PENCIL_FAMILIES[family]
+    oracle, got = _oracle_and_regularize(_scrambled(make(n), 11 + n))
+    assert oracle == (Counter({label(n): 1}), 0) == got
+
+
+def test_composite_pencil_oracle_and_regularize_agree():
+    # minimal column indices + nilpotent + the eigenvalues 2 and 5, as in demos/03
+    composite = qs.direct_sum(
+        qs.direct_sum(_pencil(qs.f_block(3), qs.g_block(3)), _pencil(np.eye(3), qs.jordan_block(3, 0))),
+        _pencil(np.diag([2.0, 5.0]), np.eye(2)),
+    )
+    oracle, got = _oracle_and_regularize(_scrambled(composite, 12))
+    assert oracle == (Counter({(1, 5): 1, (1, 6): 1}), 2) == got
