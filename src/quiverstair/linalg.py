@@ -12,6 +12,7 @@ import cmath
 import math
 import numbers
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -42,6 +43,7 @@ __all__ = [
 
 VERTICAL = "vertical"
 HORIZONTAL = "horizontal"
+_ONE = np.ones((1, 1), dtype=np.complex128)  # copied, never handed out
 
 
 def _is_real(x) -> bool:
@@ -83,6 +85,8 @@ def _check_int(who: str, name: str, x, minimum: int | None = None) -> int:
 
 def _check_real(name: str, x, minimum: float) -> None:
     """The one real-bound rule: ``x`` is a finite real number of at least ``minimum``."""
+    if type(x) is float and math.isfinite(x) and x >= minimum:
+        return  # the common case, decided without the ``numbers.Real`` check
     if not (_is_finite_real(x) and x >= minimum):
         raise ValidationError(f"{name} must be a finite real number >= {minimum}, got {x!r}")
 
@@ -90,7 +94,7 @@ def _check_real(name: str, x, minimum: float) -> None:
 def _rank(s: np.ndarray, threshold) -> int:
     """The one rank rule: the number of singular values ``s`` above ``threshold``."""
     _check_real("threshold", threshold, 0)
-    return int(np.count_nonzero(s > threshold))
+    return int(np.count_nonzero(np.greater(s, threshold)))
 
 
 def _sizes(name: str, xs) -> list[int]:
@@ -196,7 +200,9 @@ def _lapack_svd(m: np.ndarray, **kwargs):
     (LAPACK's answer to an inf or nan entry), reported as :class:`NumericError`."""
 
     def where() -> str:
-        return f"on a {m.shape[0]}x{m.shape[1]} matrix with Frobenius norm {np.linalg.norm(m):.6g}"
+        with np.errstate(over="ignore"):  # a norm beyond float64 reads inf, with no warning
+            norm = np.linalg.norm(m)
+        return f"on a {m.shape[0]}x{m.shape[1]} matrix with Frobenius norm {norm:.6g}"
 
     try:
         out = np.linalg.svd(m, **kwargs)
@@ -276,8 +282,21 @@ def two_sided_reduce(a, threshold: float) -> tuple[np.ndarray, np.ndarray, int]:
 
     The ``k x k`` block ``h`` is nonsingular (its smallest singular value
     exceeds ``threshold``) and sits in the top-right corner.
+
+    A one-column ``a`` with rows and finite entries takes no SVD.  Its one
+    singular value is its 2-norm, taken with max-abs scaling as LAPACK's
+    ``dznrm2`` does (``amax * ||a / amax||``, so no square overflows or
+    underflows), and ``k`` is decided from it by the same rank rule.  At
+    ``k = 0`` both unitaries are exactly the identity; at ``k = 1`` ``p`` is
+    the Householder reflector with ``p^H @ a = [alpha, 0, ..., 0]^T``,
+    ``|alpha|`` the 2-norm, and ``s = [[1]]``.  A column with a non-finite
+    entry, or whose norm overflows, goes to the SVD, which reports it.
     """
     m = as_matrix(a)
+    if m.shape[1] == 1 and m.shape[0]:
+        reduced = _one_column(m, threshold)
+        if reduced is not None:
+            return reduced
     u, sig, vh = svd(m)
     k = _rank(sig, threshold)
     n = m.shape[1]
@@ -286,17 +305,46 @@ def two_sided_reduce(a, threshold: float) -> tuple[np.ndarray, np.ndarray, int]:
     return u, s_mat, k
 
 
+def _one_column(m: np.ndarray, threshold) -> tuple[np.ndarray, np.ndarray, int] | None:
+    """:func:`two_sided_reduce` of a nonempty ``n x 1`` matrix by its norm and one
+    reflector; ``None`` when an entry or the norm is not finite."""
+    parts = m.view(np.float64)  # n x 2: the real and imaginary parts
+    amax = float(np.abs(parts).max())
+    if not math.isfinite(amax):
+        return None
+    nu = 0.0
+    if amax:
+        y = parts / amax
+        flat = y.ravel()
+        nu = math.sqrt(float(np.dot(flat, flat)))
+    sigma = amax * nu
+    if not math.isfinite(sigma):
+        return None
+    n = m.shape[0]
+    if not _rank((sigma,), threshold):
+        return np.eye(n, dtype=np.complex128), _ONE.copy(), 0
+    # p = I - v v^H / (nu (nu + |y_0|)) with v = y + nu e^{i arg y_0} e_1, which
+    # takes y = a / amax to -nu e^{i arg y_0} e_1; the sign is the one that cannot cancel.
+    v = y.view(np.complex128)[:, 0]  # y is this call's own array: v is built in place
+    y0 = abs(v[0])
+    v[0] += nu * v[0] / y0 if y0 else nu
+    p = v[:, None] * (v.conj() / -(nu * (nu + y0)))
+    p.ravel()[:: n + 1] += 1
+    return p, _ONE.copy(), 1
+
+
 def _flip(a: np.ndarray) -> np.ndarray:
     """``J a^T J`` with ``J`` the order reversal: the horizontal staircase's mirror."""
     return a[::-1, ::-1].T
 
 
-def _strip_frame(a, strip_sizes, strip_axis: str) -> tuple[np.ndarray, np.ndarray]:
+def _strip_frame(a, strip_sizes, strip_axis: str) -> tuple[np.ndarray, list[int]]:
     """Check the strips; return ``a`` and their bounds in :func:`staircase_reduce`'s frame."""
     m = as_matrix(a)
     sizes = _sizes("strip_sizes", strip_sizes)
-    if any(x < 0 for x in sizes):
-        raise ValidationError("strip sizes must be nonnegative")
+    low = min(sizes, default=0)
+    if low < 0:
+        raise ValidationError(f"strip sizes must be nonnegative, got {low} in {sizes}")
     if strip_axis not in (VERTICAL, HORIZONTAL):
         raise ValidationError(f"unknown strip axis {strip_axis!r}")
     along = m.shape[1] if strip_axis == VERTICAL else m.shape[0]
@@ -306,7 +354,7 @@ def _strip_frame(a, strip_sizes, strip_axis: str) -> tuple[np.ndarray, np.ndarra
         )
     if strip_axis == HORIZONTAL:
         m, sizes = _flip(m), sizes[::-1]
-    return m, np.concatenate([[0], np.cumsum(sizes)]).astype(int)
+    return m, list(accumulate(sizes, initial=0))
 
 
 def staircase_reduce(
@@ -333,7 +381,11 @@ def staircase_reduce(
     A strip with no columns, or one that meets no free row because the
     strips before it pinned them all, takes no SVD and no update: it gets
     block size 0 and the identity, exactly what the SVD of its empty
-    matrix would give.
+    matrix would give.  A one-column strip is reduced by its norm and one
+    reflector (see :func:`two_sided_reduce`); at rank 0 it too gets the
+    identity and no update.  Until a strip moves ``left``, it is the
+    identity, so a strip is read from ``a`` itself and its ``p^H`` becomes
+    ``left`` without a product.
 
     A non-finite entry in ``a`` raises :class:`NumericError` up front, with
     ``a``'s shape and Frobenius norm, wherever it sits in the strips.
@@ -346,24 +398,33 @@ def staircase_reduce(
             f"non-finite entry in a {rows}x{cols} matrix "
             f"with Frobenius norm {np.linalg.norm(m):.6g}"
         )
-    left = np.eye(m.shape[0], dtype=np.complex128)
+    left = None  # the identity until a strip moves it
     right = np.eye(m.shape[1], dtype=np.complex128)
     ls = []
     pinned = 0
-    for c0, c1 in zip(bounds, bounds[1:]):
-        if c0 == c1 or pinned == m.shape[0]:
-            # nothing to reduce: the SVD of an empty matrix gives identities and rank 0
-            ls.append(0)
-            continue
-        # ``right`` is still the identity here: this is the strip of ``left @ m @ right``.
-        # An entry that overflows here is left to the SVD, which names it in a NumericError.
-        with np.errstate(invalid="ignore", over="ignore"):
-            strip = left[pinned:, :] @ m[:, c0:c1]
-        p, s_mat, k = two_sided_reduce(strip, threshold)
-        left[pinned:, :] = p.conj().T @ left[pinned:, :]
-        right[c0:c1, c0:c1] = s_mat
-        ls.append(k)
-        pinned += k
+    # An entry that overflows in a strip product is left to the SVD, which names it
+    # in a NumericError.
+    with np.errstate(invalid="ignore", over="ignore"):
+        for c0, c1 in zip(bounds, bounds[1:]):
+            if c0 == c1 or pinned == m.shape[0]:
+                # nothing to reduce: the SVD of an empty matrix gives identities and rank 0
+                ls.append(0)
+                continue
+            # ``right`` is still the identity here: this is the strip of ``left @ m @ right``.
+            strip = m[:, c0:c1] if left is None else left[pinned:, :] @ m[:, c0:c1]
+            p, s_mat, k = two_sided_reduce(strip, threshold)
+            ls.append(k)
+            if c1 - c0 > 1:
+                right[c0:c1, c0:c1] = s_mat
+            elif not k:
+                continue  # the one-column rule gave both identities
+            if left is None:
+                left = np.ascontiguousarray(p.conj().T)  # pinned is 0: p^H @ I is p^H
+            else:
+                left[pinned:, :] = p.conj().T @ left[pinned:, :]
+            pinned += k
+    if left is None:
+        left = np.eye(m.shape[0], dtype=np.complex128)
     if strip_axis == HORIZONTAL:
         return _flip(right), _flip(left), ls[::-1]
     return left, right, ls

@@ -15,7 +15,7 @@ import numpy as np
 from .chain import ChainCanonicalForm, ChainTrace, reduction_residual
 from .cycle import RegularizingDecomposition
 from .errors import ValidationError
-from .linalg import _check_int, _check_real, _is_finite_number, _is_int, unitarity_defect
+from .linalg import _check_int, _check_real, _is_finite_number, unitarity_defect
 from .quiver import (
     CHAIN,
     QuiverShape,
@@ -96,12 +96,14 @@ def _rng(who: str, seed) -> np.random.Generator:
     """
     if isinstance(seed, np.random.Generator):
         return seed
-    ints = seed if isinstance(seed, (list, tuple)) else [seed]
-    if not (ints and all(_is_int(x) and x >= 0 for x in ints)):
+    listed = isinstance(seed, (list, tuple))
+    if listed and not seed:
         raise ValidationError(
             f"{who} needs a seed that is a Generator, a nonnegative integer or a nonempty "
             f"list or tuple of them, got {seed!r}"
         )
+    for x in seed if listed else [seed]:
+        _check_int(who, "seed entry" if listed else "seed", x, 0)
     return np.random.default_rng(seed)
 
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .linalg import (
+    _check_int,
     _is_int,
     _rank,
     as_matrix,
@@ -74,10 +75,7 @@ class QuiverShape:
             raise ValidationError(
                 f"field 'orientations' must be a string, got {self.orientations!r}"
             )
-        if self.kind == CHAIN and self.t < 1:
-            raise ValidationError("a chain needs at least one vertex")
-        if self.kind == CYCLE and self.t < 2:
-            raise ValidationError("a cycle needs at least two vertices")
+        _check_int(f"a {self.kind}", "t", self.t, 1 if self.kind == CHAIN else 2)
         if len(self.orientations) != self.arrow_count:
             raise ValidationError(
                 f"expected {self.arrow_count} orientation flags, got {len(self.orientations)}"
@@ -143,10 +141,12 @@ class Representation:
         if not all(map(_is_int, self.dims)):
             raise ValidationError(f"field 'dims' must be integers, got {self.dims!r}")
         dims = tuple(int(d) for d in self.dims)
-        if len(dims) != self.shape.t or any(d < 0 for d in dims):
+        if len(dims) != self.shape.t:
             raise ValidationError(
                 f"need {self.shape.t} nonnegative dimensions, got {self.dims!r}"
             )
+        for v, d in enumerate(dims, start=1):
+            _check_int(f"vertex {v}", "dimension", d, 0)
         if len(self.matrices) != self.shape.arrow_count:
             raise ValidationError(
                 f"need {self.shape.arrow_count} matrices, got {len(self.matrices)}"
@@ -229,8 +229,7 @@ def check_label(shape: QuiverShape, a: int, b: int, m: int = 1):
         raise ValidationError(
             f"label ({a!r}, {b!r}) x {m!r}: bounds and multiplicity must be integers"
         )
-    if m < 0:
-        raise ValidationError("label multiplicities must be nonnegative")
+    _check_int(f"label ({a}, {b})", "multiplicity", m, 0)
     t = shape.t
     if shape.kind == CHAIN and not 1 <= a <= b <= t:
         raise ValidationError(f"interval label ({a}, {b}) out of range for t={t}")

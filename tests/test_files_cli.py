@@ -718,7 +718,7 @@ def test_gen_t_zero_names_the_fault(tmp_path, capsys):
     argv = ["gen", str(tmp_path / "g.json"), "--kind", "chain", "--t", "0", "--orientations", ""]
     capsys.readouterr()
     assert cli.main(argv) == 2
-    assert "a chain needs at least one vertex" in capsys.readouterr().err
+    assert "a chain needs an integer t >= 1, got 0" in capsys.readouterr().err
 
 
 def _v1_chain_file(tmp_path, edit):

@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import quiverstair as qs
 from conftest import bareiss_rank, random_complex
-from quiverstair import cycle, linalg, oracle, quiver
+from quiverstair import chain, cycle, linalg, oracle, quiver
 from quiverstair.errors import NumericError, ValidationError
 
 TOL = linalg.DEFAULT_TOL
@@ -146,6 +148,12 @@ class TestNonFiniteSvd:
             (lambda: linalg.row_compress(INF_ROW, 0.1), SVD_SAYS.format("1x2")),
             (lambda: linalg.col_compress(INF_ROW, 0.1), SVD_SAYS.format("1x2")),
             (lambda: linalg.two_sided_reduce(INF_ROW, 0.1), SVD_SAYS.format("1x2")),
+            # a one-column input with a non-finite entry goes to the SVD, not the norm
+            (lambda: linalg.two_sided_reduce([[np.inf], [1.0]], 0.1), SVD_SAYS.format("2x1")),
+            (
+                lambda: linalg.two_sided_reduce([[np.nan]], 0.1),
+                "SVD failed to converge on a 1x1 matrix with Frobenius norm nan",
+            ),
             # refused up front, before a strip product or an SVD sees the entry
             (
                 lambda: linalg.staircase_reduce(INF_ROW, [2], linalg.VERTICAL, 0.1),
@@ -157,7 +165,8 @@ class TestNonFiniteSvd:
         ],
         ids=[
             "svd", "singular_values", "numerical_rank", "row_compress", "col_compress",
-            "two_sided_reduce", "staircase_reduce", "sigma_max", "threshold", "svd_inverse",
+            "two_sided_reduce", "two_sided_reduce-column-inf", "two_sided_reduce-column-nan",
+            "staircase_reduce", "sigma_max", "threshold", "svd_inverse",
         ],
     )
     def test_raises_numeric_error(self, call, message):
@@ -311,6 +320,41 @@ class TestTwoSidedReduce:
             a = rng.integers(-2, 3, size=(m, n))
             _, _, k = linalg.two_sided_reduce(a.astype(complex), TOL.threshold(a.astype(complex)))
             assert k == bareiss_rank(a)
+
+
+class TestOneColumn:
+    """A one-column input is decided by its scaled 2-norm and reduced by one reflector."""
+
+    @pytest.mark.parametrize(
+        "x, threshold",
+        [
+            ([[1e200], [1e200]], 1.0),
+            ([[1e-200], [1e-200]], 0.0),
+            ([[3e-300j], [0], [4e-300]], 1e-300),
+        ],
+        ids=["norm-squares-overflow", "norm-squares-underflow", "subnormal-squares"],
+    )
+    def test_extreme_scales_keep_rank_one(self, x, threshold):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p, s, k = linalg.two_sided_reduce(x, threshold)
+        assert k == 1 and np.array_equal(s, [[1]])
+        assert linalg.unitarity_defect(p) <= 1e-15
+        reduced = p.conj().T @ np.asarray(x, dtype=complex)
+        sigma = float(linalg.singular_values(x)[0])
+        assert abs(reduced[0, 0]) == pytest.approx(sigma, rel=1e-15)
+        assert np.abs(reduced[1:]).max() <= 1e-15 * sigma
+
+    def test_rank_zero_gives_exact_identities(self):
+        p, s, k = linalg.two_sided_reduce([[1e-3], [0], [-2e-3j]], 1e-2)
+        assert k == 0
+        assert np.array_equal(p, np.eye(3)) and np.array_equal(s, [[1]])
+
+    def test_norm_overflow_goes_to_the_svd(self):
+        # raised without a warning, though the norm in the message overflows too
+        message = SVD_SAYS.format("2x1") + " with Frobenius norm inf$"
+        with pytest.raises(NumericError, match=message):
+            linalg.two_sided_reduce([[1.5e308], [1.5e308]], 1.0)
 
 
 class TestStaircase:
@@ -476,6 +520,54 @@ class TestEmptyStripsTakeNoSvd:
         assert calls and all(min(shape) > 0 for shape in calls)
 
 
+class TestStripCalls:
+    """Every live strip is one traced ``two_sided_reduce`` call; a one-column one takes no SVD."""
+
+    def test_planted_chain(self, monkeypatch):
+        reduce, lapack, stair = linalg.two_sided_reduce, np.linalg.svd, linalg.staircase_reduce
+        strips, svd_shapes, live, inside = [], [], [], []
+
+        def counted_reduce(a, threshold):
+            strips.append(np.shape(a))
+            svd_shapes.append([])
+            inside.append(True)
+            try:
+                return reduce(a, threshold)
+            finally:
+                inside.pop()
+
+        def counted_svd(a, *args, **kwargs):
+            if inside:
+                svd_shapes[-1].append(np.shape(a))
+            return lapack(a, *args, **kwargs)
+
+        def live_strips(a, strip_sizes, strip_axis, threshold):
+            left, right, ls = stair(a, strip_sizes, strip_axis, threshold)
+            rows = np.shape(a)[0 if strip_axis == linalg.VERTICAL else 1]
+            order = slice(None) if strip_axis == linalg.VERTICAL else slice(None, None, -1)
+            pinned = 0
+            for k, l in zip(list(strip_sizes)[order], ls[order]):
+                if k and pinned < rows:
+                    live.append((rows - pinned, k))
+                pinned += l
+            return left, right, ls
+
+        monkeypatch.setattr(linalg, "two_sided_reduce", counted_reduce)
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        monkeypatch.setattr(chain, "staircase_reduce", live_strips)
+        t = 32
+        labels = tuple(((i, min(t, i + i % 5)), 1 + i % 2) for i in range(1, t + 1))
+        spec = qs.PlantSpec(shape=qs.chain_shape(t, "><" * (t // 2 - 1) + ">"), labels=labels, seed=3)
+        rep, _ = qs.plant(spec)
+        form, _ = qs.canon_chain(rep)
+        assert dict(form.counts) == {lab: m for lab, m in labels}
+        assert strips == live
+        widths = {shape[1] for shape in strips}
+        assert 1 in widths and max(widths) > 1
+        for shape, svds in zip(strips, svd_shapes):
+            assert svds == ([] if shape[1] == 1 else [shape])
+
+
 class TestInverse:
     def test_inverse_roundtrip(self):
         rng = np.random.default_rng(17)
@@ -625,6 +717,34 @@ BAD_BUILDING_BLOCK_ARGS = {
     "push_down(l=0, n=uint8(255))": (
         lambda: cycle.push_down(None, 0, np.uint8(255), _CYCLE2),
         r"push_down got no chain but n-l\+1=256 vertices",
+    ),
+    "check_label(m=-1)": (
+        lambda: quiver.check_label(qs.chain_shape(3, ">>"), 1, 2, -1),
+        r"^label \(1, 2\) needs an integer multiplicity >= 0, got -1$",
+    ),
+    "Representation(dims=(1, -1))": (
+        lambda: qs.Representation(qs.chain_shape(2, ">"), (1, -1), (np.zeros((0, 1)),)),
+        "^vertex 2 needs an integer dimension >= 0, got -1$",
+    ),
+    "random_unitary(seed=-1)": (
+        lambda: oracle.random_unitary(2, -1),
+        "^random_unitary needs an integer seed >= 0, got -1$",
+    ),
+    "random_invertible(seed=[3, -2])": (
+        lambda: oracle.random_invertible(2, [3, -2]),
+        "^random_invertible needs an integer seed entry >= 0, got -2$",
+    ),
+    "QuiverShape(chain, t=0)": (
+        lambda: qs.QuiverShape(qs.CHAIN, 0, ""),
+        "^a chain needs an integer t >= 1, got 0$",
+    ),
+    "QuiverShape(cycle, t=1)": (
+        lambda: qs.QuiverShape(qs.CYCLE, 1, ">"),
+        "^a cycle needs an integer t >= 2, got 1$",
+    ),
+    "staircase_reduce(strip_sizes=[3, -1])": (
+        lambda: linalg.staircase_reduce(np.zeros((1, 2)), [3, -1], linalg.VERTICAL, 0.1),
+        r"^strip sizes must be nonnegative, got -1 in \[3, -1\]$",
     ),
 }
 

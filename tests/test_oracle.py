@@ -156,7 +156,8 @@ class TestPlant:
         assert qs.verify(rep, qs.regularize(rep), truth).passed
 
     def test_negative_count_rejected_before_summing(self):
-        with pytest.raises(ValidationError, match="nonnegative"):
+        negative = r"label \(1, 2\) needs an integer multiplicity >= 0, got -1"
+        with pytest.raises(ValidationError, match=negative):
             qs.PlantSpec(shape=qs.chain_shape(2, ">"), labels=(((1, 2), 2), ((1, 2), -1)))
 
     @pytest.mark.parametrize(

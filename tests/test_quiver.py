@@ -403,7 +403,8 @@ class TestAssemble:
                 assert x.dtype == y.dtype and np.array_equal(x, y), (trial, labels)
 
     def test_negative_multiplicity_rejected(self):
-        with pytest.raises(ValidationError, match="nonnegative"):
+        negative = r"label \(1, 2\) needs an integer multiplicity >= 0, got -1"
+        with pytest.raises(ValidationError, match=negative):
             assemble(qs.chain_shape(3, ">>"), [((1, 2), 2), ((1, 2), -1)])
 
     @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import pytest
 from conftest import random_complex
 from quiverstair import linalg
 from quiverstair.errors import ValidationError
+from svd_strip_loop import staircase_reduce_by_svd
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -94,3 +95,53 @@ def test_residual_raises_exactly_when_the_pattern_does_not_fit(strips, slack, ot
     else:
         with pytest.raises(ValidationError):
             linalg.staircase_residual(a, strips, blocks, axis)
+
+
+@st.composite
+def columns(draw):
+    """An ``n x 1`` complex column, n 1..8, scaled by up to 10^±200, with exact zeros."""
+    n = draw(st.integers(1, 8), label="n")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    zeros = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n), label="zeros"))
+    x = random_complex(rng, n, 1) * 10.0 ** draw(st.integers(-200, 200), label="exponent")
+    x[zeros] = 0
+    return x
+
+
+@hypothesis.given(columns(), st.floats(-3, 3), st.booleans())
+def test_one_column_strip_is_decided_by_its_norm(x, shift, zero_threshold):
+    sigma = float(linalg.singular_values(x)[0])
+    tau = 0.0 if zero_threshold else sigma * 10.0**shift
+    hypothesis.assume(not sigma or abs(tau - sigma) > 4 * np.spacing(sigma))
+    p, s_mat, k = linalg.two_sided_reduce(x, tau)
+    assert k == linalg.numerical_rank(x, tau)
+    assert np.array_equal(s_mat, [[1]])
+    assert linalg.unitarity_defect(p) <= 1e-14
+    if k:
+        assert np.abs((p.conj().T @ x)[1:]).max(initial=0.0) <= 1e-15 * sigma
+    else:
+        assert np.array_equal(p, np.eye(len(x)))
+
+
+@st.composite
+def wide_strip_cases(draw):
+    """A matrix of drawn rank, an axis, and strips along it that are all at least 2 wide."""
+    sizes = draw(st.lists(st.integers(2, 4), max_size=4), label="strips")
+    other = draw(st.integers(0, 7), label="other")
+    along = sum(sizes)
+    rank = draw(st.integers(0, min(other, along)), label="rank")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    axis = draw(AXES, label="axis")
+    rows, cols = (other, along) if axis == linalg.VERTICAL else (along, other)
+    a = random_complex(rng, rows, rank) @ random_complex(rng, rank, cols)
+    return a, sizes, axis
+
+
+@hypothesis.given(wide_strip_cases())
+def test_wide_strips_match_the_svd_loop_bit_for_bit(case):
+    a, sizes, axis = case
+    tau = TOL.threshold(a)
+    left, right, ls = linalg.staircase_reduce(a, sizes, axis, tau)
+    ref_left, ref_right, ref_ls = staircase_reduce_by_svd(a, sizes, axis, tau)
+    assert ls == ref_ls
+    assert np.array_equal(left, ref_left) and np.array_equal(right, ref_right)
