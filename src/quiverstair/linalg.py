@@ -91,9 +91,8 @@ def _check_real(name: str, x, minimum: float) -> None:
         raise ValidationError(f"{name} must be a finite real number >= {minimum}, got {x!r}")
 
 
-def _rank(s: np.ndarray, threshold) -> int:
+def _rank(s: np.ndarray, threshold: float) -> int:
     """The one rank rule: the number of singular values ``s`` above ``threshold``."""
-    _check_real("threshold", threshold, 0)
     return int(np.count_nonzero(np.greater(s, threshold)))
 
 
@@ -195,31 +194,32 @@ def _check_tol(tol) -> None:
         raise ValidationError(f"tol must be a TolerancePolicy, got {tol!r}")
 
 
+def _numeric_error(m: np.ndarray, what: str, detail: str = "") -> NumericError:
+    """``what`` about ``m``, with its shape and norm; an inf or nan entry gets one message."""
+    if not np.isfinite(m).all():
+        what, detail = "non-finite entry in", ""
+    with np.errstate(over="ignore"):  # a norm beyond float64 reads inf, with no warning
+        norm = np.linalg.norm(m)
+    rows, cols = m.shape
+    return NumericError(f"{what} a {rows}x{cols} matrix with Frobenius norm {norm:.6g}{detail}")
+
+
 def _lapack_svd(m: np.ndarray, **kwargs):
-    """``np.linalg.svd`` with a convergence failure, or a non-finite singular value
-    (LAPACK's answer to an inf or nan entry), reported as :class:`NumericError`."""
-
-    def where() -> str:
-        with np.errstate(over="ignore"):  # a norm beyond float64 reads inf, with no warning
-            norm = np.linalg.norm(m)
-        return f"on a {m.shape[0]}x{m.shape[1]} matrix with Frobenius norm {norm:.6g}"
-
+    """``np.linalg.svd``; ``m`` is inspected, by :func:`_numeric_error`, only if it fails."""
     try:
         out = np.linalg.svd(m, **kwargs)
     except np.linalg.LinAlgError as exc:
-        raise NumericError(f"SVD failed to converge {where()}: {exc}") from exc
+        raise _numeric_error(m, "SVD failed to converge on", f": {exc}") from exc
     if not np.isfinite(out[1] if kwargs.get("compute_uv", True) else out).all():
-        raise NumericError(f"SVD gave a non-finite singular value {where()}")
+        raise _numeric_error(m, "SVD gave a non-finite singular value on")
     return out
 
 
 def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Full SVD ``a = u @ diag(s) @ vh`` with square unitary ``u`` and ``vh``.
 
-    ``s`` has ``min(rows, cols)`` nonincreasing entries.  A convergence
-    failure in the underlying solver, or a non-finite singular value (an inf
-    or nan entry), is reported as :class:`NumericError` with the matrix norm
-    attached.
+    ``s`` has ``min(rows, cols)`` nonincreasing entries.  A failure, or an inf
+    or nan entry, raises :class:`NumericError` naming the shape and norm.
     """
     return _lapack_svd(as_matrix(a), full_matrices=True)
 
@@ -236,6 +236,60 @@ def sigma_max(*mats) -> float:
     return max((float(s[0]) for s in map(singular_values, mats) if s.size), default=0.0)
 
 
+def _decide(m: np.ndarray, threshold, uv: bool = False):
+    """The one rank decision on the complex matrix ``m``: ``(s, k, tau, u, vh)``.
+
+    ``k`` counts the singular values ``s`` above ``tau``: ``threshold``, or a
+    :class:`TolerancePolicy` applied to ``s[0]``.  ``uv`` adds the square
+    unitaries of ``m = u @ diag(s) @ vh``.  A nonempty ``n x 1`` ``m`` with a
+    finite norm takes no LAPACK: ``s`` is that norm, max-abs scaled as LAPACK's
+    ``dznrm2`` scales it (no square overflows or underflows), ``vh = [[1]]``, and
+    ``u`` is the identity at rank 0 and at rank 1 the Householder reflector, its
+    first column rephased so that ``u^H @ m = s[0] e_1``, as an SVD's is.
+    """
+    policy = isinstance(threshold, TolerancePolicy)
+    if not policy:
+        _check_real("threshold", threshold, 0)
+    rows, cols = m.shape
+    u = vh = None
+    sigma = math.inf
+    if cols == 1 and rows:
+        parts = m.view(np.float64)  # rows x 2: the real and imaginary parts
+        amax = float(np.abs(parts).max())
+        if math.isfinite(amax):
+            y = (parts / (amax or 1.0)).ravel()
+            nu = math.sqrt(float(np.dot(y, y)))
+            sigma = amax * nu
+    if math.isfinite(sigma):
+        s = np.array([sigma])
+    elif uv:
+        u, s, vh = _lapack_svd(m, full_matrices=True)
+    else:
+        s = _lapack_svd(m, compute_uv=False) if m.size else np.zeros(0)
+    tau = threshold.from_sigma(s[0] if s.size else 0.0) if policy else threshold
+    k = _rank(s, tau)
+    if uv and u is None:  # the one-column rule decided
+        vh = _ONE  # every caller hands out a product of it, never the array
+        if not k:
+            u = np.eye(rows, dtype=np.complex128)
+        else:
+            # I - v v^H / (nu (nu + |y_0|)) takes y = m / amax to -nu phase e_1; v is built in y
+            v = y.view(np.complex128)
+            y0 = abs(v[0])
+            phase = v[0] / y0 if y0 else 1.0
+            v[0] += nu * phase  # the sign that cannot cancel
+            u = v[:, None] * (v.conj() / -(nu * (nu + y0)))
+            u.ravel()[:: rows + 1] += 1
+            u[:, 0] *= -phase  # now u^H @ m = sigma e_1
+    return s, k, tau, u, vh
+
+
+def _to_back(x: np.ndarray, k: int) -> np.ndarray:
+    """``x`` with its first ``k`` columns moved behind the rest (``x`` itself if none move)."""
+    n = x.shape[1]
+    return x if k == 0 or k == n else x[:, list(range(k, n)) + list(range(k))]
+
+
 def svd_inverse(a, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """Inverse of a square matrix via SVD, rejecting numerically singular input."""
     _check_tol(tol)
@@ -244,9 +298,8 @@ def svd_inverse(a, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
         raise ValidationError(f"cannot invert a {m.shape[0]}x{m.shape[1]} matrix")
     if m.shape[0] == 0:
         return m.copy()
-    u, s, vh = svd(m)
-    tau = tol.from_sigma(s[0])
-    if _rank(s, tau) < len(s):
+    s, k, tau, u, vh = _decide(m, tol, uv=True)
+    if k < len(s):
         raise ValidationError(
             f"matrix is numerically singular: sigma_min={s[-1]:.6g} <= tau={tau:.6g}"
         )
@@ -255,7 +308,7 @@ def svd_inverse(a, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
 
 def numerical_rank(a, threshold: float) -> int:
     """Number of singular values above ``threshold``."""
-    return _rank(singular_values(a), threshold)
+    return _decide(as_matrix(a), threshold)[1]
 
 
 def row_compress(a, threshold: float) -> tuple[np.ndarray, int]:
@@ -263,18 +316,14 @@ def row_compress(a, threshold: float) -> tuple[np.ndarray, int]:
 
     The zero block sits on top and has ``rows - k`` rows.
     """
-    m = as_matrix(a)
-    u, s = svd(m)[:2]  # drop vh now, not at return: it is as large as the result
-    k = _rank(s, threshold)
-    order = list(range(k, m.shape[0])) + list(range(k))
-    q = u[:, order].conj().T
-    return q, k
+    _, k, _, u, _ = _decide(as_matrix(a), threshold, uv=True)
+    return _to_back(u, k).conj().T, k
 
 
 def col_compress(a, threshold: float) -> tuple[np.ndarray, int]:
     """Unitary ``w`` with ``a @ w = [c | 0]``, ``c`` of full column rank ``k``."""
-    s, vh = svd(a)[1:]  # drop u now, not at return: it is as large as the result
-    return vh.conj().T, _rank(s, threshold)
+    _, k, _, _, vh = _decide(as_matrix(a), threshold, uv=True)
+    return vh.conj().T, k
 
 
 def two_sided_reduce(a, threshold: float) -> tuple[np.ndarray, np.ndarray, int]:
@@ -282,55 +331,9 @@ def two_sided_reduce(a, threshold: float) -> tuple[np.ndarray, np.ndarray, int]:
 
     The ``k x k`` block ``h`` is nonsingular (its smallest singular value
     exceeds ``threshold``) and sits in the top-right corner.
-
-    A one-column ``a`` with rows and finite entries takes no SVD.  Its one
-    singular value is its 2-norm, taken with max-abs scaling as LAPACK's
-    ``dznrm2`` does (``amax * ||a / amax||``, so no square overflows or
-    underflows), and ``k`` is decided from it by the same rank rule.  At
-    ``k = 0`` both unitaries are exactly the identity; at ``k = 1`` ``p`` is
-    the Householder reflector with ``p^H @ a = [alpha, 0, ..., 0]^T``,
-    ``|alpha|`` the 2-norm, and ``s = [[1]]``.  A column with a non-finite
-    entry, or whose norm overflows, goes to the SVD, which reports it.
     """
-    m = as_matrix(a)
-    if m.shape[1] == 1 and m.shape[0]:
-        reduced = _one_column(m, threshold)
-        if reduced is not None:
-            return reduced
-    u, sig, vh = svd(m)
-    k = _rank(sig, threshold)
-    n = m.shape[1]
-    order = list(range(k, n)) + list(range(k))
-    s_mat = vh.conj().T[:, order]
-    return u, s_mat, k
-
-
-def _one_column(m: np.ndarray, threshold) -> tuple[np.ndarray, np.ndarray, int] | None:
-    """:func:`two_sided_reduce` of a nonempty ``n x 1`` matrix by its norm and one
-    reflector; ``None`` when an entry or the norm is not finite."""
-    parts = m.view(np.float64)  # n x 2: the real and imaginary parts
-    amax = float(np.abs(parts).max())
-    if not math.isfinite(amax):
-        return None
-    nu = 0.0
-    if amax:
-        y = parts / amax
-        flat = y.ravel()
-        nu = math.sqrt(float(np.dot(flat, flat)))
-    sigma = amax * nu
-    if not math.isfinite(sigma):
-        return None
-    n = m.shape[0]
-    if not _rank((sigma,), threshold):
-        return np.eye(n, dtype=np.complex128), _ONE.copy(), 0
-    # p = I - v v^H / (nu (nu + |y_0|)) with v = y + nu e^{i arg y_0} e_1, which
-    # takes y = a / amax to -nu e^{i arg y_0} e_1; the sign is the one that cannot cancel.
-    v = y.view(np.complex128)[:, 0]  # y is this call's own array: v is built in place
-    y0 = abs(v[0])
-    v[0] += nu * v[0] / y0 if y0 else nu
-    p = v[:, None] * (v.conj() / -(nu * (nu + y0)))
-    p.ravel()[:: n + 1] += 1
-    return p, _ONE.copy(), 1
+    _, k, _, u, vh = _decide(as_matrix(a), threshold, uv=True)
+    return u, _to_back(vh.conj().T, k), k
 
 
 def _flip(a: np.ndarray) -> np.ndarray:
@@ -382,7 +385,7 @@ def staircase_reduce(
     strips before it pinned them all, takes no SVD and no update: it gets
     block size 0 and the identity, exactly what the SVD of its empty
     matrix would give.  A one-column strip is reduced by its norm and one
-    reflector (see :func:`two_sided_reduce`); at rank 0 it too gets the
+    reflector (see :func:`_decide`); at rank 0 it too gets the
     identity and no update.  Until a strip moves ``left``, it is the
     identity, so a strip is read from ``a`` itself and its ``p^H`` becomes
     ``left`` without a product.
@@ -393,11 +396,7 @@ def staircase_reduce(
     m, bounds = _strip_frame(a, strip_sizes, strip_axis)
     _check_real("threshold", threshold, 0)
     if not np.isfinite(m).all():
-        rows, cols = m.shape if strip_axis == VERTICAL else m.shape[::-1]
-        raise NumericError(
-            f"non-finite entry in a {rows}x{cols} matrix "
-            f"with Frobenius norm {np.linalg.norm(m):.6g}"
-        )
+        raise _numeric_error(m if strip_axis == VERTICAL else m.T, "non-finite entry in")
     left = None  # the identity until a strip moves it
     right = np.eye(m.shape[1], dtype=np.complex128)
     ls = []

@@ -17,12 +17,11 @@ import numpy as np
 from .errors import ValidationError
 from .linalg import (
     _check_int,
+    _decide,
     _is_int,
-    _rank,
     as_matrix,
     block_diag,
     sigma_max,
-    singular_values,
     svd_inverse,
 )
 
@@ -314,8 +313,8 @@ def regularity_defect(a: Representation, threshold: float) -> str | None:
     if len(set(a.dims)) > 1:
         return f"uneven dimensions {a.dims}"
     for i, m in enumerate(a.matrices, start=1):
-        s = singular_values(m)
-        if _rank(s, threshold) < len(s):
+        s, k = _decide(m, threshold)[:2]
+        if k < len(s):
             return f"singular at arrow {i}: sigma_min={s[-1]:.6g} <= threshold {threshold:.6g}"
     return None
 

@@ -8,17 +8,19 @@ keeps the loop as it ran before those shortcuts: every nonempty strip with
 free rows is read as ``left[pinned:, :] @ a[:, strip]``, reduced by a full
 SVD, and applied to ``left`` and ``right``.  On strips that are all at least
 two columns wide both loops must return the same unitaries bit for bit.
+The rank is counted here on numpy's SVD, so this loop shares no rank code
+with the package.
 """
 
 import numpy as np
 
-from quiverstair.linalg import HORIZONTAL, _flip, _rank, _strip_frame, svd
+from quiverstair.linalg import HORIZONTAL, _flip, _strip_frame
 
 
 def svd_two_sided_reduce(a, threshold):
     """``two_sided_reduce`` by the SVD alone, whatever the strip's width."""
-    u, sig, vh = svd(a)
-    k = _rank(sig, threshold)
+    u, sig, vh = np.linalg.svd(a, full_matrices=True)
+    k = int(np.count_nonzero(sig > threshold))
     n = np.shape(a)[1]
     return u, vh.conj().T[:, list(range(k, n)) + list(range(k))], k
 

@@ -1,12 +1,15 @@
 """The public name lists: every listed name is bound, and the package root
 lists the user-facing API while the dense-kernel internals stay in linalg.
-Every function the benchmark's tracer wraps is still bound where it looks,
-and every root name the benchmark uses is still listed."""
+Every rank decision goes through linalg's one decision function.  Every
+function the benchmark's tracer wraps is still bound where it looks and
+still called by the workloads that expect its span, and every root name the
+benchmark uses is still listed."""
 
 import ast
 import importlib
 import importlib.util
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -68,12 +71,55 @@ def test_value_rules_live_in_linalg_only():
     assert offenders  # the rules themselves are still there
 
 
+# the SVD itself and the count against a threshold, and who may reach them
+SVD_CORE = {"_rank": {"_decide"}, "_lapack_svd": {"_decide", "svd", "singular_values"}}
+
+
+def _references(tree: ast.AST):
+    """``(enclosing function, name)`` for every name read in ``tree``."""
+    out = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+                out.append((where, child.id))
+            elif isinstance(child, ast.Attribute):
+                out.append((where, child.attr))
+            elif isinstance(child, ast.alias):
+                out.append((where, child.name))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else where)
+
+    visit(tree, "<module>")
+    return out
+
+
+def test_rank_decisions_go_through_one_function():
+    # linalg._decide alone counts singular values against a threshold; it and the
+    # plain SVD entry points alone call LAPACK
+    package = Path(qs.__file__).parent
+    reached = {name: set() for name in SVD_CORE}
+    for path in sorted(package.glob("*.py")):
+        for where, name in _references(ast.parse(path.read_text(encoding="utf-8"))):
+            if name in SVD_CORE:
+                reached[name].add(where if path.name == "linalg.py" else f"{path.name}:{where}")
+    assert reached == SVD_CORE
+    quiver_imports = {
+        alias.name
+        for node in ast.walk(ast.parse((package / "quiver.py").read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert quiver_imports & {"_rank", "singular_values"} == set()
+    assert "_decide" in quiver_imports
+
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracing():
-    path = PERFBENCH / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+def _load_perfbench(name: str):
+    path = PERFBENCH / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -88,7 +134,7 @@ def _owner(dotted: str):
 
 
 def test_traced_targets_are_bound():
-    targets = _load_tracing().TARGETS
+    targets = _load_perfbench("tracing").TARGETS
     assert targets
     missing = [f"{path}.{attr}" for path, attr, _, _ in targets if attr not in vars(_owner(path))]
     assert missing == []
@@ -100,3 +146,43 @@ def test_benchmark_root_names_are_listed():
         used.update(re.findall(r"\bqs\.([A-Za-z_]\w*)", path.read_text(encoding="utf-8")))
     assert len(used) >= 10
     assert sorted(used - set(qs.__all__)) == []
+
+
+BENCH_CHAIN = qs.PlantSpec(
+    shape=qs.chain_shape(4, "><>"), labels=(((1, 2), 1), ((2, 4), 2), ((3, 3), 1)), seed=5
+)
+BENCH_CYCLE = qs.PlantSpec(
+    shape=qs.cycle_shape(3, "><<"),
+    labels=(((1, 4), 1), ((2, 3), 2), ((3, 3), 1)),
+    regular_eigs=(2, 1 + 1j),
+    seed=6,
+)
+
+
+@pytest.mark.parametrize(
+    "spec, op, spans",
+    [(BENCH_CHAIN, "_chain_op", "_KERNEL"), (BENCH_CYCLE, "_cycle_op", "_CYCLE")],
+    ids=["chain", "cycle"],
+)
+def test_benchmark_spans_are_recorded(spec, op, spans, tmp_path):
+    # a workload's self-check requires each of its expected spans; a refactor that
+    # stops calling a traced name fails here too
+    tracing, workloads = _load_perfbench("tracing"), _load_perfbench("workloads")
+    rep, truth = qs.plant(spec)
+    counts = Counter(dict(spec.labels))
+    want = (
+        workloads._labels_of(counts)
+        if spec.shape.kind == qs.CHAIN
+        else workloads._cycle_want(counts, len(spec.regular_eigs))
+    )
+    inst = workloads.Instance(truth, want, rep.dims, rep)
+    tracer = tracing.Tracer()
+    undo, _ = tracing.install(tracer)
+    try:
+        tracer.op = 0
+        outcome = getattr(workloads, op)(inst, str(tmp_path))
+    finally:
+        undo()
+    assert outcome.ok
+    recorded = {tracer.names[i] for i in tracer.name}
+    assert sorted(set(getattr(workloads, spans)) - recorded) == []

@@ -134,34 +134,40 @@ class TestSvd:
 
 INF_ROW = [[np.inf, 1.0]]
 SVD_SAYS = "non-finite singular value on a {} matrix"
+ENTRY_SAYS = "^non-finite entry in a {} matrix with Frobenius norm {}$"
 
 
 class TestNonFiniteSvd:
-    """LAPACK answers an inf entry with nan singular values; each entry point raises."""
+    """An inf or nan entry gets one message from every entry point, whatever LAPACK
+    made of it: a nan singular value or a convergence failure."""
 
     @pytest.mark.parametrize(
         "call, message",
         [
-            (lambda: linalg.svd(INF_ROW), SVD_SAYS.format("1x2")),
-            (lambda: linalg.singular_values(INF_ROW), SVD_SAYS.format("1x2")),
-            (lambda: linalg.numerical_rank(INF_ROW, 0.1), SVD_SAYS.format("1x2")),
-            (lambda: linalg.row_compress(INF_ROW, 0.1), SVD_SAYS.format("1x2")),
-            (lambda: linalg.col_compress(INF_ROW, 0.1), SVD_SAYS.format("1x2")),
-            (lambda: linalg.two_sided_reduce(INF_ROW, 0.1), SVD_SAYS.format("1x2")),
+            (lambda: linalg.svd(INF_ROW), ENTRY_SAYS.format("1x2", "inf")),
+            (lambda: linalg.singular_values(INF_ROW), ENTRY_SAYS.format("1x2", "inf")),
+            (lambda: linalg.numerical_rank(INF_ROW, 0.1), ENTRY_SAYS.format("1x2", "inf")),
+            (lambda: linalg.row_compress(INF_ROW, 0.1), ENTRY_SAYS.format("1x2", "inf")),
+            (lambda: linalg.col_compress(INF_ROW, 0.1), ENTRY_SAYS.format("1x2", "inf")),
+            (lambda: linalg.two_sided_reduce(INF_ROW, 0.1), ENTRY_SAYS.format("1x2", "inf")),
             # a one-column input with a non-finite entry goes to the SVD, not the norm
-            (lambda: linalg.two_sided_reduce([[np.inf], [1.0]], 0.1), SVD_SAYS.format("2x1")),
             (
-                lambda: linalg.two_sided_reduce([[np.nan]], 0.1),
-                "SVD failed to converge on a 1x1 matrix with Frobenius norm nan",
+                lambda: linalg.two_sided_reduce([[np.inf], [1.0]], 0.1),
+                ENTRY_SAYS.format("2x1", "inf"),
             ),
+            # LAPACK fails to converge on a nan; the message is the same
+            (lambda: linalg.two_sided_reduce([[np.nan]], 0.1), ENTRY_SAYS.format("1x1", "nan")),
             # refused up front, before a strip product or an SVD sees the entry
             (
                 lambda: linalg.staircase_reduce(INF_ROW, [2], linalg.VERTICAL, 0.1),
-                "^non-finite entry in a 1x2 matrix with Frobenius norm inf$",
+                ENTRY_SAYS.format("1x2", "inf"),
             ),
-            (lambda: linalg.sigma_max([[np.inf]]), SVD_SAYS.format("1x1")),
-            (lambda: TOL.threshold(INF_ROW), SVD_SAYS.format("1x2")),
-            (lambda: linalg.svd_inverse([[np.inf, 0.0], [0.0, 1.0]]), SVD_SAYS.format("2x2")),
+            (lambda: linalg.sigma_max([[np.inf]]), ENTRY_SAYS.format("1x1", "inf")),
+            (lambda: TOL.threshold(INF_ROW), ENTRY_SAYS.format("1x2", "inf")),
+            (
+                lambda: linalg.svd_inverse([[np.inf, 0.0], [0.0, 1.0]]),
+                ENTRY_SAYS.format("2x2", "inf"),
+            ),
         ],
         ids=[
             "svd", "singular_values", "numerical_rank", "row_compress", "col_compress",

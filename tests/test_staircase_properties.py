@@ -110,17 +110,46 @@ def columns(draw):
 
 @hypothesis.given(columns(), st.floats(-3, 3), st.booleans())
 def test_one_column_strip_is_decided_by_its_norm(x, shift, zero_threshold):
-    sigma = float(linalg.singular_values(x)[0])
+    # every decision on one column takes the norm-and-reflector rule: each gets
+    # numpy's rank, and its factors are an SVD's, u^H x = sigma e_1 with sigma real
+    sigma = float(np.linalg.svd(x, compute_uv=False)[0])
     tau = 0.0 if zero_threshold else sigma * 10.0**shift
     hypothesis.assume(not sigma or abs(tau - sigma) > 4 * np.spacing(sigma))
+    want = int(sigma > tau)
+    n = len(x)
+    assert linalg.numerical_rank(x, tau) == want
+
     p, s_mat, k = linalg.two_sided_reduce(x, tau)
-    assert k == linalg.numerical_rank(x, tau)
+    assert k == want
     assert np.array_equal(s_mat, [[1]])
     assert linalg.unitarity_defect(p) <= 1e-14
     if k:
-        assert np.abs((p.conj().T @ x)[1:]).max(initial=0.0) <= 1e-15 * sigma
+        top = (p.conj().T @ x)[:, 0]
+        assert abs(top[0] - sigma) <= 4e-15 * sigma  # real and positive, to rounding
+        assert np.abs(top[1:]).max(initial=0.0) <= 1e-15 * sigma
     else:
-        assert np.array_equal(p, np.eye(len(x)))
+        assert np.array_equal(p, np.eye(n))
+
+    q, k = linalg.row_compress(x, tau)
+    assert k == want
+    assert linalg.unitarity_defect(q) <= 1e-14
+    if k:  # q @ x = [0; r]
+        moved = (q @ x)[:, 0]
+        assert np.abs(moved[:-1]).max(initial=0.0) <= 1e-15 * sigma
+        assert abs(moved[-1] - sigma) <= 4e-15 * sigma
+    else:
+        assert np.array_equal(q, np.eye(n))
+
+    w, k = linalg.col_compress(x, tau)
+    assert k == want
+    assert np.array_equal(w, [[1]])  # x @ w = [c | 0]: c is x at rank 1, nothing at 0
+
+    if n == 1:
+        if sigma > linalg.DEFAULT_TOL.from_sigma(sigma):
+            assert abs((linalg.svd_inverse(x) @ x)[0, 0] - 1) <= 4e-15
+        else:
+            with pytest.raises(ValidationError, match="numerically singular"):
+                linalg.svd_inverse(x)
 
 
 @st.composite
