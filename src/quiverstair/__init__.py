@@ -50,10 +50,12 @@ from .cycle import (
     shave,
 )
 from .oracle import (
+    REPORT_VERSION,
     PlantSpec,
     VerificationReport,
     plant,
     random_unitary,
+    report,
     verify,
 )
 
@@ -103,4 +105,6 @@ __all__ = [
     "random_unitary",
     "verify",
     "VerificationReport",
+    "REPORT_VERSION",
+    "report",
 ]

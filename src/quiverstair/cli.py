@@ -2,15 +2,14 @@
 
 Subcommands: ``canon`` (chain canonical form), ``regularize`` (cycle
 regularizing decomposition), ``gen`` (write a planted instance plus ground
-truth), ``verify`` (decompose and compare against ground truth).
-
-Exit codes: 0 success, 1 verification mismatch, 2 input/validation error,
-3 numeric/internal error.  The default tolerances of ``DEFAULT_TOL`` can be
-overridden by the environment variables ``QUIVERSTAIR_TOL_ABS`` /
-``QUIVERSTAIR_TOL_REL`` (lowest precedence) or the ``--tol-abs`` /
-``--tol-rel`` flags; a value that is not a finite nonnegative number exits
-with code 2.  Every report echoes the values used; ``canon`` and
-``regularize`` also report the one rank threshold they gave for the input.
+truth), ``verify`` (decompose and compare against ground truth).  Each
+report is one dict, a header plus the library's report, written as JSON or
+rendered as text.  Exit codes: 0 success, 1 verification mismatch, 2
+input/validation error, 3 numeric/internal error.  The default tolerances of
+``DEFAULT_TOL`` can be overridden by the environment variables
+``QUIVERSTAIR_TOL_ABS`` / ``QUIVERSTAIR_TOL_REL`` (lowest precedence) or the
+``--tol-abs`` / ``--tol-rel`` flags; a value that is not a finite
+nonnegative number exits with code 2.  Every report echoes the values used.
 """
 
 import argparse
@@ -32,8 +31,8 @@ from .files import (
     save_representation,
 )
 from .linalg import DEFAULT_TOL, TolerancePolicy
-from .oracle import PlantSpec, plant, verify
-from .quiver import CHAIN, CYCLE, LABEL_TAG, QuiverShape, g_label_dims
+from .oracle import REPORT_VERSION, PlantSpec, plant, report, verify
+from .quiver import CHAIN, CYCLE, LABEL_TAG, QuiverShape
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -42,8 +41,6 @@ EXIT_NUMERIC = 3
 
 ENV_TOL_ABS = "QUIVERSTAIR_TOL_ABS"
 ENV_TOL_REL = "QUIVERSTAIR_TOL_REL"
-
-REPORT_VERSION = 3
 
 
 def _env_float(name: str, default: float) -> float:
@@ -76,8 +73,16 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--output", default=None, help="write the report here instead of stdout")
 
 
-def _emit(args, text_lines, payload):
-    out = json.dumps(payload, indent=1) + "\n" if args.as_json else "\n".join(text_lines) + "\n"
+def _header(command: str, tol: TolerancePolicy) -> dict:
+    tolerance = {"abs_floor": tol.abs_floor, "rel_factor": tol.rel_factor}
+    return {"report_version": REPORT_VERSION, "command": command, "tolerance": tolerance}
+
+
+def _emit(args, payload):
+    if args.as_json:
+        out = json.dumps(payload, indent=1, allow_nan=False) + "\n"
+    else:
+        out = "\n".join(_render(payload)) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fp:
             fp.write(out)
@@ -85,94 +90,67 @@ def _emit(args, text_lines, payload):
         sys.stdout.write(out)
 
 
-def _fmt_complex(z: complex) -> str:
-    return f"{z.real:.12g}{z.imag:+.12g}j"
+def _fmt(x) -> str:
+    # every number a report prints is a nonnegative magnitude, so a null is an overflow to inf
+    return "inf" if x is None else f"{x:.3e}"
 
 
-def _cmd_canon(args) -> int:
+def _render(payload: dict) -> list[str]:
+    """The text report: the lines of ``payload``, the dict that ``--json`` writes."""
+    if payload["command"] == "verify":
+        checked = payload["report"]
+        return [f"verification {'PASS' if checked['passed'] else 'FAIL'}"] + [
+            f"  {'pass' if c['passed'] else 'FAIL'} {c['name']}: measured {_fmt(c['measured'])}"
+            f" threshold {_fmt(c['threshold'])}"
+            for c in checked["checks"]
+        ]
+    where = f"(t={payload['t']}, orientations {payload['orientations']})"
+    dims_ok = f"dimension check: {'ok' if payload['dimension_check'] else 'FAILED'}"
+    rows = payload["labels"]
+    if payload["command"] == "canon":
+        tol = payload["tolerance"]
+        return [
+            f"chain canonical form {where}",
+            *(f"  L({row['low']},{row['high']}) x {row['count']}" for row in rows),
+            dims_ok,
+            f"residual: {_fmt(payload['residual'])}",
+            f"threshold: {_fmt(payload['threshold'])}"
+            f" (abs {tol['abs_floor']:g}, rel {tol['rel_factor']:g})",
+        ]
+    lines = [f"regularizing decomposition {where}"] + ([] if rows else ["  no singular summands"])
+    lines += [
+        f"  G({row['low']},{row['high']}) x {row['count']} dims={tuple(row['dims'])}"
+        f" passes={row['pass_counts']}"
+        for row in rows
+    ]
+    lines.append(f"regular dimension: {payload['regular_dimension']}")
+    eigs = np.sort_complex([complex(re, im) for re, im in payload["monodromy_eigenvalues"]])
+    if eigs.size:
+        shown = ", ".join(f"{z.real:.12g}{z.imag:+.12g}j" for z in eigs)
+        lines.append(f"monodromy eigenvalues: {shown}")
+    residual = f"residual: {_fmt(payload['residual'])} (threshold {_fmt(payload['threshold'])})"
+    return lines + [dims_ok, residual]
+
+
+def _solve(rep, tol: TolerancePolicy, as_chain: bool):
+    """A chain's ``(canonical form, trace)``, or a cycle's ``(decomposition, None)``."""
+    return canon_chain(rep, tol) if as_chain else (regularize(rep, tol), None)
+
+
+def _cmd_decompose(args) -> int:
     tol = _tolerance(args)
     rep = load_representation(args.input)
-    form, trace = canon_chain(rep, tol)
-    dims_ok = form.dims() == rep.dims
-    payload = {
-        "report_version": REPORT_VERSION,
-        "command": "canon",
-        "tolerance": {"abs_floor": tol.abs_floor, "rel_factor": tol.rel_factor},
-        "t": rep.shape.t,
-        "orientations": rep.shape.orientations,
-        "labels": [{"kind": "L", "low": i, "high": j, "count": m} for (i, j), m in form.sorted_labels()],
-        "dimension_check": dims_ok,
-        "residual": trace.residual,
-        "threshold": trace.threshold,
-    }
-    lines = [f"chain canonical form (t={rep.shape.t}, orientations {rep.shape.orientations})"]
-    for (i, j), m in form.sorted_labels():
-        lines.append(f"  L({i},{j}) x {m}")
-    lines.append(f"dimension check: {'ok' if dims_ok else 'FAILED'}")
-    lines.append(f"residual: {trace.residual:.3e}")
-    lines.append(
-        f"threshold: {trace.threshold:.3e} (abs {tol.abs_floor:g}, rel {tol.rel_factor:g})"
-    )
-    _emit(args, lines, payload)
-    return EXIT_OK if dims_ok else EXIT_NUMERIC
-
-
-def _cmd_regularize(args) -> int:
-    tol = _tolerance(args)
-    rep = load_representation(args.input)
-    dec = regularize(rep, tol)
-    dims_ok = dec.dims() == rep.dims
-    label_rows = []
-    for (l, r), m in sorted(dec.summands.items()):
-        provenance = [int(dec.summands_by_pass[k].get((l, r), 0)) for k in (0, 1)]
-        label_rows.append(
-            {
-                "kind": "G",
-                "low": l,
-                "high": r,
-                "count": m,
-                "dims": list(g_label_dims(rep.shape, l, r)),
-                "pass_counts": provenance,
-            }
-        )
-    payload = {
-        "report_version": REPORT_VERSION,
-        "command": "regularize",
-        "tolerance": {"abs_floor": tol.abs_floor, "rel_factor": tol.rel_factor},
-        "t": rep.shape.t,
-        "orientations": rep.shape.orientations,
-        "labels": label_rows,
-        "regular_dimension": dec.regular_dim(),
-        "monodromy_eigenvalues": [[z.real, z.imag] for z in dec.monodromy_eigenvalues],
-        "dimension_check": dims_ok,
-        "residual": dec.residual,
-        "threshold": dec.threshold,
-    }
-    lines = [f"regularizing decomposition (t={rep.shape.t}, orientations {rep.shape.orientations})"]
-    if not label_rows:
-        lines.append("  no singular summands")
-    for row in label_rows:
-        lines.append(
-            f"  G({row['low']},{row['high']}) x {row['count']} dims={tuple(row['dims'])}"
-            f" passes={row['pass_counts']}"
-        )
-    lines.append(f"regular dimension: {dec.regular_dim()}")
-    if dec.monodromy_eigenvalues.size:
-        eigs = ", ".join(_fmt_complex(z) for z in np.sort_complex(dec.monodromy_eigenvalues))
-        lines.append(f"monodromy eigenvalues: {eigs}")
-    lines.append(f"dimension check: {'ok' if dims_ok else 'FAILED'}")
-    lines.append(f"residual: {dec.residual:.3e} (threshold {dec.threshold:.3e})")
-    _emit(args, lines, payload)
-    return EXIT_OK if dims_ok else EXIT_NUMERIC
+    result, trace = _solve(rep, tol, args.command == "canon")
+    payload = {**_header(args.command, tol), **report(rep, result, trace=trace)}
+    _emit(args, payload)
+    return EXIT_OK if payload["dimension_check"] else EXIT_NUMERIC
 
 
 def _parse_labels(text: str, kind: str):
     """``KIND:low:high[:count]`` labels; KIND is ``L`` for a chain, ``G`` for a cycle."""
     out = []
-    if not text:
-        return out
     want = LABEL_TAG[kind]
-    for piece in text.split(","):
+    for piece in text.split(",") if text else ():
         fields = piece.strip().split(":")
         if len(fields) not in (3, 4):
             raise ValidationError(f"label {piece!r}: expected KIND:low:high[:count]")
@@ -188,10 +166,8 @@ def _parse_labels(text: str, kind: str):
 
 
 def _parse_eigs(text: str):
-    if not text:
-        return ()
     out = []
-    for piece in text.split(","):
+    for piece in text.split(",") if text else ():
         p = piece.strip()
         try:  # '1+1i' is complex('1+1j'); 'inf' keeps its own 'i'
             out.append(complex(p[:-1] + "j" if p.endswith("i") else p))
@@ -200,21 +176,27 @@ def _parse_eigs(text: str):
     return tuple(out)
 
 
+# the plant-spec fields a spec file fixes; only --seed may override it
+_SPEC_FIELDS = ("kind", "t", "orientations", "labels", "regular_eigs", "scramble")
+
+
 def _cmd_gen(args) -> int:
     if args.spec:
+        given = [f"--{f.replace('_', '-')}" for f in _SPEC_FIELDS if getattr(args, f) is not None]
+        if given:
+            raise ValidationError(f"{', '.join(given)} cannot be combined with --spec")
         spec = load_plant_spec(args.spec)
         if args.seed is not None:
             spec = dataclasses.replace(spec, seed=args.seed)
     else:
         if not (args.kind and args.t is not None and args.orientations is not None):
             raise ValidationError("gen needs --spec or all of --kind/--t/--orientations")
-        shape = QuiverShape(args.kind, args.t, args.orientations)
         spec = PlantSpec(
-            shape=shape,
+            shape=QuiverShape(args.kind, args.t, args.orientations),
             labels=tuple(_parse_labels(args.labels, args.kind)),
             regular_eigs=_parse_eigs(args.regular_eigs),
             seed=args.seed if args.seed is not None else 0,
-            scramble=args.scramble,
+            scramble=args.scramble or "unitary",
         )
     rep, truth = plant(spec)
     save_representation(args.output_path, rep)
@@ -228,28 +210,10 @@ def _cmd_verify(args) -> int:
     tol = _tolerance(args)
     rep = load_representation(args.input)
     truth = load_plant_spec(args.truth)
-    if rep.shape != truth.shape:
-        raise ValidationError("representation and ground truth have different shapes")
-    if rep.shape.kind == CHAIN:
-        form, trace = canon_chain(rep, tol)
-        report = verify(rep, form, truth, trace=trace)
-    else:
-        dec = regularize(rep, tol)
-        report = verify(rep, dec, truth)
-    payload = {
-        "report_version": REPORT_VERSION,
-        "command": "verify",
-        "tolerance": {"abs_floor": tol.abs_floor, "rel_factor": tol.rel_factor},
-        "report": report.to_dict(),
-    }
-    lines = [f"verification {'PASS' if report.passed else 'FAIL'}"]
-    for c in report.checks:
-        lines.append(
-            f"  {'pass' if c.passed else 'FAIL'} {c.name}: measured {c.measured:.3e}"
-            f" threshold {c.threshold:.3e}"
-        )
-    _emit(args, lines, payload)
-    return EXIT_OK if report.passed else EXIT_MISMATCH
+    result, trace = _solve(rep, tol, rep.shape.kind == CHAIN)
+    checked = verify(rep, result, truth, trace=trace)
+    _emit(args, {**_header("verify", tol), "report": checked.to_dict()})
+    return EXIT_OK if checked.passed else EXIT_MISMATCH
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -260,30 +224,26 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("canon", help="canonical form of a chain representation")
-    p.add_argument("input", help="representation file (JSON)")
-    _add_common(p)
-    p.set_defaults(func=_cmd_canon)
-
-    p = sub.add_parser("regularize", help="regularizing decomposition of a cycle representation")
-    p.add_argument("input", help="representation file (JSON)")
-    _add_common(p)
-    p.set_defaults(func=_cmd_regularize)
+    for name, what in (("canon", "canonical form"), ("regularize", "regularizing decomposition")):
+        kind = "chain" if name == "canon" else "cycle"
+        p = sub.add_parser(name, help=f"{what} of a {kind} representation")
+        p.add_argument("input", help="representation file (JSON)")
+        _add_common(p)
+        p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("gen", help="generate a planted instance plus ground truth")
     p.add_argument("output_path", help="where to write the representation file")
-    p.add_argument("--spec", default=None, help="plant-spec JSON file")
+    p.add_argument("--spec", default=None, help="plant-spec JSON file (only --seed may join it)")
     p.add_argument("--kind", choices=(CHAIN, CYCLE), default=None)
     p.add_argument("--t", type=int, default=None)
     p.add_argument("--orientations", default=None, help="string of '>'/'<' flags")
-    p.add_argument("--labels", default="", help="e.g. 'G:2:5,G:1:1:2' or 'L:1:3'")
+    p.add_argument("--labels", help="e.g. 'G:2:5,G:1:1:2' or 'L:1:3'")
     p.add_argument(
         "--regular-eigs",
-        default="",
         help="e.g. '2,-3,1+1i'; write --regular-eigs=-2,3 when the list starts with '-'",
     )
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--scramble", choices=("unitary", "invertible"), default="unitary")
+    p.add_argument("--scramble", choices=("unitary", "invertible"))
     p.add_argument("--truth", default=None, help="ground-truth path (default: OUTPUT.truth.json)")
     p.set_defaults(func=_cmd_gen)
 
@@ -296,8 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValidationError, OSError) as exc:

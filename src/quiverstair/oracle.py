@@ -1,4 +1,4 @@
-"""Planted-instance generation and independent verification.
+"""Planted-instance generation, independent verification and the versioned report.
 
 Build representations whose decomposition is known by construction, scramble
 them with random changes of basis, run the decomposition, and compare.  The
@@ -24,6 +24,7 @@ from .quiver import (
     assemble,
     check_label,
     direct_sum,
+    g_label_dims,
     representation_scale,
 )
 
@@ -35,10 +36,14 @@ __all__ = [
     "CheckResult",
     "VerificationReport",
     "verify",
+    "REPORT_VERSION",
+    "report",
 ]
 
 UNITARY = "unitary"
 INVERTIBLE = "invertible"
+
+REPORT_VERSION = 4  # of report(), and of the command line's JSON that carries it
 
 
 @dataclass(frozen=True)
@@ -189,6 +194,11 @@ def _matched_distance(xs, ys) -> float:
     return worst
 
 
+def _finite(x) -> float | None:
+    """``x`` as a JSON-ready float, or ``None`` (JSON ``null``) if it is not finite."""
+    return float(x) if np.isfinite(x) else None
+
+
 @dataclass
 class CheckResult:
     name: str
@@ -200,8 +210,8 @@ class CheckResult:
         return {
             "name": self.name,
             "passed": bool(self.passed),
-            "measured": float(self.measured),
-            "threshold": float(self.threshold),
+            "measured": _finite(self.measured),
+            "threshold": _finite(self.threshold),
         }
 
 
@@ -223,15 +233,32 @@ class VerificationReport:
         return {
             "passed": self.passed,
             "labels_match": self.labels_match,
-            "residual": self.residual,
-            "unitarity_defect": self.unitarity_defect,
-            "eigenvalue_distance": self.eigenvalue_distance,
+            "residual": _finite(self.residual),
+            "unitarity_defect": _finite(self.unitarity_defect),
+            "eigenvalue_distance": _finite(self.eigenvalue_distance),
             "checks": [c.to_dict() for c in self.checks],
         }
 
 
 def _describe(shape: QuiverShape) -> str:
     return f"t={shape.t} {shape.kind} {shape.orientations!r}"
+
+
+def _is_chain_result(a: Representation, result, trace: ChainTrace | None) -> bool:
+    """Whether ``result`` is a chain form; :class:`ValidationError` if it does not fit ``a``."""
+    is_chain = isinstance(result, ChainCanonicalForm)
+    if is_chain:
+        if trace is None:
+            raise ValidationError("a chain canonical form needs its ChainTrace")
+        what = f"canonical form of a t={result.t} chain"
+        fits = (a.shape.kind, a.shape.t) == (CHAIN, result.t)
+    elif isinstance(result, RegularizingDecomposition):
+        what, fits = f"decomposition of a {_describe(result.shape)}", result.shape == a.shape
+    else:
+        raise ValidationError(f"cannot verify or report a result of type {type(result).__name__}")
+    if not fits:
+        raise ValidationError(f"a {what} cannot verify a {_describe(a.shape)}")
+    return is_chain
 
 
 def verify(
@@ -254,24 +281,12 @@ def verify(
     """
     if a.shape != truth.shape:
         raise ValidationError("representation and truth have different shapes")
-    is_chain = isinstance(result, ChainCanonicalForm)
+    is_chain = _is_chain_result(a, result, trace)
     if is_chain:
-        if trace is None:
-            raise ValidationError("verifying a chain canonical form needs its ChainTrace")
-        if (a.shape.kind, a.shape.t) != (CHAIN, result.t):
-            raise ValidationError(
-                f"a canonical form of a t={result.t} chain cannot verify a {_describe(a.shape)}"
-            )
         counts, transforms = result.counts, trace.vertex_transforms
         residual = reduction_residual(a, trace)
-    elif isinstance(result, RegularizingDecomposition):
-        if result.shape != a.shape:
-            raise ValidationError(
-                f"a decomposition of a {_describe(result.shape)} cannot verify a {_describe(a.shape)}"
-            )
-        counts, residual, transforms = result.summands, result.residual, result.trace
     else:
-        raise ValidationError(f"cannot verify result of type {type(result).__name__}")
+        counts, residual, transforms = result.summands, result.residual, result.trace
     scale = representation_scale(a)
     truth_counts = truth.label_counts()
     got = Counter({lab: m for lab, m in counts.items() if m})
@@ -297,10 +312,31 @@ def verify(
     udef = float(np.max([0.0, *map(unitarity_defect, transforms)]))  # np.max: a nan anywhere wins
     ubound = 1e-12 * max(a.dims, default=1)
     checks.append(CheckResult("unitarity", udef <= ubound, udef, ubound))
-    return VerificationReport(
-        labels_match=labels_ok,
-        residual=residual,
-        unitarity_defect=udef,
-        eigenvalue_distance=pair,
-        checks=checks,
-    )
+    return VerificationReport(labels_ok, residual, udef, pair, checks)
+
+
+def report(a: Representation, result, *, trace: ChainTrace | None = None) -> dict:
+    """The versioned, JSON-ready report of ``result``, a decomposition of ``a``.
+
+    Takes :func:`verify`'s ``a``, ``result`` and ``trace``.  README's "Command
+    line" section lists the keys; a non-finite float is written as ``None``.
+    """
+    is_chain = _is_chain_result(a, result, trace)
+    out = {"report_version": REPORT_VERSION, "t": a.shape.t, "orientations": a.shape.orientations}
+    if is_chain:
+        out["labels"] = [
+            {"kind": "L", "low": i, "high": j, "count": m} for (i, j), m in result.sorted_labels()
+        ]
+    else:
+        out["labels"] = [
+            {"kind": "G", "low": l, "high": r, "count": m,
+             "dims": list(g_label_dims(a.shape, l, r)),
+             "pass_counts": [int(p.get((l, r), 0)) for p in result.summands_by_pass]}
+            for (l, r), m in sorted(result.summands.items())
+        ]
+        out["regular_dimension"] = result.regular_dim()
+        out["monodromy_eigenvalues"] = [[z.real, z.imag] for z in result.monodromy_eigenvalues]
+    measured = trace if is_chain else result  # each carries the residual and the threshold
+    out["dimension_check"] = result.dims() == a.dims
+    out["residual"], out["threshold"] = _finite(measured.residual), _finite(measured.threshold)
+    return out

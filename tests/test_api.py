@@ -114,6 +114,40 @@ def test_rank_decisions_go_through_one_function():
     assert "_decide" in quiver_imports
 
 
+def _keys(value) -> set:
+    """Every dict key in a JSON-ready value, nested ones included."""
+    if isinstance(value, dict):
+        return set(value).union(*map(_keys, value.values()))
+    if isinstance(value, list):
+        return set().union(*map(_keys, value))
+    return set()
+
+
+# the keys of cli.py's own header; every other report field comes from the library
+CLI_HEADER_KEYS = {"report_version", "command", "tolerance", "report"}
+
+
+def test_report_fields_are_named_in_the_library_only():
+    chain, truth = qs.plant(BENCH_CHAIN)
+    form, trace = qs.canon_chain(chain)
+    cycle, _ = qs.plant(BENCH_CYCLE)
+    fields = (
+        _keys(qs.report(chain, form, trace=trace))
+        | _keys(qs.report(cycle, qs.regularize(cycle)))
+        | _keys(qs.verify(chain, form, truth, trace=trace).to_dict())
+    )
+    assert {"labels", "pass_counts", "monodromy_eigenvalues", "checks"} <= fields
+    tree = ast.parse((Path(qs.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict):
+            named.update(k.value for k in node.keys if isinstance(k, ast.Constant))
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "dict":
+            named.update(k.arg for k in node.keywords if k.arg)
+    assert "command" in named  # the guard still sees the header
+    assert sorted((named & fields) - CLI_HEADER_KEYS) == []
+
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 

@@ -467,7 +467,7 @@ class TestCli:
         files.save_representation(path, rep)
         assert cli.main(["canon", str(path), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["report_version"] == 3
+        assert payload["report_version"] == 4
         got = {(row["low"], row["high"]): row["count"] for row in payload["labels"]}
         assert got == {(1, 2): 4, (3, 3): 4}
         assert payload["threshold"] == qs.DEFAULT_TOL.threshold(*rep.matrices)
@@ -537,6 +537,28 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         for check in payload["report"]["checks"]:
             assert "measured" in check and "threshold" in check
+
+    def test_verify_json_is_strict_when_an_eigenvalue_is_missing(self, tmp_path, capsys):
+        # the distance to a truth with fewer eigenvalues is infinite; RFC 8259 has no Infinity
+        out = tmp_path / "cyc.json"
+        argv = ["--kind", "cycle", "--t", "2", "--orientations", "><", "--regular-eigs", "2,3"]
+        assert cli.main(["gen", str(out), *argv]) == 0
+        truth_path = Path(str(out) + ".truth.json")
+        truth = json.loads(truth_path.read_text(encoding="utf-8"))
+        truth["regular_eigs"] = truth["regular_eigs"][:1]
+        truth_path.write_text(json.dumps(truth), encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(["verify", str(out), str(truth_path), "--json"]) == 1
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        payload = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert payload["report"]["eigenvalue_distance"] is None
+        eigs = next(c for c in payload["report"]["checks"] if c["name"] == "eigenvalues")
+        assert (eigs["passed"], eigs["measured"]) == (False, None)
+        assert cli.main(["verify", str(out), str(truth_path)]) == 1
+        assert "  FAIL eigenvalues: measured inf threshold " in capsys.readouterr().out
 
     def test_malformed_file_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -682,6 +704,75 @@ class TestCli:
         assert all(np.array_equal(x, y) for x, y in zip(got.matrices, rep.matrices))
 
 
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--kind", "cycle"], "--kind"),
+        (["--t", "9"], "--t"),
+        (["--orientations", "><<"], "--orientations"),
+        (["--labels", "G:2:2:5"], "--labels"),
+        (["--labels", ""], "--labels"),
+        (["--regular-eigs", "7"], "--regular-eigs"),
+        (["--scramble", "unitary"], "--scramble"),
+        (["--labels", "G:2:2:5", "--regular-eigs", "7", "--t", "9", "--seed", "4"],
+         "--t, --labels, --regular-eigs"),
+    ],
+    ids=["kind", "t", "orientations", "labels", "labels-empty", "regular-eigs", "scramble",
+         "several"],
+)
+def test_gen_spec_refuses_the_fields_it_fixes(tmp_path, capsys, flags, named):
+    spec_path = tmp_path / "spec.json"
+    files.save_plant_spec(spec_path, CYCLE_SPEC)
+    out = tmp_path / "inst.json"
+    capsys.readouterr()
+    assert cli.main(["gen", str(out), "--spec", str(spec_path), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {named} cannot be combined with --spec\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+# Planted inputs for the entry-point agreement: the degenerate cases among them
+# are a t=1 chain, a t=2 cycle, zero-dimensional vertices and all-zero maps.
+AGREEMENT_SPECS = {
+    "chain-t1": qs.PlantSpec(qs.chain_shape(1, ""), (((1, 1), 2),), seed=3),
+    "chain-t4": CHAIN_SPEC,
+    "chain-zero-vertex": qs.PlantSpec(qs.chain_shape(4, "><>"), (((1, 2), 1),), seed=4),
+    "chain-zero-maps": qs.PlantSpec(
+        qs.chain_shape(3, "><"), (((1, 1), 1), ((2, 2), 2), ((3, 3), 1)), seed=5
+    ),
+    "cycle-t2": qs.PlantSpec(qs.cycle_shape(2, "><"), (((1, 1), 1),), regular_eigs=(2, -3), seed=3),
+    "cycle-t2-regular-only": qs.PlantSpec(qs.cycle_shape(2, "><"), (), regular_eigs=(1j,), seed=6),
+    "cycle-t3": CYCLE_SPEC,
+    "cycle-zero-vertex": qs.PlantSpec(qs.cycle_shape(3, ">>>"), (((1, 2), 1),), seed=9),
+    "cycle-zero-maps": qs.PlantSpec(
+        qs.cycle_shape(3, "><>"), (((1, 1), 1), ((2, 2), 1), ((3, 3), 2)), seed=7
+    ),
+    "cycle-t4": qs.PlantSpec(
+        qs.cycle_shape(4, "><<>"), (((1, 1), 2), ((2, 5), 1), ((3, 4), 1)), regular_eigs=(2,),
+        seed=11,
+    ),
+}
+
+
+@pytest.mark.parametrize("spec", AGREEMENT_SPECS.values(), ids=AGREEMENT_SPECS.keys())
+def test_cli_json_is_the_library_report(tmp_path, capsys, spec):
+    path = tmp_path / "inst.json"
+    files.save_representation(path, qs.plant(spec)[0])
+    rep = files.load_representation(path)
+    if rep.shape.kind == qs.CHAIN:
+        command, (result, trace) = "canon", qs.canon_chain(rep)
+    else:
+        command, result, trace = "regularize", qs.regularize(rep), None
+    capsys.readouterr()
+    assert cli.main([command, str(path), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload.pop("command") == command
+    assert payload.pop("tolerance") == {"abs_floor": 1e-12, "rel_factor": 1e-8}
+    assert payload == qs.report(rep, result, trace=trace)
+    assert list(payload) == list(qs.report(rep, result, trace=trace))
+
+
 @pytest.mark.parametrize("edit, match", SPEC_NON_INTEGERS, ids=SPEC_NON_INTEGER_IDS)
 @pytest.mark.parametrize("command", ["gen", "verify"])
 def test_non_integer_plant_spec_exits_2(tmp_path, capsys, command, edit, match):
@@ -750,6 +841,12 @@ def _edited_truth(tmp_path, edit):
     return str(write_json(tmp_path / "truth.json", d))
 
 
+def _truth_of(tmp_path, spec):
+    path = tmp_path / "other-truth.json"
+    files.save_plant_spec(path, spec)
+    return str(path)
+
+
 def _verify_argv(tmp_path, truth):
     out = tmp_path / "inst.json"
     files.save_representation(out, noise_arrow_chain())
@@ -783,13 +880,16 @@ def _verify_argv(tmp_path, truth):
         lambda p: _verify_argv(p, _edited_truth(p, lambda d: d.update(orientations=5))),
         lambda p: _verify_argv(p, _edited_truth(p, lambda d: d.update(kind=["chain"]))),
         lambda p: _verify_argv(p, _edited_truth(p, lambda d: d["labels"][1].__setitem__(0, "G"))),
+        lambda p: _verify_argv(p, _truth_of(p, CHAIN_SPEC)),
+        lambda p: _verify_argv(p, _truth_of(p, qs.PlantSpec(qs.cycle_shape(3, ">><"), ()))),
     ],
     ids=["entry-text", "entry-null", "entry-numeric-text", "entry-bool", "rows-float",
          "input-directory", "input-not-utf8", "truth-directory", "truth-not-utf8",
          "gen-label-text", "gen-label-L-on-cycle", "gen-label-G-on-chain", "gen-eig-text",
          "gen-eig-inf", "gen-eig-overflow", "gen-seed-negative", "gen-output-directory",
          "matrices-int", "matrices-null", "orientations-int", "truth-orientations-int",
-         "truth-kind-list", "truth-label-tag-of-other-kind"],
+         "truth-kind-list", "truth-label-tag-of-other-kind", "truth-of-another-t",
+         "truth-of-the-other-kind"],
 )
 def test_bad_input_exits_2(tmp_path, capsys, argv):
     args = argv(tmp_path)

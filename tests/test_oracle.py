@@ -1,3 +1,5 @@
+import dataclasses
+import json
 from collections import Counter
 
 import numpy as np
@@ -370,3 +372,85 @@ class TestVerify:
         form, trace = qs.canon_chain(chain3)
         with pytest.raises(ValidationError, match="t=3 chain cannot verify a t=4 chain"):
             qs.verify(chain4, form, ctruth4, trace=trace)
+
+
+def _bad_report_arguments():
+    """``(a, result, trace)`` triples that neither ``verify`` nor ``report`` accepts."""
+    chain, _ = qs.plant(qs.PlantSpec(qs.chain_shape(3, "><"), (((1, 3), 1),), seed=2))
+    chain4, _ = qs.plant(qs.PlantSpec(qs.chain_shape(4, "><>"), (((1, 3), 1),), seed=2))
+    cycle, _ = qs.plant(qs.PlantSpec(qs.cycle_shape(3, "><>"), (((1, 2), 1),), seed=2))
+    cycle4, _ = qs.plant(qs.PlantSpec(qs.cycle_shape(4, ">><<"), (((1, 2), 1),), seed=2))
+    form, trace = qs.canon_chain(chain)
+    return {
+        "wrong-type": (chain, trace, None),
+        "chain-without-trace": (chain, form, None),
+        "chain-of-another-t": (chain4, form, trace),
+        "cycle-of-another-shape": (cycle4, qs.regularize(cycle), None),
+        "cycle-result-for-a-chain": (chain, qs.regularize(cycle), None),
+    }
+
+
+class TestReport:
+    CHAIN = qs.PlantSpec(qs.chain_shape(4, "><>"), (((1, 4), 1), ((2, 3), 2)), seed=5)
+    CYCLE = qs.PlantSpec(
+        qs.cycle_shape(4, "><<>"), (((1, 1), 2), ((2, 5), 1)), regular_eigs=(2, 1j), seed=11
+    )
+
+    @pytest.mark.parametrize("case", list(_bad_report_arguments()))
+    def test_rejects_what_verify_rejects_with_the_same_error(self, case):
+        a, result, trace = _bad_report_arguments()[case]
+        truth = qs.PlantSpec(a.shape, ())
+        with pytest.raises(ValidationError) as by_verify:
+            qs.verify(a, result, truth, trace=trace)
+        with pytest.raises(ValidationError) as by_report:
+            qs.report(a, result, trace=trace)
+        assert str(by_report.value) == str(by_verify.value)
+
+    def test_chain_fields_in_order(self):
+        rep, _ = qs.plant(self.CHAIN)
+        form, trace = qs.canon_chain(rep)
+        out = qs.report(rep, form, trace=trace)
+        assert list(out) == ["report_version", "t", "orientations", "labels",
+                             "dimension_check", "residual", "threshold"]
+        assert out["report_version"] == qs.REPORT_VERSION == 4
+        assert (out["t"], out["orientations"]) == (4, "><>")
+        assert out["labels"] == [
+            {"kind": "L", "low": 1, "high": 4, "count": 1},
+            {"kind": "L", "low": 2, "high": 3, "count": 2},
+        ]
+        assert out["dimension_check"] is True
+        assert (out["residual"], out["threshold"]) == (trace.residual, trace.threshold)
+
+    def test_cycle_fields_in_order(self):
+        rep, _ = qs.plant(self.CYCLE)
+        dec = qs.regularize(rep)
+        out = qs.report(rep, dec)
+        assert list(out) == ["report_version", "t", "orientations", "labels", "regular_dimension",
+                             "monodromy_eigenvalues", "dimension_check", "residual", "threshold"]
+        assert [(row["low"], row["high"], row["count"]) for row in out["labels"]] == [
+            (1, 1, 2), (2, 5, 1)
+        ]
+        for row in out["labels"]:
+            assert row["kind"] == "G"
+            assert row["dims"] == list(qs.g_label_dims(rep.shape, row["low"], row["high"]))
+            assert sum(row["pass_counts"]) == row["count"]
+        assert out["regular_dimension"] == 2
+        got = np.sort_complex([complex(re, im) for re, im in out["monodromy_eigenvalues"]])
+        assert np.allclose(got, [1j, 2])
+        assert (out["residual"], out["threshold"]) == (dec.residual, dec.threshold)
+
+    def test_non_finite_floats_are_none(self):
+        rep, _ = qs.plant(self.CYCLE)
+        dec = dataclasses.replace(qs.regularize(rep), residual=float("inf"), threshold=float("nan"))
+        out = qs.report(rep, dec)
+        assert (out["residual"], out["threshold"]) == (None, None)
+        json.dumps(out, allow_nan=False)
+
+    def test_verification_dict_writes_non_finite_as_none(self):
+        rep, truth = qs.plant(self.CYCLE)
+        fewer = dataclasses.replace(truth, regular_eigs=truth.regular_eigs[:1])
+        out = qs.verify(rep, qs.regularize(rep), fewer).to_dict()
+        assert out["eigenvalue_distance"] is None
+        check = next(c for c in out["checks"] if c["name"] == "eigenvalues")
+        assert (check["passed"], check["measured"]) == (False, None)
+        json.dumps(out, allow_nan=False)
