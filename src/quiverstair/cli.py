@@ -31,7 +31,7 @@ from .files import (
     save_representation,
 )
 from .linalg import DEFAULT_TOL, TolerancePolicy
-from .oracle import REPORT_VERSION, PlantSpec, plant, report, verify
+from .oracle import REPORT_VERSION, PlantSpec, _check_truth, plant, report, verify
 from .quiver import CHAIN, CYCLE, LABEL_TAG, QuiverShape
 
 EXIT_OK = 0
@@ -210,6 +210,7 @@ def _cmd_verify(args) -> int:
     tol = _tolerance(args)
     rep = load_representation(args.input)
     truth = load_plant_spec(args.truth)
+    _check_truth(rep, truth)  # before the solve, which a truth of another shape would waste
     result, trace = _solve(rep, tol, rep.shape.kind == CHAIN)
     checked = verify(rep, result, truth, trace=trace)
     _emit(args, {**_header("verify", tol), "report": checked.to_dict()})

@@ -28,8 +28,8 @@ from .linalg import (
     TolerancePolicy,
     _check_int,
     _check_tol,
+    _is_zero,
     col_compress,
-    numerical_rank,
     row_compress,
     svd_inverse,
 )
@@ -39,11 +39,9 @@ from .quiver import (
     QuiverShape,
     Representation,
     _check_kind,
-    direct_sum,
     label_dims,
     regularity_defect,
     transpose_rep,
-    zero_representation,
 )
 
 __all__ = [
@@ -94,17 +92,19 @@ class ShaveResult:
         but only by non-unitary (triangular) changes of basis.  Raises
         :class:`ValidationError` if the split does not fit ``moved``.
         """
-        glued = direct_sum(push_down(self.a_prime, self.l, self.n, shape), self.a_tilde)
-        if [g.shape for g in glued.matrices] != [m.shape for m in moved]:
-            raise ValidationError(f"the glued split of dims {glued.dims} does not fit the input")
+        _check_chain("misfits", self.a_prime, self.l, self.n, shape)
+        if self.a_tilde.shape != shape:
+            raise ValidationError("the glued split's cycle part lives on another quiver")
+        offsets, dims, glued = _glue(shape, self.l, self.a_prime, self.a_tilde)
+        if [g.shape for g in glued] != [m.shape for m in moved]:
+            raise ValidationError(f"the glued split of dims {dims} does not fit the input")
         # the walk position of every basis vector; the cycle part's is inf
         sizes = self.a_prime.dims if self.a_prime is not None else ()
-        offsets, _ = _walk_layout(shape, self.l + 1, sizes)
-        pos = [np.full(d, np.inf) for d in glued.dims]
+        pos = [np.full(d, np.inf) for d in dims]
         for q, (off, size) in enumerate(zip(offsets, sizes), self.l + 1):
             pos[shape.wrap(q) - 1][off : off + size] = q
         out = []
-        for i, (m, g) in enumerate(zip(moved, glued.matrices), 1):
+        for i, (m, g) in enumerate(zip(moved, glued), 1):
             u, v = shape.arrow_ends(i)
             qr, qc = pos[v - 1][:, None], pos[u - 1]
             pinned = (qr <= qc + 1) | ((qr == np.inf) & (qc == self.n + 1))
@@ -117,9 +117,14 @@ def shave(a: Representation, tol: TolerancePolicy = DEFAULT_TOL) -> ShaveResult:
 
     Uses a single rank threshold, ``tol.threshold`` of all the input's
     matrices, so that strips consisting purely of noise compress to rank
-    zero; ``threshold`` on the result reports it.  Raises
-    :class:`InconsistencyError` if the walk exceeds its dimension-based step
-    cap, which would indicate contradictory rank decisions.
+    zero; ``threshold`` on the result reports it.  Each matrix takes one SVD
+    per decision: the start scan's compression of arrow ``l`` is step
+    ``l``'s, and the stop rule ``sigma_max(pending) <= tau`` is answered by
+    the exact bounds ``max|a_ij| <= sigma_max <= ||a||_F`` whenever they
+    settle it, by an SVD only otherwise (see :func:`linalg._is_zero`).
+    Raises :class:`InconsistencyError` if the walk exceeds its
+    dimension-based step cap, which would indicate contradictory rank
+    decisions.
     """
     _check_tol(tol)
     _check_kind("shave", a.shape, CYCLE)
@@ -127,11 +132,13 @@ def shave(a: Representation, tol: TolerancePolicy = DEFAULT_TOL) -> ShaveResult:
     t = shape.t
     tau = tol.threshold(*a.matrices)
 
+    # the first clockwise arrow that is row-deficient; its compression is step l's
     l = t + 1
     for i in range(1, t + 1):
         if shape.is_clockwise(i):
             m = a.matrices[i - 1]
-            if numerical_rank(m, tau) < m.shape[0]:
+            first = row_compress(m, tau)
+            if first[1] < m.shape[0]:
                 l = i
                 break
 
@@ -159,7 +166,7 @@ def shave(a: Representation, tol: TolerancePolicy = DEFAULT_TOL) -> ShaveResult:
 
         if shape.is_clockwise(arrow):
             # cur: d[vtx] x d[src]; shave off the row-deficient top part of vtx
-            q, k = row_compress(cur, tau)
+            q, k = first if r == l else row_compress(cur, tau)
             shaved = cur.shape[0] - k
             mats[arrow - 1] = (q @ cur)[shaved:, :]
             c_mat = (q @ pending)[:shaved, :]  # chain matrix (r)' -> (r+1)'
@@ -188,7 +195,7 @@ def shave(a: Representation, tol: TolerancePolicy = DEFAULT_TOL) -> ShaveResult:
             pending_next = moved_nxt[:shaved, :]
             mats[vtx - 1] = moved_nxt[shaved:, :]
 
-        if r >= t and numerical_rank(pending_next, tau) == 0:
+        if r >= t and _is_zero(pending_next, tau):
             n = r
             break
         pending = pending_next
@@ -222,24 +229,21 @@ def _walk_layout(shape: QuiverShape, start: int, sizes) -> tuple[list[int], tupl
     return offsets, tuple(dims)
 
 
-def push_down(
-    b: Representation | None, l: int, n: int, shape: QuiverShape
-) -> Representation:
-    """Glue a shaved chain back onto the cycle.
+def _check_chain(
+    who: str, b: Representation | None, l: int, n: int, shape: QuiverShape
+) -> int:
+    """Check that ``b`` is a chain on the walk positions ``l+1..n+1`` of the cycle ``shape``.
 
-    The chain's vertex ``c`` (1-based) lives over cycle vertex ``[l + c]``;
-    the matrix of every cycle arrow is the direct sum, in increasing walk
-    order, of the chain matrices lying over it, padded with the degenerate
-    boundary blocks at the two chain ends.
+    Returns ``l`` as a Python ``int``.
     """
-    _check_kind("push_down", shape, CYCLE)
-    l = _check_int("push_down", "l", l)
-    n = _check_int("push_down", "n", n, l - 1)
+    _check_kind(who, shape, CYCLE)
+    l = _check_int(who, "l", l)
+    n = _check_int(who, "n", n, l - 1)
     m_len = n + 1 - l
     if b is None:
         if m_len != 0:
-            raise ValidationError(f"push_down got no chain but n-l+1={m_len} vertices")
-        return zero_representation(shape)
+            raise ValidationError(f"{who} got no chain but n-l+1={m_len} vertices")
+        return l
     if b.shape.kind != CHAIN or b.shape.t != m_len:
         raise ValidationError(
             f"chain has {b.shape.t if b.shape.kind == CHAIN else 'non-chain'} vertices, "
@@ -252,19 +256,52 @@ def push_down(
                 f"chain arrow {j} is {b.shape.orientations[j - 1]!r} but cycle arrow "
                 f"{shape.wrap(l + j)} is {want!r}"
             )
+    return l
 
-    offsets, dims = _walk_layout(shape, l + 1, b.dims)
+
+def _glue(
+    shape: QuiverShape, l: int, b: Representation | None, rest: Representation | None = None
+) -> tuple[list[int], tuple[int, ...], list[np.ndarray]]:
+    """The matrices of ``push_down(b, l, n, shape) ⊕ rest``, built without representations.
+
+    ``b`` and ``rest`` must already fit ``shape`` (see :func:`_check_chain`).
+    Returns the offset of each of ``b``'s walk positions ``l+1, l+2, ...``
+    within its vertex's basis (see :func:`_walk_layout`), the vertex
+    dimensions and the matrix of every arrow: zeros, with each chain block
+    at its walk positions and ``rest``'s matrix in the trailing corner.
+    """
+    sizes = b.dims if b is not None else ()
+    offsets, pushed = _walk_layout(shape, l + 1, sizes)
+    dims = pushed if rest is None else tuple(p + d for p, d in zip(pushed, rest.dims))
     mats = []
     for i in range(1, shape.t + 1):
         u, v = shape.arrow_ends(i)
-        mats.append(np.zeros((dims[v - 1], dims[u - 1]), dtype=np.complex128))
-    for j, blockm in enumerate(b.matrices, start=1):
+        m = np.zeros((dims[v - 1], dims[u - 1]), dtype=np.complex128)
+        if rest is not None:
+            m[pushed[v - 1] :, pushed[u - 1] :] = rest.matrices[i - 1]
+        mats.append(m)
+    for j, blockm in enumerate(b.matrices if b is not None else (), start=1):
         i = shape.wrap(l + j)  # chain matrix j joins positions l+j and l+j+1
         if shape.is_clockwise(i):
             r0, c0 = offsets[j], offsets[j - 1]
         else:
             r0, c0 = offsets[j - 1], offsets[j]
         mats[i - 1][r0 : r0 + blockm.shape[0], c0 : c0 + blockm.shape[1]] = blockm
+    return offsets, dims, mats
+
+
+def push_down(
+    b: Representation | None, l: int, n: int, shape: QuiverShape
+) -> Representation:
+    """Glue a shaved chain back onto the cycle.
+
+    The chain's vertex ``c`` (1-based) lives over cycle vertex ``[l + c]``;
+    the matrix of every cycle arrow is the direct sum, in increasing walk
+    order, of the chain matrices lying over it, padded with the degenerate
+    boundary blocks at the two chain ends.
+    """
+    l = _check_chain("push_down", b, l, n, shape)
+    _, dims, mats = _glue(shape, l, b)
     return Representation(shape, dims, tuple(mats))
 
 

@@ -284,6 +284,33 @@ def _decide(m: np.ndarray, threshold, uv: bool = False):
     return s, k, tau, u, vh
 
 
+_BOUND_SAFETY = 1e-12  # relative margin that rounding in either bound cannot cross
+
+
+def _is_zero(m: np.ndarray, threshold: float) -> bool:
+    """Whether ``m``'s largest singular value is at most ``threshold``: rank 0 by :func:`_decide`.
+
+    Exact arithmetic gives ``max|m_ij| <= sigma_max <= ||m||_F``, so an entry
+    above ``threshold`` by the safety margin makes ``m`` nonzero and a Frobenius
+    norm below it by the margin makes ``m`` zero, with no SVD.  The norm is
+    max-abs scaled, so squares neither overflow nor underflow.  Only when
+    neither bound settles it, or an entry is ``inf`` or ``nan``, does
+    :func:`_decide` answer, and raise its :class:`NumericError`.  An empty
+    ``m`` is zero.
+    """
+    _check_real("threshold", threshold, 0)
+    if not m.size:
+        return True
+    moduli = np.abs(m)
+    amax = float(moduli.max())
+    if math.isfinite(amax):
+        if amax > threshold * (1 + _BOUND_SAFETY):
+            return False
+        if amax * float(np.linalg.norm(moduli / (amax or 1.0))) < threshold * (1 - _BOUND_SAFETY):
+            return True
+    return _decide(m, threshold)[1] == 0
+
+
 def _to_back(x: np.ndarray, k: int) -> np.ndarray:
     """``x`` with its first ``k`` columns moved behind the rest (``x`` itself if none move)."""
     n = x.shape[1]

@@ -257,8 +257,14 @@ def _is_chain_result(a: Representation, result, trace: ChainTrace | None) -> boo
     else:
         raise ValidationError(f"cannot verify or report a result of type {type(result).__name__}")
     if not fits:
-        raise ValidationError(f"a {what} cannot verify a {_describe(a.shape)}")
+        raise ValidationError(f"a {what} does not fit a {_describe(a.shape)}")
     return is_chain
+
+
+def _check_truth(a: Representation, truth: PlantSpec) -> None:
+    """The truth check :func:`verify` makes first: ``truth`` plants a quiver of ``a``'s shape."""
+    if a.shape != truth.shape:
+        raise ValidationError("representation and truth have different shapes")
 
 
 def verify(
@@ -279,8 +285,7 @@ def verify(
     since the result does not yet carry every unitary its residual is
     measured from.  Failures are report entries, not exceptions.
     """
-    if a.shape != truth.shape:
-        raise ValidationError("representation and truth have different shapes")
+    _check_truth(a, truth)
     is_chain = _is_chain_result(a, result, trace)
     if is_chain:
         counts, transforms = result.counts, trace.vertex_transforms

@@ -156,6 +156,83 @@ def _glue_blocks(res, shape):
     return out
 
 
+def block_loop_misfits(rep, res):
+    """Per arrow, the norm of the input in the bases of ``res.trace`` minus
+    ``push_down(a_prime) ⊕ a_tilde``, built by the public functions, over the
+    pinned blocks found by a loop: the reference for ``ShaveResult.misfits``."""
+    shape, s, blocks = rep.shape, res.trace, _glue_blocks(res, rep.shape)
+    glued = qs.direct_sum(qs.push_down(res.a_prime, res.l, res.n, shape), res.a_tilde)
+    out = []
+    for i in range(1, shape.t + 1):
+        u, v = shape.arrow_ends(i)
+        diff = s[v - 1] @ rep.matrices[i - 1] @ s[u - 1].conj().T - glued.matrices[i - 1]
+        include = np.zeros(diff.shape, dtype=bool)
+        for qr, r0, dr in blocks[v]:
+            for qc, c0, dc in blocks[u]:
+                if qr <= qc + 1 or (qr == float("inf") and qc == res.n + 1):
+                    include[r0 : r0 + dr, c0 : c0 + dc] = True
+        out.append(float(np.linalg.norm(diff[include])))
+    return out
+
+
+def _moved(rep, res):
+    s = res.trace
+    ends = [rep.shape.arrow_ends(i) for i in range(1, rep.shape.t + 1)]
+    return [s[v - 1] @ m @ s[u - 1].conj().T for m, (u, v) in zip(rep.matrices, ends)]
+
+
+def _zero_maps(shape, dims):
+    mats = []
+    for i in range(1, shape.t + 1):
+        u, v = shape.arrow_ends(i)
+        mats.append(np.zeros((dims[v - 1], dims[u - 1])))
+    return qs.Representation(shape, dims, tuple(mats))
+
+
+class TestGlueMatrices:
+    """``ShaveResult.misfits`` builds the glued split as bare matrices; its misfits equal,
+    bit for bit, those measured against the representations ``push_down`` and
+    ``direct_sum`` build."""
+
+    def test_planted_cycles(self):
+        seen = Counter()
+        for seed in range(30):
+            rep, _ = qs.plant(random_cycle_spec(seed))
+            res = qs.shave(rep)
+            assert res.misfits(rep.shape, _moved(rep, res)) == block_loop_misfits(rep, res), seed
+            seen["t=2"] += rep.shape.t == 2
+            seen["zero-dimensional vertex"] += 0 in rep.dims
+            seen["nothing shaved"] += res.a_prime is None
+        assert min(seen.values()) > 0, seen
+
+    @pytest.mark.parametrize(
+        "shape, dims",
+        [(qs.cycle_shape(2, "><"), (2, 1)), (qs.cycle_shape(2, ">>"), (3, 0)),
+         (qs.cycle_shape(3, "<><"), (2, 0, 3)), (qs.cycle_shape(3, ">>>"), (0, 0, 0))],
+    )
+    def test_all_zero_maps(self, shape, dims):
+        rep = _zero_maps(shape, dims)
+        res = qs.shave(rep)
+        assert res.misfits(shape, _moved(rep, res)) == block_loop_misfits(rep, res)
+        assert res.residual == 0.0
+
+    def test_nothing_shaved(self):
+        shape = qs.cycle_shape(3, "><>")
+        rep = qs.Representation(shape, (2, 2, 2), tuple(np.eye(2) for _ in range(3)))
+        res = qs.shave(rep)
+        assert (res.l, res.a_prime) == (shape.t + 1, None)
+        assert res.misfits(shape, _moved(rep, res)) == block_loop_misfits(rep, res) == [0.0] * 3
+
+    def test_split_on_another_quiver_raises(self):
+        rep, _ = qs.plant(TestGlueMask.SPEC)
+        res = qs.shave(rep)
+        flipped = dataclasses.replace(res, a_tilde=qs.transpose_rep(res.a_tilde))
+        with pytest.raises(ValidationError, match="lives on another quiver"):
+            qs.reduction_residual(rep, flipped)
+        with pytest.raises(ValidationError, match="misfits got no chain"):
+            qs.reduction_residual(rep, dataclasses.replace(res, a_prime=None))
+
+
 class TestGlueMask:
     """``reduction_residual`` of a shave compares exactly the blocks the split pins down:
     chain rows against chain columns on or above the block diagonal
@@ -231,20 +308,7 @@ class TestShaveReductionResidual:
     @staticmethod
     def block_loop_residual(rep, res):
         """The glue residual as a loop over the pinned blocks, for reference."""
-        shape, s, blocks = rep.shape, res.trace, _glue_blocks(res, rep.shape)
-        glued = qs.direct_sum(qs.push_down(res.a_prime, res.l, res.n, shape), res.a_tilde)
-        worst = 0.0
-        for i in range(1, shape.t + 1):
-            u, v = shape.arrow_ends(i)
-            diff = s[v - 1] @ rep.matrices[i - 1] @ s[u - 1].conj().T - glued.matrices[i - 1]
-            include = np.zeros(diff.shape, dtype=bool)
-            for qr, r0, dr in blocks[v]:
-                for qc, c0, dc in blocks[u]:
-                    if qr <= qc + 1 or (qr == float("inf") and qc == res.n + 1):
-                        include[r0 : r0 + dr, c0 : c0 + dc] = True
-            if include.any():
-                worst = max(worst, float(np.linalg.norm(diff[include])))
-        return worst
+        return max([0.0, *block_loop_misfits(rep, res)])
 
     def test_equals_the_block_loop(self):
         shaved = 0
@@ -618,3 +682,33 @@ class TestRegularize:
     def test_rejects_chains(self):
         with pytest.raises(ValidationError):
             qs.regularize(qs.zero_representation(qs.chain_shape(2, ">")))
+
+
+class TestSvdCount:
+    """The decomposition takes one SVD per matrix per decision; a duplicate shows here."""
+
+    SPEC = qs.PlantSpec(
+        qs.cycle_shape(4, ">><<"), (((1, 6), 1), ((3, 4), 2), ((2, 2), 1)),
+        regular_eigs=(2, -1j), seed=7,
+    )
+
+    def test_regularize_takes_22_lapack_svds(self, monkeypatch):
+        rep, _ = qs.plant(self.SPEC)
+        calls = []
+        lapack = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return lapack(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        dec = qs.regularize(rep)
+        assert (dec.regular_dim(), dec.summands) == (2, Counter(dict(self.SPEC.labels)))
+        # 22 = 4 for the threshold (the singular values of each arrow)
+        #    + 12 compressions: 6 row_compress and 5 col_compress over both shaves,
+        #      each start scan's last one reused by its first step, and 1 staircase
+        #      strip in the chain stages (one-column ones take none)
+        #    + 0 stop-rule fallbacks: the bounds decide every pending strip
+        #    + 6 for the monodromy: 4 regularity checks, 2 inverses of the
+        #      counterclockwise arrows
+        assert len(calls) == 22

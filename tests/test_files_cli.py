@@ -898,3 +898,25 @@ def test_bad_input_exits_2(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "spec, other",
+    [(CHAIN_SPEC, qs.PlantSpec(qs.chain_shape(4, ">><"), ())), (CYCLE_SPEC, CHAIN_SPEC)],
+    ids=["chain", "cycle"],
+)
+def test_verify_rejects_a_truth_of_another_shape_before_solving(
+    tmp_path, capsys, monkeypatch, spec, other
+):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("decomposed an input whose truth does not fit")
+
+    monkeypatch.setattr(cli, "regularize", unreachable)
+    monkeypatch.setattr(cli, "canon_chain", unreachable)
+    rep, _ = qs.plant(spec)
+    files.save_representation(tmp_path / "inst.json", rep)
+    capsys.readouterr()
+    assert cli.main(["verify", str(tmp_path / "inst.json"), _truth_of(tmp_path, other)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: representation and truth have different shapes\n"
+    assert captured.out == ""

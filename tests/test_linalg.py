@@ -479,6 +479,49 @@ class TestStaircase:
             linalg.staircase_reduce(np.eye(3), [1, 2], "diagonal", TOL.threshold(np.eye(3)))
 
 
+class TestIsZero:
+    """``_is_zero`` answers "sigma_max <= tau?" from max|a_ij| and the Frobenius norm when
+    they settle it; otherwise, and for an inf or nan entry, ``_decide`` answers."""
+
+    @pytest.mark.parametrize(
+        "m, size",
+        [([[np.inf, 5.0]], "1x2"), ([[np.nan, 5.0]], "1x2"), ([[np.inf], [5.0]], "2x1"),
+         ([[1e-300, np.nan], [0.0, 0.0]], "2x2")],
+        ids=["inf-beside-an-entry-above-tau", "nan-beside-an-entry-above-tau", "column-inf",
+             "nan-beside-tiny"],
+    )
+    def test_non_finite_entry_raises(self, m, size):
+        norm = "inf" if np.isinf(m).any() else "nan"
+        with pytest.raises(NumericError, match=ENTRY_SAYS.format(size, norm)):
+            linalg._is_zero(np.asarray(m, dtype=complex), 0.1)
+
+    @pytest.mark.parametrize(
+        "tau, zero", [(1e-201, False), (1.4e-200, False), (1.42e-200, True), (1e-199, True)]
+    )
+    def test_norm_bound_does_not_underflow(self, tau, zero):
+        # ||[1e-200, 1e-200]||_F = 1.414e-200, whose unscaled squares would underflow to 0
+        m = np.array([[1e-200, 1e-200]], dtype=complex)
+        assert linalg._is_zero(m, tau) is zero
+        assert (linalg.numerical_rank(m, tau) == 0) is zero
+
+    @pytest.mark.parametrize(
+        "tau, svds", [(0.5, 0), (2.5, 0), (1.5, 1)], ids=["entry-above", "norm-below", "between"]
+    )
+    def test_svd_only_when_the_bounds_do_not_decide(self, monkeypatch, tau, svds):
+        # max|a_ij| = 1 and ||a||_F = 2: tau between them leaves the answer to the SVD
+        calls = []
+        lapack = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return lapack(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        a = np.ones((2, 2), dtype=complex)
+        assert linalg._is_zero(a, tau) is (tau >= 2)
+        assert len(calls) == svds
+
+
 class TestEmptyStripsTakeNoSvd:
     """A strip with no columns, or with every row already pinned, calls no ``two_sided_reduce``."""
 
@@ -605,6 +648,8 @@ THRESHOLD_TAKERS = {
         np.zeros((2, 0)), [], linalg.VERTICAL, tau
     ),
     "regularity_defect": _regularity_defect,
+    "_is_zero": lambda tau: linalg._is_zero(np.eye(3, dtype=complex), tau),
+    "_is_zero, empty": lambda tau: linalg._is_zero(np.zeros((2, 0), dtype=complex), tau),
 }
 
 

@@ -364,14 +364,19 @@ class TestVerify:
 
         rep3, _ = planted(qs.cycle_shape(3, "><>"), (((1, 2), 1),))
         rep4, truth4 = planted(qs.cycle_shape(4, ">><<"), (((1, 2), 1),))
-        with pytest.raises(ValidationError, match="t=3 cycle '><>' cannot verify a t=4 cycle '>><<'"):
-            qs.verify(rep4, qs.regularize(rep3), truth4)
+        dec3 = qs.regularize(rep3)
+        with pytest.raises(ValidationError, match="t=3 cycle '><>' does not fit a t=4 cycle '>><<'"):
+            qs.verify(rep4, dec3, truth4)
+        with pytest.raises(ValidationError, match="t=3 cycle '><>' does not fit a t=4 cycle '>><<'"):
+            qs.report(rep4, dec3)
 
         chain3, _ = planted(qs.chain_shape(3, "><"), (((1, 3), 1),))
         chain4, ctruth4 = planted(qs.chain_shape(4, "><>"), (((1, 3), 1),))
         form, trace = qs.canon_chain(chain3)
-        with pytest.raises(ValidationError, match="t=3 chain cannot verify a t=4 chain"):
+        with pytest.raises(ValidationError, match="t=3 chain does not fit a t=4 chain '><>'"):
             qs.verify(chain4, form, ctruth4, trace=trace)
+        with pytest.raises(ValidationError, match="t=3 chain does not fit a t=4 chain '><>'"):
+            qs.report(chain4, form, trace=trace)
 
 
 def _bad_report_arguments():
