@@ -28,6 +28,7 @@ from .linalg import (
     TolerancePolicy,
     _check_int,
     _check_tol,
+    _decide,
     _is_zero,
     col_compress,
     row_compress,
@@ -39,8 +40,9 @@ from .quiver import (
     QuiverShape,
     Representation,
     _check_kind,
+    _defect,
+    _singular_arrow,
     label_dims,
-    regularity_defect,
     transpose_rep,
 )
 
@@ -142,11 +144,12 @@ def shave(a: Representation, tol: TolerancePolicy = DEFAULT_TOL) -> ShaveResult:
                 l = i
                 break
 
-    trace = [np.eye(d, dtype=np.complex128) for d in a.dims]
     if l == t + 1:  # nothing to shave; the glue residual is exactly 0
+        trace = [np.eye(d, dtype=np.complex128) for d in a.dims]
         return ShaveResult(None, a, l, t, trace, residual=0.0, threshold=tau)
 
     mats = list(a.matrices)  # read-only; each step replaces entries
+    trace: list[np.ndarray | None] = [None] * t  # the identity until a step moves it
     chain_dims: list[int] = []
     chain_mats: list[np.ndarray] = []
 
@@ -182,8 +185,11 @@ def shave(a: Representation, tol: TolerancePolicy = DEFAULT_TOL) -> ShaveResult:
             chain_mats.append(c_mat)
         chain_dims.append(shaved)
 
-        pre = a.dims[vtx - 1] - len(s_new)  # dimensions already shaved off vtx
-        trace[vtx - 1][pre:] = s_new @ trace[vtx - 1][pre:]
+        if trace[vtx - 1] is None:  # nothing shaved off vtx yet: s_new @ I is s_new
+            trace[vtx - 1] = np.ascontiguousarray(s_new)
+        else:
+            pre = a.dims[vtx - 1] - len(s_new)  # dimensions already shaved off vtx
+            trace[vtx - 1][pre:] = s_new @ trace[vtx - 1][pre:]
 
         nxt_mat = mats[vtx - 1]
         if shape.is_clockwise(vtx):
@@ -201,6 +207,7 @@ def shave(a: Representation, tol: TolerancePolicy = DEFAULT_TOL) -> ShaveResult:
         pending = pending_next
         r += 1
 
+    trace = [np.eye(d, dtype=np.complex128) if s is None else s for d, s in zip(a.dims, trace)]
     prime_orients = "".join(shape.orientations[shape.wrap(q) - 1] for q in range(l + 1, n + 1))
     prime_shape = QuiverShape(CHAIN, n + 1 - l, prime_orients)
     a_prime = Representation(prime_shape, tuple(chain_dims), tuple(chain_mats))
@@ -315,21 +322,37 @@ def monodromy(
     eigenvalues of the product classify the regular representation; they are
     reported as a multiset, with no claim about Jordan structure.
 
-    Raises :class:`ValidationError`, naming the defect, if ``p`` is not
-    regular at ``tol.threshold`` of all its matrices, and
-    :class:`NumericError` if the product leaves the float64 range: a
-    non-finite entry or an eigenvalue that is exactly 0.
+    Raises :class:`ValidationError`, naming the defect as
+    :func:`regularity_defect` does, if ``p`` is not regular at
+    ``tol.threshold`` of all its matrices, and :class:`NumericError` if the
+    product leaves the float64 range: a non-finite entry or an eigenvalue
+    that is exactly 0.  Each arrow is decided by one SVD: a clockwise one by
+    its singular values, a counterclockwise one by the :func:`svd_inverse`
+    that also inverts it, at that threshold.
     """
     _check_tol(tol)
     _check_kind("monodromy", p.shape, CYCLE)
-    defect = regularity_defect(p, tol.threshold(*p.matrices))
-    if defect:
-        raise ValidationError(f"monodromy needs a regular representation: {defect}")
-    out = np.eye(p.dims[0], dtype=np.complex128)
+    tau = tol.threshold(*p.matrices)
+    at_tau = TolerancePolicy(abs_floor=tau, rel_factor=0.0)
+    defect = _defect(p, tau, ())  # uneven dimensions; the arrows are judged in order below
+    factors = []
     with np.errstate(all="ignore"):
-        for i in range(1, p.shape.t + 1):
-            m = p.matrices[i - 1]
-            out = (m if p.shape.is_clockwise(i) else svd_inverse(m, tol)) @ out
+        for i, m in enumerate(p.matrices, 1):
+            if defect:
+                break
+            if p.shape.is_clockwise(i):
+                defect = _defect(p, tau, (i,))
+                factors.append(m)
+                continue
+            try:
+                factors.append(svd_inverse(m, at_tau))
+            except ValidationError:  # singular; the same full SVD again gives its sigma_min
+                defect = _singular_arrow(i, _decide(m, tau, uv=True)[0][-1], tau)
+        if defect:
+            raise ValidationError(f"monodromy needs a regular representation: {defect}")
+        out = factors[0]
+        for f in factors[1:]:
+            out = f @ out
     if not np.isfinite(out).all():
         raise NumericError("monodromy product overflowed: non-finite entries")
     eigs = np.linalg.eigvals(out)

@@ -330,7 +330,7 @@ def svd_inverse(a, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
         raise ValidationError(
             f"matrix is numerically singular: sigma_min={s[-1]:.6g} <= tau={tau:.6g}"
         )
-    return vh.conj().T @ np.diag(1.0 / s) @ u.conj().T
+    return (vh.conj().T * (1.0 / s)) @ u.conj().T  # scales columns: no diagonal product
 
 
 def numerical_rank(a, threshold: float) -> int:

@@ -15,7 +15,7 @@ import numpy as np
 from .chain import ChainCanonicalForm, ChainTrace, reduction_residual
 from .cycle import RegularizingDecomposition
 from .errors import ValidationError
-from .linalg import _check_int, _check_real, _is_finite_number, unitarity_defect
+from .linalg import DEFAULT_TOL, _check_int, _check_real, _is_finite_number, unitarity_defect
 from .quiver import (
     CHAIN,
     QuiverShape,
@@ -43,6 +43,9 @@ __all__ = [
 UNITARY = "unitary"
 INVERTIBLE = "invertible"
 
+# a transform this ill-conditioned has sigma_min <= DEFAULT_TOL's threshold of itself
+_MAX_CONDITION = 1 / DEFAULT_TOL.rel_factor
+
 REPORT_VERSION = 4  # of report(), and of the command line's JSON that carries it
 
 
@@ -56,7 +59,9 @@ class PlantSpec:
     only labels with a positive total are stored.
     ``regular_eigs`` adds one regular dimension per eigenvalue (cycles
     only).  ``scramble`` selects unitary basis changes (default) or general
-    invertible ones with condition number at most ``max_condition``.
+    invertible ones with condition number at most ``max_condition``, which
+    must stay below ``1 / DEFAULT_TOL.rel_factor`` (1e8): ``plant`` inverts
+    those by SVD at ``DEFAULT_TOL``, which rejects a worse-conditioned matrix.
     """
 
     shape: QuiverShape
@@ -84,6 +89,11 @@ class PlantSpec:
         if self.scramble not in (UNITARY, INVERTIBLE):
             raise ValidationError(f"unknown scramble mode {self.scramble!r}")
         _check_real("field 'max_condition'", self.max_condition, 1)
+        if self.max_condition >= _MAX_CONDITION:
+            raise ValidationError(
+                f"field 'max_condition' must be below {_MAX_CONDITION:g}, the condition number "
+                f"at which plant's SVD inverse finds a matrix singular, got {self.max_condition!r}"
+            )
         object.__setattr__(self, "max_condition", float(self.max_condition))
         if self.shape.kind == CHAIN and self.regular_eigs:
             raise ValidationError("chains have no regular part")
@@ -159,17 +169,21 @@ def plant(spec: PlantSpec) -> tuple[Representation, PlantSpec]:
     (cycles only) comes last, carrying one 1x1 Jordan block per requested
     eigenvalue on arrow ``t``, inverted when that arrow points
     counterclockwise so the monodromy eigenvalues equal ``regular_eigs``.
+    The unitary scramble maps arrow ``u -> v`` to ``S_v A S_u^H``, with no
+    SVD; the invertible one inverts each transform by SVD.
     """
     shape = spec.shape
     rep = assemble(shape, spec.labels)
     if spec.regular_eigs:
         rep = direct_sum(rep, _regular_summand(shape, spec.regular_eigs))
-    transforms = []
-    for v, d in enumerate(rep.dims, 1):
-        if spec.scramble == UNITARY:
-            transforms.append(random_unitary(d, [spec.seed, v]))
-        else:
-            transforms.append(random_invertible(d, [spec.seed, v], spec.max_condition))
+    if spec.scramble == UNITARY:
+        transforms = [random_unitary(d, [spec.seed, v]) for v, d in enumerate(rep.dims, 1)]
+        inverses = [s.conj().T for s in transforms]
+        return apply_isomorphism(rep, transforms, _inverses=inverses), spec
+    transforms = [
+        random_invertible(d, [spec.seed, v], spec.max_condition)
+        for v, d in enumerate(rep.dims, 1)
+    ]
     return apply_isomorphism(rep, transforms), spec
 
 

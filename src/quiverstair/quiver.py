@@ -198,11 +198,13 @@ def transpose_rep(a: Representation) -> Representation:
     return Representation(a.shape.reversed(), a.dims, mats)
 
 
-def apply_isomorphism(a: Representation, transforms) -> Representation:
+def apply_isomorphism(a: Representation, transforms, *, _inverses=None) -> Representation:
     """Change basis at every vertex: arrow ``u -> v`` maps to ``S_v A S_u^{-1}``.
 
     Inverses are computed by SVD at ``DEFAULT_TOL``; a numerically singular
-    transform is rejected.
+    transform is rejected.  A caller that already holds the inverses (``plant``
+    holds ``S^H`` of its unitaries) passes them as the private ``_inverses``,
+    which are taken as they are.
     """
     if len(transforms) != a.shape.t:
         raise ValidationError(f"need {a.shape.t} vertex transforms, got {len(transforms)}")
@@ -212,7 +214,7 @@ def apply_isomorphism(a: Representation, transforms) -> Representation:
             raise ValidationError(
                 f"vertex {v}: transform is {m.shape[0]}x{m.shape[1]}, expected {d}x{d}"
             )
-    inverses = [svd_inverse(s) for s in mats_s]
+    inverses = [svd_inverse(s) for s in mats_s] if _inverses is None else _inverses
     new = []
     for i in range(1, a.shape.arrow_count + 1):
         u, v = a.shape.arrow_ends(i)
@@ -310,11 +312,20 @@ def regularity_defect(a: Representation, threshold: float) -> str | None:
     Regular means that all vertex dimensions agree and that every matrix has
     its smallest singular value above ``threshold``.
     """
+    return _defect(a, threshold, range(1, a.shape.arrow_count + 1))
+
+
+def _defect(a: Representation, threshold: float, arrows) -> str | None:
+    """:func:`regularity_defect` with only ``arrows`` judged; ``None`` if they pass."""
     if len(set(a.dims)) > 1:
         return f"uneven dimensions {a.dims}"
-    for i, m in enumerate(a.matrices, start=1):
-        s, k = _decide(m, threshold)[:2]
+    for i in arrows:
+        s, k = _decide(a.matrices[i - 1], threshold)[:2]
         if k < len(s):
-            return f"singular at arrow {i}: sigma_min={s[-1]:.6g} <= threshold {threshold:.6g}"
+            return _singular_arrow(i, s[-1], threshold)
     return None
 
+
+def _singular_arrow(i: int, sigma_min: float, threshold: float) -> str:
+    """The one wording of a regularity defect at arrow ``i``."""
+    return f"singular at arrow {i}: sigma_min={sigma_min:.6g} <= threshold {threshold:.6g}"

@@ -193,10 +193,24 @@ BENCH_CYCLE = qs.PlantSpec(
 )
 
 
+def _gen_argv(spec) -> list[str]:
+    """``gen``'s arguments after the output path for the cycle ``spec``, as ``cli-file`` writes them."""
+    return [
+        "--kind", "cycle", "--t", str(spec.shape.t), "--orientations", spec.shape.orientations,
+        "--labels", ",".join(f"G:{l}:{r}:{m}" for (l, r), m in spec.labels),
+        "--regular-eigs=" + ",".join(f"{z.real:.6f}{z.imag:+.6f}i" for z in spec.regular_eigs),
+        "--seed", str(spec.seed),
+    ]
+
+
 @pytest.mark.parametrize(
     "spec, op, spans",
-    [(BENCH_CHAIN, "_chain_op", "_KERNEL"), (BENCH_CYCLE, "_cycle_op", "_CYCLE")],
-    ids=["chain", "cycle"],
+    [
+        (BENCH_CHAIN, "_chain_op", ("_KERNEL",)),
+        (BENCH_CYCLE, "_cycle_op", ("_CYCLE",)),
+        (BENCH_CYCLE, "_cli_op", ("_CYCLE", "_FILES")),
+    ],
+    ids=["chain", "cycle", "cli"],
 )
 def test_benchmark_spans_are_recorded(spec, op, spans, tmp_path):
     # a workload's self-check requires each of its expected spans; a refactor that
@@ -209,7 +223,10 @@ def test_benchmark_spans_are_recorded(spec, op, spans, tmp_path):
         if spec.shape.kind == qs.CHAIN
         else workloads._cycle_want(counts, len(spec.regular_eigs))
     )
-    inst = workloads.Instance(truth, want, rep.dims, rep)
+    if op == "_cli_op":  # the op plants the instance itself, through `gen`
+        inst = workloads.Instance(truth, want, rep.dims, argv=_gen_argv(spec))
+    else:
+        inst = workloads.Instance(truth, want, rep.dims, rep)
     tracer = tracing.Tracer()
     undo, _ = tracing.install(tracer)
     try:
@@ -219,4 +236,5 @@ def test_benchmark_spans_are_recorded(spec, op, spans, tmp_path):
         undo()
     assert outcome.ok
     recorded = {tracer.names[i] for i in tracer.name}
-    assert sorted(set(getattr(workloads, spans)) - recorded) == []
+    expected = {name for group in spans for name in getattr(workloads, group)}
+    assert sorted(expected - recorded) == []

@@ -10,7 +10,7 @@ from conftest import add_noise, is_regular, primed_chain_for_walk, random_cycle_
 from quiverstair import cli, files
 from quiverstair.cycle import _walk_layout
 from quiverstair.errors import InconsistencyError, NumericError, ValidationError
-from quiverstair.quiver import assemble
+from quiverstair.quiver import assemble, regularity_defect
 
 
 def assemble_cycle(spec):
@@ -442,10 +442,44 @@ class TestMonodromy:
         assert dec.summands == Counter() and dec.regular_dim() == 0
 
     def test_requires_regular(self):
+        # arrow 2 points counterclockwise: the inverse that would invert it rejects it
         shape = qs.cycle_shape(2, "><")
         rep = qs.Representation(shape, (2, 2), (np.eye(2), qs.jordan_block(2, 0)))
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as err:
             qs.monodromy(rep)
+        assert str(err.value) == (
+            "monodromy needs a regular representation: "
+            "singular at arrow 2: sigma_min=0 <= threshold 1e-08"
+        )
+
+    @pytest.mark.parametrize(
+        "orientations, mats",
+        [
+            ("><", (np.eye(2), np.diag([1.0, 1e-9]))),
+            ("<>", (np.diag([1.0, 1e-9]), np.eye(2))),
+            (">>", (np.eye(2), np.diag([1.0, 1e-9]))),
+            ("<<", (np.diag([3.0, 2e-9]), np.diag([1.0, 1e-9]))),
+            ("<>", (np.diag([3.0, 2e-9]), np.diag([1.0, 1e-9]))),
+            ("><", (np.diag([3.0, 2e-9]), np.diag([1.0, 1e-9]))),
+            ("<>", (np.ones((1, 1)), np.zeros((1, 1)))),
+            ("><", (np.ones((1, 1)), np.zeros((1, 1)))),
+            ("><", (np.ones((2, 1)), np.ones((2, 1)))),
+        ],
+        ids=["ccw", "ccw-first", "cw", "both-ccw", "ccw-then-cw", "cw-then-ccw",
+             "cw-one-column", "ccw-one-column", "uneven"],
+    )
+    def test_defect_is_worded_as_regularity_defect_words_it(self, orientations, mats):
+        # one wording, and the first offending arrow, whichever way it points
+        shape = qs.cycle_shape(2, orientations)
+        mats = tuple(np.asarray(m, dtype=complex) for m in mats)
+        dims = (mats[0].shape[1], mats[0].shape[0]) if orientations[0] == ">" else mats[0].shape
+        rep = qs.Representation(shape, dims, mats)
+        tau = qs.DEFAULT_TOL.threshold(*rep.matrices)
+        defect = regularity_defect(rep, tau)
+        assert defect is not None
+        with pytest.raises(ValidationError) as err:
+            qs.monodromy(rep)
+        assert str(err.value) == f"monodromy needs a regular representation: {defect}"
 
     @pytest.mark.parametrize(
         "diagonal, message",
@@ -692,8 +726,8 @@ class TestSvdCount:
         regular_eigs=(2, -1j), seed=7,
     )
 
-    def test_regularize_takes_22_lapack_svds(self, monkeypatch):
-        rep, _ = qs.plant(self.SPEC)
+    @staticmethod
+    def _count(monkeypatch) -> list:
         calls = []
         lapack = np.linalg.svd
 
@@ -702,13 +736,28 @@ class TestSvdCount:
             return lapack(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counted)
+        return calls
+
+    def test_regularize_takes_20_lapack_svds(self, monkeypatch):
+        rep, _ = qs.plant(self.SPEC)
+        calls = self._count(monkeypatch)
         dec = qs.regularize(rep)
         assert (dec.regular_dim(), dec.summands) == (2, Counter(dict(self.SPEC.labels)))
-        # 22 = 4 for the threshold (the singular values of each arrow)
+        # 20 = 4 for the threshold (the singular values of each arrow)
         #    + 12 compressions: 6 row_compress and 5 col_compress over both shaves,
         #      each start scan's last one reused by its first step, and 1 staircase
         #      strip in the chain stages (one-column ones take none)
         #    + 0 stop-rule fallbacks: the bounds decide every pending strip
-        #    + 6 for the monodromy: 4 regularity checks, 2 inverses of the
-        #      counterclockwise arrows
-        assert len(calls) == 22
+        #    + 4 for the monodromy: 2 regularity checks of the clockwise arrows, and
+        #      2 inverses of the counterclockwise arrows, each of which also decides
+        #      its arrow's regularity
+        assert len(calls) == 20
+
+    @pytest.mark.parametrize("scramble, svds", [("unitary", 0), ("invertible", 4)])
+    def test_plant_inverts_only_the_invertible_scramble_by_svd(self, monkeypatch, scramble, svds):
+        # a unitary transform's inverse is its adjoint; an invertible one takes an SVD
+        spec = dataclasses.replace(self.SPEC, scramble=scramble)
+        calls = self._count(monkeypatch)
+        rep, _ = qs.plant(spec)
+        assert min(rep.dims) > 1  # every vertex's transform goes to LAPACK
+        assert len(calls) == svds

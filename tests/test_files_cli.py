@@ -793,8 +793,10 @@ def test_non_integer_plant_spec_exits_2(tmp_path, capsys, command, edit, match):
         (lambda d: d["regular_eigs"].__setitem__(1, [2, 0, 99]), "regular_eigs[1]"),
         (lambda d: d.update(scramble="invertible", max_condition=float("inf")), "max_condition"),
         (lambda d: d.update(seed=-5), "seed"),
+        (lambda d: d.update(scramble="invertible", max_condition=1e12), "max_condition"),
     ],
-    ids=["eig-triple", "invertible-infinite-condition", "negative-seed"],
+    ids=["eig-triple", "invertible-infinite-condition", "negative-seed",
+         "invertible-condition-beyond-the-inverse"],
 )
 def test_non_number_plant_spec_gen_exits_2(tmp_path, capsys, edit, field):
     d = files.plant_spec_to_dict(CYCLE_SPEC)

@@ -631,6 +631,15 @@ class TestInverse:
     def test_empty(self):
         assert linalg.svd_inverse(np.zeros((0, 0))).shape == (0, 0)
 
+    @pytest.mark.parametrize("n", [1, 2, 28, 95])
+    def test_column_scaling_is_the_diagonal_product_bit_for_bit(self, n):
+        # n = 1 takes the one-column rule's factors, the others LAPACK's
+        rng = np.random.default_rng([23, n])
+        a = random_complex(rng, n, n)
+        s, _, _, u, vh = linalg._decide(a, linalg.DEFAULT_TOL, uv=True)
+        want = vh.conj().T @ np.diag(1.0 / s) @ u.conj().T
+        assert linalg.svd_inverse(a).tobytes() == want.tobytes()
+
 
 def _regularity_defect(threshold):
     rep = quiver.Representation(quiver.cycle_shape(2, "><"), (2, 2), (np.eye(2), np.eye(2)))

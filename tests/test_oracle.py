@@ -7,8 +7,10 @@ import pytest
 
 import quiverstair as qs
 from conftest import is_regular, random_cycle_spec
+from quiverstair import oracle
 from quiverstair.errors import ValidationError
-from quiverstair.oracle import random_invertible
+from quiverstair.oracle import random_invertible, random_unitary
+from quiverstair.quiver import assemble
 
 
 class TestRandomUnitary:
@@ -120,6 +122,37 @@ class TestPlant:
             qs.plant(qs.PlantSpec(shape=shape, labels=labels, regular_eigs=eigs, seed=n))
             counts.append(len(built))
         assert counts[0] == counts[1] == counts[2], counts
+
+    def test_unitary_scramble_is_the_adjoint_product_bit_for_bit(self):
+        spec = qs.PlantSpec(
+            qs.cycle_shape(3, "><<"), (((1, 4), 1), ((2, 3), 2)), regular_eigs=(2, 1j), seed=8
+        )
+        rep, _ = qs.plant(spec)
+        base = assemble(spec.shape, spec.labels)
+        base = qs.direct_sum(base, oracle._regular_summand(spec.shape, spec.regular_eigs))
+        s = [random_unitary(d, [spec.seed, v]) for v, d in enumerate(base.dims, 1)]
+        for i, m in enumerate(rep.matrices, 1):
+            u, v = spec.shape.arrow_ends(i)
+            assert m.tobytes() == (s[v - 1] @ base.matrices[i - 1] @ s[u - 1].conj().T).tobytes()
+
+    @pytest.mark.parametrize("scramble", ["unitary", "invertible"])
+    @pytest.mark.parametrize("max_condition", [1e8, 1e12])
+    def test_max_condition_beyond_the_inverse_rejected(self, scramble, max_condition):
+        # plant inverts the invertible scramble by SVD at DEFAULT_TOL, which finds a
+        # matrix of condition number 1 / rel_factor singular
+        with pytest.raises(ValidationError, match=r"field 'max_condition' must be below 1e\+08"):
+            qs.PlantSpec(
+                qs.cycle_shape(3, ">><"), (((1, 2), 4), ((2, 3), 3)), regular_eigs=(2, 3, 4, 5),
+                seed=1, scramble=scramble, max_condition=max_condition,
+            )
+
+    def test_max_condition_below_the_bound_plants(self):
+        spec = qs.PlantSpec(
+            qs.cycle_shape(3, ">><"), (((1, 2), 4), ((2, 3), 3)), regular_eigs=(2, 3, 4, 5),
+            seed=1, scramble="invertible", max_condition=1e7,
+        )
+        rep, _ = qs.plant(spec)  # every transform passes the SVD inverse's singularity test
+        assert rep.dims == (8, 11, 7)
 
     def test_nilpotent_walk_plant(self):
         t = 3
