@@ -25,11 +25,14 @@ from .chain import canon_chain, reduction_residual
 from .errors import InconsistencyError, NumericError, ValidationError
 from .linalg import (
     DEFAULT_TOL,
+    _REVISIT_MIN_DIM,
     TolerancePolicy,
     _check_int,
     _check_tol,
     _decide,
+    _fro,
     _is_zero,
+    _row_compress_revisit,
     col_compress,
     row_compress,
     svd_inverse,
@@ -110,7 +113,7 @@ class ShaveResult:
             u, v = shape.arrow_ends(i)
             qr, qc = pos[v - 1][:, None], pos[u - 1]
             pinned = (qr <= qc + 1) | ((qr == np.inf) & (qc == self.n + 1))
-            out.append(float(np.linalg.norm((m - g)[pinned])))
+            out.append(_fro((m - g)[pinned]))
         return out
 
 
@@ -119,11 +122,16 @@ def shave(a: Representation, tol: TolerancePolicy = DEFAULT_TOL) -> ShaveResult:
 
     Uses a single rank threshold, ``tol.threshold`` of all the input's
     matrices, so that strips consisting purely of noise compress to rank
-    zero; ``threshold`` on the result reports it.  Each matrix takes one SVD
-    per decision: the start scan's compression of arrow ``l`` is step
+    zero; ``threshold`` on the result reports it.  Each matrix takes at most
+    one SVD per decision: the start scan's compression of arrow ``l`` is step
     ``l``'s, and the stop rule ``sigma_max(pending) <= tau`` is answered by
     the exact bounds ``max|a_ij| <= sigma_max <= ||a||_F`` whenever they
-    settle it, by an SVD only otherwise (see :func:`linalg._is_zero`).
+    settle it, by an SVD only otherwise (see :func:`linalg._is_zero`).  A
+    revisited clockwise arrow whose last visit was a full compression, of a
+    block at least ``_REVISIT_MIN_DIM`` square, is decided from the columns
+    that left it when two certificates settle its rank with margin, by an
+    SVD otherwise (see :func:`linalg._row_compress_revisit`); the next
+    revisit of that arrow is a full one.
     Raises :class:`InconsistencyError` if the walk exceeds its
     dimension-based step cap, which would indicate contradictory rank
     decisions.
@@ -157,6 +165,8 @@ def shave(a: Representation, tol: TolerancePolicy = DEFAULT_TOL) -> ShaveResult:
     # strip of the current arrow's matrix hanging over the shaved part; the
     # walk starts at a clockwise arrow, where nothing has been shaved yet
     pending = np.zeros((a.dims[shape.wrap(l + 1) - 1], 0), dtype=np.complex128)
+    # clockwise arrows whose last visit was a full compression, leaving orthogonal rows
+    compressed: set[int] = set()
     r = l
     while True:
         if r > cap:
@@ -168,8 +178,16 @@ def shave(a: Representation, tol: TolerancePolicy = DEFAULT_TOL) -> ShaveResult:
         cur = mats[arrow - 1]
 
         if shape.is_clockwise(arrow):
-            # cur: d[vtx] x d[src]; shave off the row-deficient top part of vtx
-            q, k = first if r == l else row_compress(cur, tau)
+            # cur: d[vtx] x d[src]; shave off the row-deficient top part of vtx.  A
+            # revisit after a full compression is decided from pending when certified.
+            update = None
+            if arrow in compressed and min(cur.shape) >= _REVISIT_MIN_DIM:
+                update = _row_compress_revisit(cur, pending, tau)
+            q, k = first if r == l else update or row_compress(cur, tau)
+            if update is None:
+                compressed.add(arrow)
+            else:  # the rows it keeps are not orthogonal: the next revisit is a full one
+                compressed.discard(arrow)
             shaved = cur.shape[0] - k
             mats[arrow - 1] = (q @ cur)[shaved:, :]
             c_mat = (q @ pending)[:shaved, :]  # chain matrix (r)' -> (r+1)'

@@ -74,6 +74,25 @@ def random_cycle_spec(seed, *, t_range=(2, 6), max_total=40, max_len=8, scramble
     )
 
 
+def wide_cycle_spec(seed, scramble="unitary"):
+    """Seeded planted t = 4 cycle ``><><`` with dimensions near 55, above the shave's
+    revisit-update crossover: 16 walks of lengths 1..8 and 45 regular eigenvalues."""
+    rng = np.random.default_rng([4000, seed])
+    labels = Counter()
+    for length in [ln for ln in range(1, 9) for _ in range(2)]:
+        start = int(rng.integers(1, 5))
+        labels[(start, start + length - 1)] += 1
+    eigs = []
+    while len(eigs) < 45:
+        z = complex(np.round(rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.uniform()), 6))
+        if all(abs(z - w) >= 0.05 for w in eigs):
+            eigs.append(z)
+    return qs.PlantSpec(
+        qs.cycle_shape(4, "><><"), tuple(labels.items()), regular_eigs=tuple(eigs), seed=seed,
+        scramble=scramble, max_condition=1e3,
+    )
+
+
 def random_chain_spec(seed, *, t_range=(2, 8), max_dim=12):
     """Seeded random planted chain with per-vertex dimension cap."""
     rng = np.random.default_rng([2000, seed])

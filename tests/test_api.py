@@ -114,6 +114,71 @@ def test_rank_decisions_go_through_one_function():
     assert "_decide" in quiver_imports
 
 
+# numpy's and scipy's SVD-backed routines: only linalg._lapack_svd may reach them
+LAPACK_SVD = {"svd", "svdvals", "matrix_rank", "pinv", "lstsq", "cond"}
+
+
+def _names_svd(dotted: str) -> bool:
+    """Whether a dotted import path is numpy's or scipy's ``linalg`` or an SVD routine."""
+    top, *rest = dotted.split(".")
+    return top in ("numpy", "scipy") and bool(set(rest) & (LAPACK_SVD | {"linalg"}))
+
+
+def _lapack_svd_reaches(source: str) -> set[str]:
+    """The functions in ``source`` that reach a :data:`LAPACK_SVD` routine: by an
+    attribute ``<x>.linalg.<routine>``, or by importing a routine or a ``linalg``
+    module of numpy or scipy."""
+    out = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute):
+                if child.attr in LAPACK_SVD and getattr(child.value, "attr", None) == "linalg":
+                    out.add(where)
+            elif isinstance(child, ast.Import):
+                if any(_names_svd(alias.name) for alias in child.names):
+                    out.add(where)
+            elif isinstance(child, ast.ImportFrom) and child.module:
+                if any(_names_svd(f"{child.module}.{alias.name}") for alias in child.names):
+                    out.add(where)
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else where)
+
+    visit(ast.parse(source), "<module>")
+    return out
+
+
+def test_only_linalg_reaches_numpys_svd():
+    # SVD_CORE above tracks the package's own names; a direct np.linalg.svd elsewhere
+    # would bypass them, so numpy's SVD is tracked too
+    package = Path(qs.__file__).parent
+    reached = {
+        f"{path.name}:{where}"
+        for path in sorted(package.glob("*.py"))
+        for where in _lapack_svd_reaches(path.read_text(encoding="utf-8"))
+    }
+    assert reached == {"linalg.py:_lapack_svd"}
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "def f(a):\n    return np.linalg.svd(a)\n",
+        "def f(a):\n    return numpy.linalg.matrix_rank(a)\n",
+        "def f(a):\n    from numpy.linalg import svd\n",
+        "def f(a):\n    import numpy.linalg as la\n",
+        "def f(a):\n    from scipy import linalg\n",
+    ],
+)
+def test_the_svd_guard_sees_a_direct_call(source):
+    assert _lapack_svd_reaches(source) == {"f"}
+
+
+def test_the_svd_guard_passes_other_numpy_linalg():
+    source = "def f(a):\n    np.linalg.norm(a), np.linalg.eigvals(a), np.linalg.qr(a)\n"
+    assert _lapack_svd_reaches(source) == set()
+
+
 def _keys(value) -> set:
     """Every dict key in a JSON-ready value, nested ones included."""
     if isinstance(value, dict):

@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 import quiverstair as qs
-from conftest import add_noise, is_regular, primed_chain_for_walk, random_cycle_spec
+from conftest import (
+    add_noise, is_regular, primed_chain_for_walk, random_cycle_spec, wide_cycle_spec,
+)
 from quiverstair import cli, files
 from quiverstair.cycle import _walk_layout
+from quiverstair.linalg import _fro
 from quiverstair.errors import InconsistencyError, NumericError, ValidationError
 from quiverstair.quiver import assemble, regularity_defect
 
@@ -159,7 +162,8 @@ def _glue_blocks(res, shape):
 def block_loop_misfits(rep, res):
     """Per arrow, the norm of the input in the bases of ``res.trace`` minus
     ``push_down(a_prime) ⊕ a_tilde``, built by the public functions, over the
-    pinned blocks found by a loop: the reference for ``ShaveResult.misfits``."""
+    pinned blocks found by a loop: the reference for ``ShaveResult.misfits``,
+    in the same scaled norm."""
     shape, s, blocks = rep.shape, res.trace, _glue_blocks(res, rep.shape)
     glued = qs.direct_sum(qs.push_down(res.a_prime, res.l, res.n, shape), res.a_tilde)
     out = []
@@ -171,7 +175,7 @@ def block_loop_misfits(rep, res):
             for qc, c0, dc in blocks[u]:
                 if qr <= qc + 1 or (qr == float("inf") and qc == res.n + 1):
                     include[r0 : r0 + dr, c0 : c0 + dc] = True
-        out.append(float(np.linalg.norm(diff[include])))
+        out.append(_fro(diff[include]))
     return out
 
 
@@ -333,6 +337,20 @@ class TestShaveReductionResidual:
         short = dataclasses.replace(res, a_tilde=qs.zero_representation(self.SHAPE))
         with pytest.raises(ValidationError, match="does not fit"):
             qs.reduction_residual(rep, short)
+
+    def test_scaled_input_has_the_scaled_residual(self):
+        # scaling by 2^900 is exact, entries near 1e270 stay finite, and so does the
+        # max-abs scaled misfit, where a plain norm's squares overflow; every SVD is
+        # taken at unit scale, so the whole run scales exactly
+        rep, truth = qs.plant(wide_cycle_spec(0))
+        big = qs.Representation(rep.shape, rep.dims, tuple(m * 2.0**900 for m in rep.matrices))
+        dec, big_dec = qs.regularize(rep), qs.regularize(big)
+        assert (big_dec.summands, big_dec.regular_dim()) == (dec.summands, dec.regular_dim())
+        assert big_dec.threshold == dec.threshold * 2.0**900
+        for res, big_res in zip(dec.shaves, big_dec.shaves):
+            assert np.isfinite(big_res.residual)
+            assert big_res.residual == pytest.approx(res.residual * 2.0**900, rel=1e-12)
+        assert qs.verify(big, big_dec, truth).passed
 
 
 class TestWalkLayout:

@@ -479,6 +479,44 @@ class TestStaircase:
             linalg.staircase_reduce(np.eye(3), [1, 2], "diagonal", TOL.threshold(np.eye(3)))
 
 
+TINY = 2.0**-1060  # 3 and 4 times it are subnormal, and exact
+
+
+class TestFro:
+    """``_fro``, the one Frobenius norm: finite wherever the true norm is, exactly scaled
+    by powers of two, and non-finite entries read as themselves, with no warning."""
+
+    @pytest.mark.parametrize(
+        "m, want",
+        [
+            ([[3.0, 4.0j]], 5.0),
+            ([[1.5e300, 2e300j]], 2.5e300),  # the squares overflow
+            ([[3 * TINY], [4j * TINY]], 5 * TINY),  # the squares underflow
+            ([[1.5e308, 1.5e308]], np.inf),  # the norm itself is beyond float64
+            (np.zeros((0, 3)), 0.0),
+            (np.zeros((2, 2)), 0.0),
+            ([[np.inf, 1.0]], np.inf),
+            ([[np.nan, np.inf]], np.nan),
+        ],
+        ids=["plain", "overflow", "underflow", "beyond", "empty", "zero", "inf", "nan"],
+    )
+    def test_norm(self, m, want):
+        got = linalg._fro(np.asarray(m, dtype=complex))
+        assert got == pytest.approx(want, rel=1e-15, nan_ok=True)
+
+    def test_row_norms(self):
+        m = np.array([[3e300, 4e300j], [6.0, 8.0]]) * 2.0**-500
+        assert linalg._fro(m, axis=1) == pytest.approx([5e300 * 2.0**-500, 10 * 2.0**-500])
+        assert linalg._fro(np.zeros((3, 0)), axis=1).tolist() == [0.0] * 3
+
+    @pytest.mark.parametrize("k", [-1000, -600, 1, 600, 900])
+    def test_power_of_two_scaling_is_exact(self, k):
+        rng = np.random.default_rng(5)
+        m = random_complex(rng, 7, 5)
+        assert linalg._fro(m * 2.0**k) == linalg._fro(m) * 2.0**k
+        assert np.array_equal(linalg._fro(m * 2.0**k, axis=1), linalg._fro(m, axis=1) * 2.0**k)
+
+
 class TestIsZero:
     """``_is_zero`` answers "sigma_max <= tau?" from max|a_ij| and the Frobenius norm when
     they settle it; otherwise, and for an inf or nan entry, ``_decide`` answers."""
