@@ -59,6 +59,6 @@ print(f"\nlargest entry, in the returned bases, where a staircase demands a zero
 print("dimension ledger matches input:", form.dims() == rep.dims)
 
 # The canonical form can be rebuilt and re-decomposed: a fixed point.
-rebuilt = qs.assemble_canonical(form, shape)
+rebuilt = qs.assemble(shape, form.sorted_labels())
 again, _ = qs.canon_chain(rebuilt)
 print("canon(assemble(form)) == form:", again.counts == form.counts)

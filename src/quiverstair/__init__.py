@@ -25,6 +25,7 @@ from .quiver import (
     QuiverShape,
     Representation,
     apply_isomorphism,
+    assemble,
     chain_shape,
     cycle_shape,
     direct_sum,
@@ -32,12 +33,10 @@ from .quiver import (
     make_G,
     representation_scale,
     transpose_rep,
-    zero_representation,
 )
 from .chain import (
     ChainCanonicalForm,
     ChainTrace,
-    assemble_canonical,
     canon_chain,
     reduction_residual,
 )
@@ -82,17 +81,16 @@ __all__ = [
     "chain_shape",
     "cycle_shape",
     "Representation",
-    "zero_representation",
     "representation_scale",
     "direct_sum",
     "transpose_rep",
     "apply_isomorphism",
+    "assemble",
     "make_G",
     "g_label_dims",
     "ChainCanonicalForm",
     "ChainTrace",
     "canon_chain",
-    "assemble_canonical",
     "reduction_residual",
     "ShaveResult",
     "shave",

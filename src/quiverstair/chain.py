@@ -43,7 +43,6 @@ from .quiver import (
     QuiverShape,
     Representation,
     _check_kind,
-    assemble,
     label_dims,
 )
 
@@ -52,7 +51,6 @@ __all__ = [
     "ChainStep",
     "ChainTrace",
     "canon_chain",
-    "assemble_canonical",
     "reduction_residual",
 ]
 
@@ -165,13 +163,6 @@ def canon_chain(
         counts[(p, t)] += k
     trace.residual = reduction_residual(a, trace)
     return ChainCanonicalForm(t, counts), trace
-
-
-def assemble_canonical(form: ChainCanonicalForm, shape: QuiverShape) -> Representation:
-    """Direct sum of the form's interval summands, lexicographic label order."""
-    if shape.kind != CHAIN or shape.t != form.t:
-        raise ValidationError("shape does not match the canonical form")
-    return assemble(shape, form.sorted_labels())
 
 
 def reduction_residual(a: Representation, result) -> float:

@@ -25,14 +25,16 @@ from .chain import canon_chain
 from .cycle import regularize
 from .errors import InconsistencyError, NumericError, ValidationError
 from .files import (
+    FORMAT_VERSION,
     load_plant_spec,
     load_representation,
+    plant_spec_from_dict,
     save_plant_spec,
     save_representation,
 )
 from .linalg import DEFAULT_TOL, TolerancePolicy
-from .oracle import REPORT_VERSION, PlantSpec, _check_truth, plant, report, verify
-from .quiver import CHAIN, CYCLE, LABEL_TAG, QuiverShape
+from .oracle import REPORT_VERSION, _check_truth, plant, report, verify
+from .quiver import CHAIN, CYCLE
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -146,22 +148,19 @@ def _cmd_decompose(args) -> int:
     return EXIT_OK if payload["dimension_check"] else EXIT_NUMERIC
 
 
-def _parse_labels(text: str, kind: str):
-    """``KIND:low:high[:count]`` labels; KIND is ``L`` for a chain, ``G`` for a cycle."""
+def _parse_labels(text: str):
+    """``KIND:low:high[:count]`` labels as the ``[KIND, low, high, count]`` rows of a spec file."""
     out = []
-    want = LABEL_TAG[kind]
     for piece in text.split(",") if text else ():
         fields = piece.strip().split(":")
         if len(fields) not in (3, 4):
             raise ValidationError(f"label {piece!r}: expected KIND:low:high[:count]")
-        if fields[0] != want:
-            raise ValidationError(f"label {piece!r}: a {kind} takes {want} labels")
         try:
             lo, hi = int(fields[1]), int(fields[2])
             count = int(fields[3]) if len(fields) == 4 else 1
         except ValueError:
             raise ValidationError(f"label {piece!r}: low, high, count must be integers") from None
-        out.append(((lo, hi), count))
+        out.append([fields[0], lo, hi, count])
     return out
 
 
@@ -176,7 +175,8 @@ def _parse_eigs(text: str):
     return tuple(out)
 
 
-# the plant-spec fields a spec file fixes; only --seed may override it
+# the plant-spec fields a spec file fixes, each set by the flag of its name; only --seed
+# may override a spec file
 _SPEC_FIELDS = ("kind", "t", "orientations", "labels", "regular_eigs", "scramble")
 
 
@@ -186,18 +186,16 @@ def _cmd_gen(args) -> int:
         if given:
             raise ValidationError(f"{', '.join(given)} cannot be combined with --spec")
         spec = load_plant_spec(args.spec)
-        if args.seed is not None:
-            spec = dataclasses.replace(spec, seed=args.seed)
     else:
         if not (args.kind and args.t is not None and args.orientations is not None):
             raise ValidationError("gen needs --spec or all of --kind/--t/--orientations")
-        spec = PlantSpec(
-            shape=QuiverShape(args.kind, args.t, args.orientations),
-            labels=tuple(_parse_labels(args.labels, args.kind)),
-            regular_eigs=_parse_eigs(args.regular_eigs),
-            seed=args.seed if args.seed is not None else 0,
-            scramble=args.scramble or "unitary",
-        )
+        # the flags as a spec file holds them; one left out takes PlantSpec's default
+        args.labels = _parse_labels(args.labels)
+        args.regular_eigs = [[z.real, z.imag] for z in _parse_eigs(args.regular_eigs)]
+        fields = {f: getattr(args, f) for f in _SPEC_FIELDS if getattr(args, f) is not None}
+        spec = plant_spec_from_dict({"version": FORMAT_VERSION, **fields})
+    if args.seed is not None:
+        spec = dataclasses.replace(spec, seed=args.seed)
     rep, truth = plant(spec)
     save_representation(args.output_path, rep)
     truth_path = args.truth or args.output_path + ".truth.json"

@@ -226,9 +226,7 @@ def shave(a: Representation, tol: TolerancePolicy = DEFAULT_TOL) -> ShaveResult:
         r += 1
 
     trace = [np.eye(d, dtype=np.complex128) if s is None else s for d, s in zip(a.dims, trace)]
-    prime_orients = "".join(shape.orientations[shape.wrap(q) - 1] for q in range(l + 1, n + 1))
-    prime_shape = QuiverShape(CHAIN, n + 1 - l, prime_orients)
-    a_prime = Representation(prime_shape, tuple(chain_dims), tuple(chain_mats))
+    a_prime = Representation(_walk_shape(shape, l, n), tuple(chain_dims), tuple(chain_mats))
     # vertex i's remaining dimension, read off arrow i, whose source or target it is
     dims = [m.shape[1 if shape.is_clockwise(i) else 0] for i, m in enumerate(mats, 1)]
     a_tilde = Representation(shape, dims, tuple(mats))
@@ -254,6 +252,12 @@ def _walk_layout(shape: QuiverShape, start: int, sizes) -> tuple[list[int], tupl
     return offsets, tuple(dims)
 
 
+def _walk_shape(shape: QuiverShape, l: int, n: int) -> QuiverShape:
+    """The chain over the walk positions ``l+1..n+1`` of the cycle ``shape``, for ``n >= l``."""
+    orientations = "".join(shape.orientations[shape.wrap(q) - 1] for q in range(l + 1, n + 1))
+    return QuiverShape(CHAIN, n + 1 - l, orientations)
+
+
 def _check_chain(
     who: str, b: Representation | None, l: int, n: int, shape: QuiverShape
 ) -> int:
@@ -264,23 +268,14 @@ def _check_chain(
     _check_kind(who, shape, CYCLE)
     l = _check_int(who, "l", l)
     n = _check_int(who, "n", n, l - 1)
-    m_len = n + 1 - l
     if b is None:
-        if m_len != 0:
-            raise ValidationError(f"{who} got no chain but n-l+1={m_len} vertices")
-        return l
-    if b.shape.kind != CHAIN or b.shape.t != m_len:
+        if n != l - 1:
+            raise ValidationError(f"{who} got no chain but n-l+1={n + 1 - l} vertices")
+    elif n == l - 1 or b.shape != _walk_shape(shape, l, n):
         raise ValidationError(
-            f"chain has {b.shape.t if b.shape.kind == CHAIN else 'non-chain'} vertices, "
-            f"expected {m_len} from (l={l}, n={n})"
+            f"{who} got a {b.shape.kind} of t={b.shape.t} with orientations "
+            f"{b.shape.orientations!r}, not the chain over walk positions {l + 1}..{n + 1}"
         )
-    for j in range(1, m_len):
-        want = shape.orientations[shape.wrap(l + j) - 1]
-        if b.shape.orientations[j - 1] != want:
-            raise ValidationError(
-                f"chain arrow {j} is {b.shape.orientations[j - 1]!r} but cycle arrow "
-                f"{shape.wrap(l + j)} is {want!r}"
-            )
     return l
 
 
@@ -330,6 +325,17 @@ def push_down(
     return Representation(shape, dims, tuple(mats))
 
 
+# monodromy rescales a partial product only when its largest modulus leaves [2^-64, 2^64]:
+# one that stays there is used as it is, since LAPACK's eigenvalues of 2^k M are not bitwise
+# 2^k times those of M, and one rescaled keeps 2^960 of room for the next factor
+_MODERATE_EXPONENT = 64
+
+
+def _ldexp(z: np.ndarray, k: int) -> np.ndarray:
+    """``z * 2^k`` for a complex array, exact unless it leaves the normal float64 range."""
+    return np.ldexp(np.ascontiguousarray(z).view(np.float64), k).view(np.complex128)
+
+
 def monodromy(
     p: Representation, tol: TolerancePolicy = DEFAULT_TOL
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -343,10 +349,12 @@ def monodromy(
     Raises :class:`ValidationError`, naming the defect as
     :func:`regularity_defect` does, if ``p`` is not regular at
     ``tol.threshold`` of all its matrices, and :class:`NumericError` if the
-    product leaves the float64 range: a non-finite entry or an eigenvalue
-    that is exactly 0.  Each arrow is decided by one SVD: a clockwise one by
-    its singular values, a counterclockwise one by the :func:`svd_inverse`
-    that also inverts it, at that threshold.
+    product or its eigenvalues leave the float64 range: a non-finite entry
+    or eigenvalue, or an eigenvalue that is exactly 0; the running product
+    is kept as a matrix times a power of two, so a partial product may leave
+    it.  Each arrow is decided by one SVD: a clockwise one by its singular
+    values, a counterclockwise one by the :func:`svd_inverse` that also
+    inverts it, at that threshold.
     """
     _check_tol(tol)
     _check_kind("monodromy", p.shape, CYCLE)
@@ -368,15 +376,21 @@ def monodromy(
                 defect = _singular_arrow(i, _decide(m, tau, uv=True)[0][-1], tau)
         if defect:
             raise ValidationError(f"monodromy needs a regular representation: {defect}")
-        out = factors[0]
+        out, e = factors[0], 0  # the product is out * 2^e
         for f in factors[1:]:
             out = f @ out
-    if not np.isfinite(out).all():
-        raise NumericError("monodromy product overflowed: non-finite entries")
-    eigs = np.linalg.eigvals(out)
+            k = np.frexp(np.abs(out).max(initial=0.0))[1]  # 0 for a zero, inf or nan product
+            if abs(k) > _MODERATE_EXPONENT:
+                out, e = _ldexp(out, -k), e + k
+        overflow = NumericError("monodromy product overflowed: non-finite entries")
+        if not np.isfinite(out).all():  # a factor near the float64 limit, or a nan
+            raise overflow
+        mono, eigs = _ldexp(out, e), _ldexp(np.linalg.eigvals(out), e)
+    if not (np.isfinite(mono).all() and np.isfinite(eigs).all()):
+        raise overflow
     if (eigs == 0).any():
         raise NumericError("monodromy product underflowed: an eigenvalue is exactly 0")
-    return out, eigs
+    return mono, eigs
 
 
 @dataclass

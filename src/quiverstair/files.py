@@ -105,11 +105,29 @@ def _matrix_from_dict(d, where: str, version: int) -> np.ndarray:
     return out.reshape(rows, cols)
 
 
-def _version(d: dict) -> int:
+def _header(s: QuiverShape) -> dict:
+    """The fields every file starts with: the format version and the quiver ``s``."""
+    return {"version": FORMAT_VERSION, "kind": s.kind, "t": s.t, "orientations": s.orientations}
+
+
+def _read_header(d, what: str) -> tuple[int, QuiverShape]:
+    """The format version and the quiver of the file dict ``d`` holding a ``what``."""
+    if not isinstance(d, dict):
+        raise ValidationError(f"{what} file must hold a JSON object")
     version = d.get("version")
     if not (_is_int(version) and version in _READABLE_VERSIONS):
         raise ValidationError(f"unsupported format version {version!r}")
-    return version
+    try:
+        return version, QuiverShape(d.get("kind"), d["t"], d["orientations"])
+    except KeyError as exc:
+        raise ValidationError(f"missing or malformed field: {exc}") from exc
+
+
+def _write_json(path, d: dict):
+    """Write ``d`` as the files are written: indented JSON and a final newline."""
+    with open(path, "w", encoding="utf-8") as fp:
+        json.dump(d, fp, indent=1)
+        fp.write("\n")
 
 
 def _read_json(path):
@@ -124,21 +142,15 @@ def _read_json(path):
 
 def representation_to_dict(rep: Representation) -> dict:
     return {
-        "version": FORMAT_VERSION,
-        "kind": rep.shape.kind,
-        "t": rep.shape.t,
-        "orientations": rep.shape.orientations,
+        **_header(rep.shape),
         "dims": list(rep.dims),
         "matrices": [_matrix_to_dict(m) for m in rep.matrices],
     }
 
 
 def representation_from_dict(d: dict) -> Representation:
-    if not isinstance(d, dict):
-        raise ValidationError("representation file must hold a JSON object")
-    version = _version(d)
+    version, shape = _read_header(d, "representation")
     try:
-        shape = QuiverShape(d.get("kind"), d["t"], d["orientations"])
         dims = tuple(d["dims"])
         raw_mats = d["matrices"]
     except (KeyError, TypeError) as exc:
@@ -152,9 +164,7 @@ def representation_from_dict(d: dict) -> Representation:
 
 
 def save_representation(path, rep: Representation):
-    with open(path, "w", encoding="utf-8") as fp:
-        json.dump(representation_to_dict(rep), fp, indent=1)
-        fp.write("\n")
+    _write_json(path, representation_to_dict(rep))
 
 
 def load_representation(path) -> Representation:
@@ -163,10 +173,7 @@ def load_representation(path) -> Representation:
 
 def plant_spec_to_dict(spec: PlantSpec) -> dict:
     return {
-        "version": FORMAT_VERSION,
-        "kind": spec.shape.kind,
-        "t": spec.shape.t,
-        "orientations": spec.shape.orientations,
+        **_header(spec.shape),
         "labels": [[LABEL_TAG[spec.shape.kind], a, b, m] for (a, b), m in spec.labels],
         "regular_eigs": [[z.real, z.imag] for z in spec.regular_eigs],
         "seed": spec.seed,
@@ -176,11 +183,13 @@ def plant_spec_to_dict(spec: PlantSpec) -> dict:
 
 
 def plant_spec_from_dict(d: dict) -> PlantSpec:
-    if not isinstance(d, dict):
-        raise ValidationError("plant spec file must hold a JSON object")
-    _version(d)
+    """The plant spec a spec-file dict holds; ``gen``'s flags are read as such a dict.
+
+    Checks each label's tag against the quiver kind; an absent ``seed``,
+    ``scramble`` or ``max_condition`` takes :class:`PlantSpec`'s default.
+    """
+    _, shape = _read_header(d, "plant spec")
     try:
-        shape = QuiverShape(d["kind"], d["t"], d["orientations"])
         labels = []
         for k, row in enumerate(d.get("labels", [])):
             tag, a, b, m = row
@@ -196,14 +205,8 @@ def plant_spec_from_dict(d: dict) -> PlantSpec:
                     f"regular_eigs[{k}]: must be a [re, im] pair of numbers, got {pair!r}"
                 )
             eigs.append(complex(*pair))
-        return PlantSpec(
-            shape=shape,
-            labels=tuple(labels),
-            regular_eigs=tuple(eigs),
-            seed=d.get("seed", 0),
-            scramble=d.get("scramble", "unitary"),
-            max_condition=d.get("max_condition", 1e3),
-        )
+        optional = {f: d[f] for f in ("seed", "scramble", "max_condition") if f in d}
+        return PlantSpec(shape, tuple(labels), tuple(eigs), **optional)
     except ValidationError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -211,9 +214,7 @@ def plant_spec_from_dict(d: dict) -> PlantSpec:
 
 
 def save_plant_spec(path, spec: PlantSpec):
-    with open(path, "w", encoding="utf-8") as fp:
-        json.dump(plant_spec_to_dict(spec), fp, indent=1)
-        fp.write("\n")
+    _write_json(path, plant_spec_to_dict(spec))
 
 
 def load_plant_spec(path) -> PlantSpec:

@@ -206,36 +206,38 @@ def _fro(m: np.ndarray, axis: int | None = None):
     have overflowed or underflowed is taken again from the parts scaled by
     the power of two that brings their largest modulus to ``[1/2, 1)``, as
     LAPACK's ``dznrm2`` scales, so the norm is finite wherever the true one
-    is, and ``2^j`` times the norm of ``m / 2^j``.  An ``inf`` entry gives
-    ``inf``, a ``nan`` one ``nan``, and a norm beyond float64 reads ``inf``,
-    all without a warning.  An empty ``m`` has norm 0.
+    is, and ``2^j`` times the norm of ``m / 2^j``; with ``axis=1`` each such
+    row is scaled by its own power of two.  An ``inf`` entry gives ``inf``,
+    a ``nan`` one ``nan``, and a norm beyond float64 reads ``inf``, all
+    without a warning.  An empty ``m`` has norm 0.
     """
     if m.dtype.kind == "c":
         m = np.ascontiguousarray(m).view(np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
-        if axis is None:
-            y = m.ravel()
-            squares = float(y.dot(y))
-            if _SQUARES_LOW <= squares <= _SQUARES_HIGH:
-                return math.sqrt(squares)
-        else:
+        if axis is not None:
             squares = np.einsum("ij,ij->i", m, m)
-            low, high = squares.min(initial=1.0), squares.max(initial=1.0)
-            if _SQUARES_LOW <= low and high <= _SQUARES_HIGH:
-                return np.sqrt(squares)
-        lo, hi = (float(m.min()), float(m.max())) if m.size else (0.0, 0.0)
+            out = np.sqrt(squares)
+            redo = ~((_SQUARES_LOW <= squares) & (squares <= _SQUARES_HIGH))
+            if redo.any():
+                rows = m[redo]
+                e = np.frexp(np.abs(rows).max(axis=1, initial=0.0))[1]  # 0 for 0, inf, nan
+                rows = np.ldexp(rows, -e[:, None])
+                out[redo] = np.ldexp(np.sqrt(np.einsum("ij,ij->i", rows, rows)), e)
+            return out
+        y = m.ravel()
+        squares = float(y.dot(y))
+        if _SQUARES_LOW <= squares <= _SQUARES_HIGH:
+            return math.sqrt(squares)
+        lo, hi = (float(y.min()), float(y.max())) if y.size else (0.0, 0.0)
         top = max(hi, -lo) if lo == lo and hi == hi else math.nan
         if not 0 < top < math.inf:  # all zero, or an inf or nan entry
-            return top if axis is None else np.linalg.norm(m, axis=axis)
+            return top
         e = math.frexp(top)[1]
-        m = np.ldexp(m, -e)
-        if axis is None:
-            y = m.ravel()
-            try:
-                return math.ldexp(math.sqrt(float(y.dot(y))), e)
-            except OverflowError:  # beyond float64
-                return math.inf
-        return np.ldexp(np.sqrt(np.einsum("ij,ij->i", m, m)), e)
+        y = np.ldexp(y, -e)
+        try:
+            return math.ldexp(math.sqrt(float(y.dot(y))), e)
+        except OverflowError:  # beyond float64
+            return math.inf
 
 
 def _numeric_error(m: np.ndarray, what: str, detail: str = "") -> NumericError:

@@ -34,7 +34,6 @@ __all__ = [
     "chain_shape",
     "cycle_shape",
     "Representation",
-    "zero_representation",
     "representation_scale",
     "direct_sum",
     "transpose_rep",
@@ -166,12 +165,6 @@ class Representation:
             mats.append(m)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "matrices", tuple(mats))
-
-
-def zero_representation(shape: QuiverShape) -> Representation:
-    dims = (0,) * shape.t
-    mats = tuple(np.zeros((0, 0)) for _ in range(shape.arrow_count))
-    return Representation(shape, dims, mats)
 
 
 def representation_scale(rep: Representation) -> float:

@@ -79,7 +79,7 @@ class TestCanonChainBasics:
 
     def test_rejects_cycles(self):
         with pytest.raises(ValidationError):
-            qs.canon_chain(qs.zero_representation(qs.cycle_shape(2, "><")))
+            qs.canon_chain(qs.assemble(qs.cycle_shape(2, "><"), ()))
 
 
 class TestWorkedExample:
@@ -155,12 +155,13 @@ class TestAssembleCanonical:
     def test_full_intervals(self):
         shape = qs.chain_shape(3, "><")
         form = qs.ChainCanonicalForm(3, Counter({(1, 3): 2}))
-        rep = qs.assemble_canonical(form, shape)
+        rep = qs.assemble(shape, form.sorted_labels())
         assert rep.dims == (2, 2, 2)
         assert all(np.array_equal(m, np.eye(2)) for m in rep.matrices)
 
     def test_empty_form(self):
-        rep = qs.assemble_canonical(qs.ChainCanonicalForm(3, Counter()), qs.chain_shape(3, ">>"))
+        form = qs.ChainCanonicalForm(3, Counter())
+        rep = qs.assemble(qs.chain_shape(3, ">>"), form.sorted_labels())
         assert rep.dims == (0, 0, 0)
 
     def test_worked_example_dims(self):
@@ -171,7 +172,7 @@ class TestAssembleCanonical:
             for v in range(i, j + 1):
                 indicator[v - 1] += m
         form = qs.ChainCanonicalForm(4, expected)
-        rep = qs.assemble_canonical(form, qs.chain_shape(4, ">><"))
+        rep = qs.assemble(qs.chain_shape(4, ">><"), form.sorted_labels())
         assert rep.dims == tuple(indicator) == (4, 5, 4, 5)
 
 
@@ -198,7 +199,7 @@ class TestChainProperties:
                         j = int(rng.integers(i, t + 1))
                         counts[(i, j)] += int(rng.integers(1, 3))
                     form = qs.ChainCanonicalForm(t, counts)
-                    rep = qs.assemble_canonical(form, shape)
+                    rep = qs.assemble(shape, form.sorted_labels())
                     s = [qs.random_unitary(d, [91, v]) for v, d in enumerate(rep.dims, 1)]
                     got, _ = qs.canon_chain(qs.apply_isomorphism(rep, s))
                     assert got.counts == counts, (orient, dict(counts))
@@ -215,8 +216,8 @@ class TestChainProperties:
                 for (i, j), m in spec_b.labels
                 if m
             }
-            a = qs.assemble_canonical(qs.ChainCanonicalForm(shape.t, spec_a.label_counts()), shape)
-            b = qs.assemble_canonical(qs.ChainCanonicalForm(shape.t, Counter(labels_b)), shape)
+            a = qs.assemble(shape, spec_a.labels)
+            b = qs.assemble(shape, sorted(labels_b.items()))
             both = qs.direct_sum(a, b)
             s = [qs.random_unitary(d, [seed, v]) for v, d in enumerate(both.dims, 1)]
             form, _ = qs.canon_chain(qs.apply_isomorphism(both, s))

@@ -18,7 +18,7 @@ from quiverstair.quiver import assemble, regularity_defect
 
 def assemble_cycle(spec):
     """Unscrambled direct sum described by a cycle plant spec."""
-    rep = qs.zero_representation(spec.shape)
+    rep = qs.assemble(spec.shape, ())
     for (a, b), mult in spec.labels:
         for _ in range(mult):
             rep = qs.direct_sum(rep, qs.make_G(a, b, spec.shape))
@@ -140,7 +140,7 @@ class TestShaveBasics:
 
     def test_rejects_chains(self):
         with pytest.raises(ValidationError):
-            qs.shave(qs.zero_representation(qs.chain_shape(2, ">")))
+            qs.shave(qs.assemble(qs.chain_shape(2, ">"), ()))
 
 
 def _glue_blocks(res, shape):
@@ -235,6 +235,20 @@ class TestGlueMatrices:
             qs.reduction_residual(rep, flipped)
         with pytest.raises(ValidationError, match="misfits got no chain"):
             qs.reduction_residual(rep, dataclasses.replace(res, a_prime=None))
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda r: dict(a_prime=qs.transpose_rep(r.a_prime)), lambda r: dict(n=r.n + 1)],
+        ids=["orientation", "length"],
+    )
+    def test_chain_off_the_walk_raises(self, edit):
+        rep, _ = qs.plant(TestGlueMask.SPEC)
+        res = qs.shave(rep)
+        assert res.a_prime.shape.t >= 2
+        off = dataclasses.replace(res, **edit(res))
+        want = "^misfits got a chain .*, not the chain over walk positions"
+        with pytest.raises(ValidationError, match=want):
+            off.misfits(rep.shape, _moved(rep, res))
 
 
 class TestGlueMask:
@@ -334,7 +348,7 @@ class TestShaveReductionResidual:
 
     def test_split_that_does_not_fit_raises(self, shaved):
         rep, res = shaved
-        short = dataclasses.replace(res, a_tilde=qs.zero_representation(self.SHAPE))
+        short = dataclasses.replace(res, a_tilde=qs.assemble(self.SHAPE, ()))
         with pytest.raises(ValidationError, match="does not fit"):
             qs.reduction_residual(rep, short)
 
@@ -424,6 +438,23 @@ class TestPushDown:
         with pytest.raises(ValidationError):
             qs.push_down(chain, 1, 2, shape)
 
+    @pytest.mark.parametrize(
+        "b_shape, l, n",
+        [
+            (qs.chain_shape(2, "<"), 1, 2),
+            (qs.chain_shape(2, ">"), 1, 3),
+            (qs.chain_shape(1, ""), 3, 2),
+            (qs.cycle_shape(2, ">>"), 1, 2),
+        ],
+        ids=["orientation", "length", "walk-of-no-positions", "not-a-chain"],
+    )
+    def test_chain_off_the_walk_named(self, b_shape, l, n):
+        # the one check: b's shape is the chain over walk positions l+1..n+1, compared whole
+        b = qs.assemble(b_shape, ())
+        want = rf"^push_down got a .*, not the chain over walk positions {l + 1}\.\.{n + 1}$"
+        with pytest.raises(ValidationError, match=want):
+            qs.push_down(b, l, n, qs.cycle_shape(3, ">>>"))
+
 
 class TestMonodromy:
     def test_identities(self):
@@ -452,7 +483,7 @@ class TestMonodromy:
         assert np.allclose(mono, m_inv @ a1)
 
     def test_empty_cycle(self):
-        rep = qs.zero_representation(qs.cycle_shape(3, "><>"))
+        rep = qs.assemble(qs.cycle_shape(3, "><>"), ())
         assert is_regular(rep)
         mono, eigs = qs.monodromy(rep)
         assert mono.shape == (0, 0) and eigs.shape == (0,) and eigs.dtype == np.complex128
@@ -518,6 +549,25 @@ class TestMonodromy:
         assert cli.main(["regularize", str(path)]) == 3
         assert capsys.readouterr().err.startswith("numeric error: ")
         assert [w for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
+
+
+    @pytest.mark.parametrize("k", [200, -200])
+    def test_product_beyond_float64_midway_keeps_the_decomposition(self, k):
+        # six arrows scaled by 2^k, then six inverses scaled by 2^-k: the running
+        # product passes 2^(6k) on the way round and ends near the unscaled one
+        spec = qs.PlantSpec(
+            qs.cycle_shape(12, ">>>>>><<<<<<"),
+            (((1, 3), 1), ((5, 14), 2), ((9, 9), 1)),
+            regular_eigs=(2, -1j, 0.5 + 0.5j),
+            seed=4,
+        )
+        rep, _ = qs.plant(spec)
+        scaled = qs.Representation(rep.shape, rep.dims, tuple(m * 2.0**k for m in rep.matrices))
+        tol = qs.TolerancePolicy(abs_floor=1e-300)  # a floor below every scaled entry
+        want, got = qs.regularize(rep, tol), qs.regularize(scaled, tol)
+        assert (got.summands, got.regular_dim()) == (want.summands, want.regular_dim()) != ({}, 0)
+        w, g = (np.sort_complex(d.monodromy_eigenvalues) for d in (want, got))
+        np.testing.assert_allclose(g, w, rtol=1e-12, atol=0)
 
 
 class TestRegularize:
@@ -733,7 +783,7 @@ class TestRegularize:
 
     def test_rejects_chains(self):
         with pytest.raises(ValidationError):
-            qs.regularize(qs.zero_representation(qs.chain_shape(2, ">")))
+            qs.regularize(qs.assemble(qs.chain_shape(2, ">"), ()))
 
 
 class TestSvdCount:

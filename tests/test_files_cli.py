@@ -732,6 +732,54 @@ def test_gen_spec_refuses_the_fields_it_fixes(tmp_path, capsys, flags, named):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags, spec",
+    [
+        (
+            ["--kind", "cycle", "--t", "3", "--orientations", "><<",
+             "--labels", "G:1:4,G:3:3:2", "--regular-eigs=2,0.5+1.5i,-3"],
+            {"kind": "cycle", "t": 3, "orientations": "><<",
+             "labels": [["G", 1, 4, 1], ["G", 3, 3, 2]],
+             "regular_eigs": [[2, 0], [0.5, 1.5], [-3, 0]]},
+        ),
+        (
+            ["--kind", "chain", "--t", "4", "--orientations", "><>",
+             "--labels", "L:1:3:2,L:2:4", "--seed", "9", "--scramble", "invertible"],
+            {"kind": "chain", "t": 4, "orientations": "><>",
+             "labels": [["L", 1, 3, 2], ["L", 2, 4, 1]], "seed": 9, "scramble": "invertible"},
+        ),
+    ],
+    ids=["cycle-defaults", "chain-seed-scramble"],
+)
+def test_gen_flags_write_what_the_spec_file_writes(tmp_path, flags, spec):
+    # the flags are read as the spec file that holds them, so both write the same bytes
+    by_flags, by_spec = str(tmp_path / "flags.json"), str(tmp_path / "spec.json")
+    spec_path = write_json(tmp_path / "plant.json", {"version": 2, **spec})
+    assert cli.main(["gen", by_flags, *flags]) == 0
+    assert cli.main(["gen", by_spec, "--spec", str(spec_path)]) == 0
+    for suffix in ("", ".truth.json"):
+        assert Path(by_flags + suffix).read_bytes() == Path(by_spec + suffix).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "kind, orientations, tag",
+    [("cycle", "><", "L"), ("chain", ">", "G"), ("cycle", "><", "X")],
+    ids=["L-on-cycle", "G-on-chain", "unknown"],
+)
+def test_gen_label_tag_is_judged_by_the_spec_reader(tmp_path, capsys, kind, orientations, tag):
+    good = "G" if kind == "cycle" else "L"
+    argv = ["gen", str(tmp_path / "g.json"), "--kind", kind, "--t", "2",
+            "--orientations", orientations, "--labels", f"{good}:1:1,{tag}:1:2"]
+    spec = {"version": 2, "kind": kind, "t": 2, "orientations": orientations,
+            "labels": [[good, 1, 1, 1], [tag, 1, 2, 1]]}
+    with pytest.raises(ValidationError) as reader:
+        files.plant_spec_from_dict(spec)
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {reader.value}\n"
+    assert str(reader.value) == f"labels[1]: tag {tag!r} does not match kind {kind!r}"
+
+
 # Planted inputs for the entry-point agreement: the degenerate cases among them
 # are a t=1 chain, a t=2 cycle, zero-dimensional vertices and all-zero maps.
 AGREEMENT_SPECS = {

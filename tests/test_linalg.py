@@ -509,6 +509,12 @@ class TestFro:
         assert linalg._fro(m, axis=1) == pytest.approx([5e300 * 2.0**-500, 10 * 2.0**-500])
         assert linalg._fro(np.zeros((3, 0)), axis=1).tolist() == [0.0] * 3
 
+    @pytest.mark.parametrize("big", [3e300, 3e-300], ids=["overflow", "underflow"])
+    def test_each_row_takes_its_own_scale(self, big):
+        # a row far below or above another keeps its norm: the rows are not scaled together
+        m = np.array([[big, big * 4 / 3], [6.0, 8.0j]])
+        assert linalg._fro(m, axis=1) == pytest.approx([big * 5 / 3, 10.0], rel=1e-15, abs=0)
+
     @pytest.mark.parametrize("k", [-1000, -600, 1, 600, 900])
     def test_power_of_two_scaling_is_exact(self, k):
         rng = np.random.default_rng(5)

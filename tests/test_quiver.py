@@ -72,10 +72,10 @@ _CYCLE2 = qs.cycle_shape(2, "><")
 
 # every function that takes a quiver of one kind, called on the other kind
 WRONG_KIND_CALLS = {
-    "canon_chain": (lambda: qs.canon_chain(qs.zero_representation(_CYCLE2)), "chain", "cycle"),
-    "shave": (lambda: qs.shave(qs.zero_representation(_CHAIN2)), "cycle", "chain"),
-    "monodromy": (lambda: qs.monodromy(qs.zero_representation(_CHAIN2)), "cycle", "chain"),
-    "regularize": (lambda: qs.regularize(qs.zero_representation(_CHAIN2)), "cycle", "chain"),
+    "canon_chain": (lambda: qs.canon_chain(qs.assemble(_CYCLE2, ())), "chain", "cycle"),
+    "shave": (lambda: qs.shave(qs.assemble(_CHAIN2, ())), "cycle", "chain"),
+    "monodromy": (lambda: qs.monodromy(qs.assemble(_CHAIN2, ())), "cycle", "chain"),
+    "regularize": (lambda: qs.regularize(qs.assemble(_CHAIN2, ())), "cycle", "chain"),
     "push_down": (lambda: qs.push_down(None, 1, 0, _CHAIN2), "cycle", "chain"),
     "g_label_dims": (lambda: qs.g_label_dims(_CHAIN2, 1, 1), "cycle", "chain"),
     "make_G": (lambda: qs.make_G(1, 1, _CHAIN2), "cycle", "chain"),
@@ -126,7 +126,7 @@ class TestDirectSum:
     def test_neutral_element(self):
         shape = qs.cycle_shape(2, "><")
         a = qs.Representation(shape, (1, 1), (np.eye(1), 2 * np.eye(1)))
-        z = qs.zero_representation(shape)
+        z = qs.assemble(shape, ())
         s = qs.direct_sum(a, z)
         assert s.dims == a.dims
         assert all(np.array_equal(x, y) for x, y in zip(s.matrices, a.matrices))
@@ -151,8 +151,8 @@ class TestDirectSum:
         assert np.allclose(s.matrices[0][3:], 0)
 
     def test_shape_mismatch(self):
-        a = qs.zero_representation(qs.cycle_shape(2, "><"))
-        b = qs.zero_representation(qs.cycle_shape(2, ">>"))
+        a = qs.assemble(qs.cycle_shape(2, "><"), ())
+        b = qs.assemble(qs.cycle_shape(2, ">>"), ())
         with pytest.raises(ValidationError):
             qs.direct_sum(a, b)
 
@@ -393,7 +393,7 @@ class TestAssemble:
             arrows = t - 1 if kind == qs.CHAIN else t
             shape = qs.QuiverShape(kind, t, "".join("><"[rng.integers(0, 2)] for _ in range(arrows)))
             labels = _random_labels(rng, shape)
-            want = qs.zero_representation(shape)
+            want = qs.assemble(shape, ())
             for (a, b), m in labels:
                 for _ in range(m):
                     want = qs.direct_sum(want, _walk_summand(shape, a, b))
