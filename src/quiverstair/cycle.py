@@ -25,6 +25,7 @@ from .chain import canon_chain, reduction_residual
 from .errors import InconsistencyError, NumericError, ValidationError
 from .linalg import (
     DEFAULT_TOL,
+    _BLOCK_MIN_DIM,
     _REVISIT_MIN_DIM,
     TolerancePolicy,
     _check_int,
@@ -32,6 +33,9 @@ from .linalg import (
     _decide,
     _fro,
     _is_zero,
+    _left,
+    _reflector_block,
+    _right,
     _row_compress_revisit,
     col_compress,
     row_compress,
@@ -123,15 +127,27 @@ def shave(a: Representation, tol: TolerancePolicy = DEFAULT_TOL) -> ShaveResult:
     Uses a single rank threshold, ``tol.threshold`` of all the input's
     matrices, so that strips consisting purely of noise compress to rank
     zero; ``threshold`` on the result reports it.  Each matrix takes at most
-    one SVD per decision: the start scan's compression of arrow ``l`` is step
-    ``l``'s, and the stop rule ``sigma_max(pending) <= tau`` is answered by
-    the exact bounds ``max|a_ij| <= sigma_max <= ||a||_F`` whenever they
-    settle it, by an SVD only otherwise (see :func:`linalg._is_zero`).  A
-    revisited clockwise arrow whose last visit was a full compression, of a
-    block at least ``_REVISIT_MIN_DIM`` square, is decided from the columns
-    that left it when two certificates settle its rank with margin, by an
-    SVD otherwise (see :func:`linalg._row_compress_revisit`); the next
-    revisit of that arrow is a full one.
+    one SVD per decision: the start scan passes an arrow of full row rank on
+    the singular values the threshold took, and its compression of arrow
+    ``l`` is step ``l``'s; the stop rule ``sigma_max(pending) <= tau`` is
+    answered by the exact bounds ``max|a_ij| <= sigma_max <= ||a||_F``
+    whenever they settle it, by an SVD only otherwise (see
+    :func:`linalg._is_zero`).  A revisited clockwise arrow whose last visit
+    was a full compression, of a block at least ``_REVISIT_MIN_DIM`` square,
+    is decided from the columns that left it when two certificates settle
+    its rank with margin, by an SVD otherwise (see
+    :func:`linalg._row_compress_revisit`); the next revisit of that arrow is
+    a full one.
+
+    A step that moves only ``r`` directions of its vertex applies them as a
+    block of ``r`` Householder reflectors (:func:`linalg._reflector_block`),
+    in ``O(r n^2)`` where a dense unitary costs ``O(n^3)``: a certified
+    revisit always, a counterclockwise step at a vertex of at least
+    ``_BLOCK_MIN_DIM`` dimensions; a counterclockwise step of rank 0 applies
+    nothing.  A full compression applies its dense unitary, which leaves the
+    kept rows orthogonal for the next revisit.  ``trace`` holds dense
+    unitaries either way.
+
     Raises :class:`InconsistencyError` if the walk exceeds its
     dimension-based step cap, which would indicate contradictory rank
     decisions.
@@ -140,17 +156,21 @@ def shave(a: Representation, tol: TolerancePolicy = DEFAULT_TOL) -> ShaveResult:
     _check_kind("shave", a.shape, CYCLE)
     shape = a.shape
     t = shape.t
-    tau = tol.threshold(*a.matrices)
+    tau, values = tol._threshold(a.matrices)
 
-    # the first clockwise arrow that is row-deficient; its compression is step l's
+    # the first clockwise arrow that is row-deficient; its compression is step l's.  An
+    # arrow that tau's singular values show of full row rank takes no other SVD.
     l = t + 1
     for i in range(1, t + 1):
-        if shape.is_clockwise(i):
-            m = a.matrices[i - 1]
-            first = row_compress(m, tau)
-            if first[1] < m.shape[0]:
-                l = i
-                break
+        m = a.matrices[i - 1]
+        if not shape.is_clockwise(i):
+            continue
+        if values and _decide(m, tau, known=values[i - 1])[1] == len(m):
+            continue
+        first = row_compress(m, tau)
+        if first[1] < len(m):
+            l = i
+            break
 
     if l == t + 1:  # nothing to shave; the glue residual is exactly 0
         trace = [np.eye(d, dtype=np.complex128) for d in a.dims]
@@ -183,39 +203,49 @@ def shave(a: Representation, tol: TolerancePolicy = DEFAULT_TOL) -> ShaveResult:
             update = None
             if arrow in compressed and min(cur.shape) >= _REVISIT_MIN_DIM:
                 update = _row_compress_revisit(cur, pending, tau)
-            q, k = first if r == l else update or row_compress(cur, tau)
+            s_new, k = first if r == l else update or row_compress(cur, tau)
             if update is None:
                 compressed.add(arrow)
             else:  # the rows it keeps are not orthogonal: the next revisit is a full one
                 compressed.discard(arrow)
-            shaved = cur.shape[0] - k
-            mats[arrow - 1] = (q @ cur)[shaved:, :]
-            c_mat = (q @ pending)[:shaved, :]  # chain matrix (r)' -> (r+1)'
-            s_new = q
+            dim, shaved = cur.shape[0], cur.shape[0] - k
+            mats[arrow - 1] = _left(s_new, cur)[shaved:, :]
+            c_mat = _left(s_new, pending)[:shaved, :]  # chain matrix (r)' -> (r+1)'
         else:
-            # cur: d[tgt] x d[vtx]; the pending strip sits above it (rows)
+            # cur: d[tgt] x d[vtx]; the pending strip sits above it (rows).  Only the
+            # row space of pending moves, so a wide step applies it as reflectors.
             w, shaved = col_compress(pending, tau)
-            c_mat = (pending @ w)[:, :shaved]  # chain matrix (r+1)' -> (r)'
-            mats[arrow - 1] = (cur @ w)[:, shaved:]
-            s_new = w.conj().T
+            dim = cur.shape[1]
+            if not shaved:
+                s_new = None
+            elif dim >= _BLOCK_MIN_DIM:
+                s_new = _reflector_block(w[:, :shaved])
+            else:
+                s_new = w.conj().T
+            c_mat = _right(pending, s_new)[:, :shaved]  # chain matrix (r+1)' -> (r)'
+            mats[arrow - 1] = _right(cur, s_new)[:, shaved:]
 
         if r > l:
             chain_mats.append(c_mat)
         chain_dims.append(shaved)
 
-        if trace[vtx - 1] is None:  # nothing shaved off vtx yet: s_new @ I is s_new
+        if s_new is None:  # the identity: nothing at vtx moves
+            pass
+        elif trace[vtx - 1] is not None:
+            pre = a.dims[vtx - 1] - dim  # dimensions already shaved off vtx
+            trace[vtx - 1][pre:] = _left(s_new, trace[vtx - 1][pre:])
+        elif isinstance(s_new, np.ndarray):  # nothing shaved off vtx yet: s_new @ I is s_new
             trace[vtx - 1] = np.ascontiguousarray(s_new)
         else:
-            pre = a.dims[vtx - 1] - len(s_new)  # dimensions already shaved off vtx
-            trace[vtx - 1][pre:] = s_new @ trace[vtx - 1][pre:]
+            trace[vtx - 1] = _left(s_new, np.eye(dim, dtype=np.complex128))
 
         nxt_mat = mats[vtx - 1]
         if shape.is_clockwise(vtx):
-            moved_nxt = nxt_mat @ s_new.conj().T
+            moved_nxt = _right(nxt_mat, s_new)
             pending_next = moved_nxt[:, :shaved]
             mats[vtx - 1] = moved_nxt[:, shaved:]
         else:
-            moved_nxt = s_new @ nxt_mat
+            moved_nxt = _left(s_new, nxt_mat)
             pending_next = moved_nxt[:shaved, :]
             mats[vtx - 1] = moved_nxt[shaved:, :]
 

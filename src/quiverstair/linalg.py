@@ -181,9 +181,17 @@ class TolerancePolicy:
         Takes no SVD when ``rel_factor`` is 0: the threshold is then
         ``abs_floor`` whatever the input.
         """
+        return self._threshold(mats)[0]
+
+    def _threshold(self, mats) -> tuple[float, list[np.ndarray] | None]:
+        """:meth:`threshold` and the singular values of each of ``mats`` it took.
+
+        The values are ``None`` when ``rel_factor`` is 0, which takes none.
+        """
         if self.rel_factor == 0:
-            return self.abs_floor
-        return self.from_sigma(sigma_max(*mats))
+            return self.abs_floor, None
+        values = [singular_values(m) for m in mats]
+        return self.from_sigma(_largest(values)), values
 
 
 DEFAULT_TOL = TolerancePolicy()
@@ -298,19 +306,26 @@ def singular_values(a) -> np.ndarray:
 
 def sigma_max(*mats) -> float:
     """Largest singular value over all ``mats``; 0.0 when every one is empty."""
-    return max((float(s[0]) for s in map(singular_values, mats) if s.size), default=0.0)
+    return _largest(map(singular_values, mats))
 
 
-def _decide(m: np.ndarray, threshold, uv: bool = False):
+def _largest(values) -> float:
+    """The largest of the nonincreasing singular values ``values`` of some matrices; 0.0 if none."""
+    return max((float(s[0]) for s in values if s.size), default=0.0)
+
+
+def _decide(m: np.ndarray, threshold, uv: bool = False, known: np.ndarray | None = None):
     """The one rank decision on the complex matrix ``m``: ``(s, k, tau, u, vh)``.
 
     ``k`` counts the singular values ``s`` above ``tau``: ``threshold``, or a
     :class:`TolerancePolicy` applied to ``s[0]``.  ``uv`` adds the square
-    unitaries of ``m = u @ diag(s) @ vh``.  A nonempty ``n x 1`` ``m`` with a
-    finite norm takes no LAPACK: ``s`` is that norm, max-abs scaled as LAPACK's
-    ``dznrm2`` scales it (no square overflows or underflows), ``vh = [[1]]``, and
-    ``u`` is the identity at rank 0 and at rank 1 the Householder reflector, its
-    first column rephased so that ``u^H @ m = s[0] e_1``, as an SVD's is.
+    unitaries of ``m = u @ diag(s) @ vh``.  ``known``, not given with ``uv``,
+    is ``s`` taken before (the singular values of ``m``): no LAPACK runs.  A
+    nonempty ``n x 1`` ``m`` with a finite norm takes no LAPACK: ``s`` is that
+    norm, max-abs scaled as LAPACK's ``dznrm2`` scales it (no square overflows
+    or underflows), ``vh = [[1]]``, and ``u`` is the identity at rank 0 and at
+    rank 1 the Householder reflector, its first column rephased so that
+    ``u^H @ m = s[0] e_1``, as an SVD's is.
     """
     policy = isinstance(threshold, TolerancePolicy)
     if not policy:
@@ -318,14 +333,16 @@ def _decide(m: np.ndarray, threshold, uv: bool = False):
     rows, cols = m.shape
     u = vh = None
     sigma = math.inf
-    if cols == 1 and rows:
+    if cols == 1 and rows and known is None:
         parts = m.view(np.float64)  # rows x 2: the real and imaginary parts
         amax = float(np.abs(parts).max())
         if math.isfinite(amax):
             y = (parts / (amax or 1.0)).ravel()
             nu = math.sqrt(float(np.dot(y, y)))
             sigma = amax * nu
-    if math.isfinite(sigma):
+    if known is not None:
+        s = known
+    elif math.isfinite(sigma):
         s = np.array([sigma])
     elif uv:
         u, s, vh = _lapack_svd(m, full_matrices=True)
@@ -418,10 +435,61 @@ _REVISIT_MARGIN = 10.0  # how far on its side of tau each certificate of a revis
 # 0.7-1.0x at 32 x 32, 0.5-0.7x at 40 x 40, 0.2-0.3x from 96 x 96; below about 32 the
 # SVD costs less than the update's Python overhead.
 _REVISIT_MIN_DIM = 40
+# Fewest rows of a vertex at which a shave step that moves only some of its directions
+# applies them as a reflector block, not as a dense unitary.  Measured with one BLAS
+# thread on a counterclockwise step at n x n, block over dense, for r = 1..14 directions:
+# 1.1-1.8x at 48, 0.9-2.0x at 56, 0.7-0.8x (r <= 4) and 1.2-1.5x (r = 8..14) at 64,
+# 0.5-1.1x at 80, 0.4-0.7x at 96; below, building the block costs more than it saves.
+_BLOCK_MIN_DIM = 64
 _EPS = float(np.finfo(np.float64).eps)
 
 
-def _row_compress_revisit(cur, pending, tau: float) -> tuple[np.ndarray, int] | None:
+def _reflector_block(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The unitary ``Q = I - v t v^H`` whose first ``r`` columns span those of ``x``.
+
+    ``x`` is ``n x r`` of full column rank, ``r <= n``.  ``Q`` is the product
+    of the ``r`` Householder reflectors ``I - tau_i v_i v_i^H`` of a QR
+    factorization of ``x`` (LAPACK's ``geqrf``, so ``Q^H @ x`` is upper
+    triangular), kept in the compact WY form (Schreiber & Van Loan, 1989):
+    ``v`` is ``n x r`` unit lower trapezoidal and ``t`` is ``r x r`` upper
+    triangular.  Applying ``Q`` or ``Q^H`` to ``n`` rows of ``m`` columns
+    costs ``O(r n m)``, against ``O(n^2 m)`` for a dense ``n x n`` unitary;
+    see :func:`_left` and :func:`_right`.  ``r = 0`` gives the identity.
+    """
+    r = x.shape[1]
+    h, tau = np.linalg.qr(x, mode="raw")  # h^T holds R and, below it, the v_i
+    v = np.tril(h.T, -1)
+    np.fill_diagonal(v, 1.0)
+    g = v.conj().T @ v
+    t = np.zeros((r, r), dtype=np.complex128)
+    for i in range(r):  # LAPACK's larft: column i of t from the columns before it
+        t[:i, i] = -tau[i] * (t[:i, :i] @ g[:i, i])
+        t[i, i] = tau[i]
+    return v, t
+
+
+def _left(s, m: np.ndarray) -> np.ndarray:
+    """``s @ m`` for a unitary ``s``: ``None`` for the identity (``m`` itself comes
+    back), a matrix, or a :func:`_reflector_block` ``(v, t)`` standing for ``Q^H``."""
+    if s is None:
+        return m
+    if isinstance(s, np.ndarray):
+        return s @ m
+    v, t = s
+    return m - v @ (t.conj().T @ (v.conj().T @ m))
+
+
+def _right(m: np.ndarray, s) -> np.ndarray:
+    """``m @ s^H`` for a unitary ``s`` as :func:`_left` takes it: ``m @ Q`` for a block."""
+    if s is None:
+        return m
+    if isinstance(s, np.ndarray):
+        return m @ s.conj().T
+    v, t = s
+    return m - ((m @ v) @ t) @ v.conj().T
+
+
+def _row_compress_revisit(cur, pending, tau: float) -> tuple[tuple | None, int] | None:
     """:func:`row_compress` of ``cur`` decided from the columns that left it, or ``None``.
 
     Meant for ``[pending | cur] = M @ S^H``: ``M``'s ``k`` rows orthogonal
@@ -448,11 +516,13 @@ def _row_compress_revisit(cur, pending, tau: float) -> tuple[np.ndarray, int] | 
     :func:`row_compress` would decide on rounding noise.  Norms are
     compared, not their squares, and are taken by :func:`_fro`.
 
-    Returns ``(q, k - c)`` as :func:`row_compress` would: ``q`` unitary, from
-    a complete QR of the candidates, with the ``c`` dropped rows of
-    ``q @ cur`` on top.  Returns ``None`` when certificate 1 fails, i.e. a
-    singular value of ``cur`` may lie within the margin of tau, or when a
-    row of ``[pending | cur]`` is zero; the caller then takes the SVD.
+    Returns ``(q, k - c)`` as :func:`row_compress` would, but with ``q`` the
+    :func:`_reflector_block` of the candidates, standing for the unitary
+    ``Q^H`` (see :func:`_left`), or ``None`` for the identity when ``c = 0``:
+    the ``c`` dropped rows of ``Q^H @ cur`` are on top.  Returns ``None``
+    when certificate 1 fails, i.e. a singular value of ``cur`` may lie within
+    the margin of tau, or when a row of ``[pending | cur]`` is zero; the
+    caller then takes the SVD.
     """
     k, n = cur.shape[0], cur.shape[1] + pending.shape[1]
     d = np.hypot(_fro(pending, axis=1), _fro(cur, axis=1))
@@ -471,11 +541,14 @@ def _row_compress_revisit(cur, pending, tau: float) -> tuple[np.ndarray, int] | 
     # what rounding in an SVD of cur, or in a product with it, can move a singular value
     noise = k * _EPS * _fro(cur)
     c = int(np.count_nonzero(lower - noise < _REVISIT_MARGIN * tau))
-    basis, _ = np.linalg.qr(x[:, :c] / scale, mode="complete")  # the identity when c = 0
-    q = basis.conj().T
-    if _fro(q[:c] @ cur) + c * noise > tau / _REVISIT_MARGIN:
+    if not c:
+        return None, k
+    v, t = _reflector_block(x[:, :c] / scale)
+    # the c dropped rows of Q^H @ cur, Q[:, :c] being an orthonormal basis of the candidates
+    dropped = cur[:c] - v[:c] @ (t.conj().T @ (v.conj().T @ cur))
+    if _fro(dropped) + c * noise > tau / _REVISIT_MARGIN:
         return None
-    return q, k - c
+    return (v, t), k - c
 
 
 def col_compress(a, threshold: float) -> tuple[np.ndarray, int]:

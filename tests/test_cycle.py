@@ -9,7 +9,7 @@ import quiverstair as qs
 from conftest import (
     add_noise, is_regular, primed_chain_for_walk, random_cycle_spec, wide_cycle_spec,
 )
-from quiverstair import cli, files
+from quiverstair import cli, cycle, files
 from quiverstair.cycle import _walk_layout
 from quiverstair.linalg import _fro
 from quiverstair.errors import InconsistencyError, NumericError, ValidationError
@@ -301,6 +301,58 @@ class TestGlueMask:
             assert got == pytest.approx(1e-3, rel=1e-9)
         else:
             assert got == pytest.approx(base, abs=1e-15)
+
+
+class TestShaveSteps:
+    """What a shave step applies: no SVD to pass an arrow of full row rank, and no
+    transform at all when a counterclockwise step shaves nothing."""
+
+    def test_start_scan_compresses_only_the_arrow_it_stops_at(self, monkeypatch):
+        # arrow 1 has full row rank, as tau's singular values show; arrow 2 lacks it
+        shape = qs.cycle_shape(3, ">>>")
+        mats = (np.eye(2), np.diag([1.0, 0.0]), np.eye(2))
+        rep = qs.Representation(shape, (2, 2, 2), mats)
+        seen = []
+        compress = cycle.row_compress
+
+        def counted(a, tau):
+            seen.append(a)
+            return compress(a, tau)
+
+        monkeypatch.setattr(cycle, "row_compress", counted)
+        res = qs.shave(rep)
+        assert res.l == 2
+        assert np.array_equal(seen[0], mats[1])
+        # with rel_factor 0 the threshold takes no singular values: every arrow is compressed
+        seen.clear()
+        assert qs.shave(rep, qs.TolerancePolicy(rel_factor=0.0)).l == 2
+        assert np.array_equal(seen[0], mats[0]) and np.array_equal(seen[1], mats[1])
+
+    @pytest.mark.parametrize("seed", [8, 13, 27])
+    def test_counterclockwise_step_of_rank_zero_moves_nothing(self, monkeypatch, seed):
+        # at rank 0 any unitary is a valid answer of col_compress; if the step applied it,
+        # cur, the trace at the vertex ahead and the next arrow would follow it
+        rep, _ = qs.plant(random_cycle_spec(seed))
+        plain = qs.shave(rep)
+        compress = cycle.col_compress
+        zero = []
+
+        def scrambled(a, tau):
+            w, k = compress(a, tau)
+            if k:
+                return w, k
+            zero.append(a.shape)
+            return qs.random_unitary(len(w), seed), k
+
+        monkeypatch.setattr(cycle, "col_compress", scrambled)
+        other = qs.shave(rep)
+        assert any(rows for rows, _ in zero)  # a nonempty strip of rank 0
+        for got, want in [
+            (other.a_tilde.matrices, plain.a_tilde.matrices),
+            (other.a_prime.matrices, plain.a_prime.matrices),
+            (other.trace, plain.trace),
+        ]:
+            assert all(np.array_equal(x, y) for x, y in zip(got, want))
 
 
 class TestShaveReductionResidual:

@@ -566,6 +566,73 @@ class TestIsZero:
         assert len(calls) == svds
 
 
+class TestReflectorBlock:
+    """``_reflector_block(x)`` is ``Q = I - v t v^H``, unitary, with ``Q[:, :r]`` spanning
+    ``x``; ``_left`` and ``_right`` apply ``Q^H`` and ``Q`` as the dense products would."""
+
+    SIZES = [(1, 1), (5, 1), (6, 3), (6, 6), (40, 7), (70, 14)]
+
+    @staticmethod
+    def _dense(v, t):
+        return np.eye(len(v)) - v @ t @ v.conj().T
+
+    @pytest.mark.parametrize("n, r", SIZES)
+    def test_block_is_unitary_and_spans_the_columns(self, n, r):
+        rng = np.random.default_rng([n, r])
+        x = random_complex(rng, n, r)
+        v, t = linalg._reflector_block(x)
+        assert v.shape == (n, r) and t.shape == (r, r)
+        assert np.array_equal(np.triu(v, 1), np.zeros((n, r))) and np.all(np.diag(v) == 1)
+        assert np.array_equal(np.tril(t, -1), np.zeros((r, r)))
+        q = self._dense(v, t)
+        assert linalg.unitarity_defect(q) <= 1e-14 * n
+        # Q^H x is upper triangular, so Q[:, :r] spans x and Q[:, r:] is orthogonal to it
+        assert linalg._fro(np.tril(q.conj().T @ x, -1)) <= 1e-14 * n * linalg._fro(x)
+
+    @pytest.mark.parametrize("n, r", SIZES)
+    def test_orthonormal_columns_come_back_up_to_unit_phases(self, n, r):
+        x = np.linalg.qr(random_complex(np.random.default_rng([n, r, 1]), n, r))[0]
+        v, t = linalg._reflector_block(x)
+        d = (self._dense(v, t).conj().T @ x)[:r]
+        assert np.allclose(d, np.diag(np.diag(d)), atol=1e-14 * n)
+        assert np.allclose(np.abs(np.diag(d)), 1, atol=1e-14 * n)
+
+    @pytest.mark.parametrize("n, r", SIZES)
+    def test_applications_equal_the_dense_products(self, n, r):
+        rng = np.random.default_rng([n, r, 2])
+        v, t = block = linalg._reflector_block(random_complex(rng, n, r))
+        q = self._dense(v, t)
+        for m in (random_complex(rng, n, 3), random_complex(rng, n, n + 2)):
+            assert linalg._fro(linalg._left(block, m) - q.conj().T @ m) <= 1e-13 * linalg._fro(m)
+            mt = m.T.copy()
+            assert linalg._fro(linalg._right(mt, block) - mt @ q) <= 1e-13 * linalg._fro(m)
+            # a dense unitary s is applied as s @ m and m @ s^H
+            s = q.conj().T
+            assert np.array_equal(linalg._left(s, m), s @ m)
+            assert np.array_equal(linalg._right(mt, s), mt @ s.conj().T)
+
+    def test_no_columns_is_the_identity(self):
+        m = random_complex(np.random.default_rng(3), 4, 5)
+        v, t = block = linalg._reflector_block(np.zeros((4, 0), dtype=complex))
+        assert v.shape == (4, 0) and t.shape == (0, 0)
+        assert np.array_equal(linalg._left(block, m), m)
+        assert np.array_equal(linalg._right(m.T, block), m.T)
+        assert linalg._left(None, m) is m and linalg._right(m, None) is m
+
+    @pytest.mark.parametrize("phase", [1.0, -1.0, 1j, np.exp(0.7j)])
+    def test_unit_vectors_with_complex_phases(self, phase):
+        # columns already on the axes: LAPACK's reflector for a real one is the identity
+        # (tau = 0), for any other phase one that turns it real
+        x = np.eye(5, 3, dtype=complex) * phase
+        v, t = linalg._reflector_block(x)
+        q = self._dense(v, t)
+        assert linalg.unitarity_defect(q) <= 1e-14 * 5
+        d = (q.conj().T @ x)[:3]
+        assert np.allclose(d, np.diag(np.diag(d)), atol=1e-15)
+        assert np.allclose(np.abs(np.diag(d)), 1, atol=1e-15)
+        assert linalg._fro(q[3:, :3]) <= 1e-15 and linalg._fro(q[:3, 3:]) <= 1e-15
+
+
 class TestEmptyStripsTakeNoSvd:
     """A strip with no columns, or with every row already pinned, calls no ``two_sided_reduce``."""
 

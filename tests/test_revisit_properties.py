@@ -70,7 +70,8 @@ def test_update_agrees_with_row_compress(case):
     hypothesis.event("answered" if got is not None else "declined")
     if got is None:
         return
-    q, kept = got
+    block, kept = got
+    q = linalg._left(block, np.eye(k, dtype=complex))  # Q^H of the reflectors, or I
     assert kept == linalg.row_compress(cur, tau)[1]
     assert linalg.unitarity_defect(q) <= 1e-12 * k
     reduced = q @ cur
@@ -129,25 +130,35 @@ def _answers(dec):
 
 @pytest.mark.parametrize("scramble", ["unitary", "invertible"])
 def test_same_answers_with_the_update_switched_off(monkeypatch, scramble):
-    answered = []
-    update = cycle._row_compress_revisit
+    # with the update and a reflector block on every counterclockwise step that shaves,
+    # whatever its size, against neither: row_compress and col_compress's dense unitaries
+    answered, blocks = [], []
+    update, reflectors = cycle._row_compress_revisit, cycle._reflector_block
 
     def counted(*args):
         out = update(*args)
         answered.append(out is not None)
         return out
 
+    def counted_block(x):
+        blocks.append(x.shape)
+        return reflectors(x)
+
     with_update, without = [], []
     for seed in range(10):
         rep, truth = qs.plant(wide_cycle_spec(seed, scramble))
         assert min(rep.dims) >= linalg._REVISIT_MIN_DIM
         monkeypatch.setattr(cycle, "_row_compress_revisit", counted)
+        monkeypatch.setattr(cycle, "_reflector_block", counted_block)
+        monkeypatch.setattr(cycle, "_BLOCK_MIN_DIM", 1)
         dec = qs.regularize(rep)
         assert qs.verify(rep, dec, truth).passed
         with_update.append(_answers(dec))
         monkeypatch.setattr(cycle, "_row_compress_revisit", lambda *args: None)
+        monkeypatch.setattr(cycle, "_BLOCK_MIN_DIM", np.inf)
         dec = qs.regularize(rep)
         assert qs.verify(rep, dec, truth).passed
         without.append(_answers(dec))
     assert with_update == without
     assert sum(answered) >= 10  # the update did decide revisits
+    assert len(blocks) >= 10  # and counterclockwise steps applied reflectors
