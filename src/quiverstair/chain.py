@@ -24,6 +24,7 @@ unitary to the staircase's other one.
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -83,13 +84,19 @@ class ChainStep:
 class ChainTrace:
     """Accumulated per-vertex unitaries, the run's rank threshold, and per-step bookkeeping.
 
-    ``residual`` is :func:`reduction_residual` of the input and this trace.
+    ``a`` is the input the trace reduces.  ``residual`` is
+    :func:`reduction_residual` of ``a`` and this trace, measured when it is
+    first read.
     """
 
     vertex_transforms: list[np.ndarray]
     threshold: float
     steps: list[ChainStep] = field(default_factory=list)
-    residual: float = 0.0
+    a: Representation = field(kw_only=True, repr=False)
+
+    @cached_property
+    def residual(self) -> float:
+        return reduction_residual(self.a, self)
 
     def misfits(self, shape: QuiverShape, moved: list[np.ndarray]) -> list[float]:
         """Each step's staircase residual on its arrow of ``moved``, the input in these bases.
@@ -117,9 +124,9 @@ def canon_chain(
 
     Returns the multiset ``{(i, j): multiplicity}`` together with the trace:
     the accumulated unitary change of basis at every vertex, the strip/block
-    sizes of every step, and the residual: the input taken into the returned
-    bases, measured where some step's staircase form demands a zero (see
-    :func:`reduction_residual`).
+    sizes of every step, and the residual, measured when first read: the
+    input taken into the returned bases, where some step's staircase form
+    demands a zero (see :func:`reduction_residual`).
 
     Every step decides ranks against one threshold, ``tol.threshold`` of all
     the input's matrices, so a matrix consisting purely of noise does not
@@ -133,7 +140,7 @@ def canon_chain(
     counts: Counter = Counter()
     tau = tol.threshold(*a.matrices)
     trace = ChainTrace(
-        vertex_transforms=[np.eye(d, dtype=np.complex128) for d in a.dims], threshold=tau
+        vertex_transforms=[np.eye(d, dtype=np.complex128) for d in a.dims], threshold=tau, a=a
     )
     s = trace.vertex_transforms
     strips: list[tuple[int, int]] = [(1, a.dims[0])] if a.dims[0] else []
@@ -161,7 +168,6 @@ def canon_chain(
 
     for p, k in strips:
         counts[(p, t)] += k
-    trace.residual = reduction_residual(a, trace)
     return ChainCanonicalForm(t, counts), trace
 
 
@@ -169,9 +175,11 @@ def reduction_residual(a: Representation, result) -> float:
     """How far the input, taken into a result's unitary bases, is from the form it claims.
 
     ``result`` is a :class:`ChainTrace` (staircase patterns in the bases
-    ``vertex_transforms``) or a ``ShaveResult`` (the glued split in the bases
-    ``trace``).  Forms ``S_v A S_u^H`` on each arrow ``u -> v`` and returns
-    the largest of ``result.misfits`` on them; raises
+    ``vertex_transforms``), a ``ShaveResult`` (the glued split in the bases
+    ``trace``) or a ``RegularizingDecomposition`` (both shaves' splits, both
+    chain stages' staircase patterns and the regular part, in the composed
+    bases ``trace``).  Forms ``S_v A S_u^H`` on each arrow ``u -> v`` and
+    returns the largest of ``result.misfits`` on them; raises
     :class:`ValidationError` if the result does not fit ``a``.
     """
     s = result.vertex_transforms if isinstance(result, ChainTrace) else result.trace

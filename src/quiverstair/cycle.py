@@ -17,11 +17,12 @@ eigenvalues of its monodromy.
 """
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .chain import canon_chain, reduction_residual
+from .chain import ChainTrace, canon_chain, reduction_residual
 from .errors import InconsistencyError, NumericError, ValidationError
 from .linalg import (
     DEFAULT_TOL,
@@ -43,6 +44,7 @@ from .linalg import (
 )
 from .quiver import (
     CHAIN,
+    CLOCKWISE,
     CYCLE,
     QuiverShape,
     Representation,
@@ -72,9 +74,10 @@ class ShaveResult:
     reduced cycle representation, whose clockwise arrows all have full row
     rank.  ``trace`` holds the accumulated unitary applied at each cycle
     vertex; its leading block at every vertex corresponds to the shaved
-    parts, in the order they were split off.  ``residual`` is
-    :func:`reduction_residual` of the input and this result: how far the
-    input, taken into the bases of ``trace``, is from the glued split.
+    parts, in the order they were split off.  ``a`` is the input.
+    ``residual`` is :func:`reduction_residual` of ``a`` and this result,
+    measured when first read: how far the input, taken into the bases of
+    ``trace``, is from the glued split.
     """
 
     a_prime: Representation | None
@@ -82,8 +85,12 @@ class ShaveResult:
     l: int
     n: int
     trace: list[np.ndarray]
-    residual: float
     threshold: float
+    a: Representation = field(kw_only=True, repr=False)
+
+    @cached_property
+    def residual(self) -> float:
+        return reduction_residual(self.a, self)
 
     @property
     def steps(self) -> range:
@@ -172,9 +179,9 @@ def shave(a: Representation, tol: TolerancePolicy = DEFAULT_TOL) -> ShaveResult:
             l = i
             break
 
-    if l == t + 1:  # nothing to shave; the glue residual is exactly 0
+    if l == t + 1:  # nothing to shave
         trace = [np.eye(d, dtype=np.complex128) for d in a.dims]
-        return ShaveResult(None, a, l, t, trace, residual=0.0, threshold=tau)
+        return ShaveResult(None, a, l, t, trace, threshold=tau, a=a)
 
     mats = list(a.matrices)  # read-only; each step replaces entries
     trace: list[np.ndarray | None] = [None] * t  # the identity until a step moves it
@@ -260,9 +267,7 @@ def shave(a: Representation, tol: TolerancePolicy = DEFAULT_TOL) -> ShaveResult:
     # vertex i's remaining dimension, read off arrow i, whose source or target it is
     dims = [m.shape[1 if shape.is_clockwise(i) else 0] for i, m in enumerate(mats, 1)]
     a_tilde = Representation(shape, dims, tuple(mats))
-    res = ShaveResult(a_prime, a_tilde, l, n, trace, residual=0.0, threshold=tau)
-    res.residual = reduction_residual(a, res)
-    return res
+    return ShaveResult(a_prime, a_tilde, l, n, trace, threshold=tau, a=a)
 
 
 def _walk_layout(shape: QuiverShape, start: int, sizes) -> tuple[list[int], tuple[int, ...]]:
@@ -424,16 +429,114 @@ def monodromy(
 
 
 @dataclass
+class _PassLabels:
+    """One shave pass's labels of the basis vectors at one vertex, in the composed bases.
+
+    The first ``cut`` vectors were shaved off the vertex, in walk order; the
+    rest are the pass's cycle part.  ``row`` is a vector's walk position
+    ``q``, ``n + 1.5`` on the cycle part, and ``col`` is ``q + 1``, ``inf``
+    on the cycle part: the glue pins an entry iff its row's ``row`` is at
+    most its column's ``col``, which is :meth:`ShaveResult.misfits`'s rule
+    (``qr <= qc + 1``, and cycle rows against position ``n + 1`` only).  ``strip`` keys a shaved vector within the
+    chain step on its right, ``band`` within the one on its left (see
+    :func:`_pass_labels`).
+    """
+
+    cut: int
+    row: np.ndarray
+    col: np.ndarray
+    strip: np.ndarray
+    band: np.ndarray
+
+
+def _pass_labels(shape: QuiverShape, res: ShaveResult, stage: ChainTrace | None) -> list:
+    """The :class:`_PassLabels` of every vertex of ``res.a``; ``stage`` is its chain stage.
+
+    Inside chain step ``j``'s block, the staircase rule is one comparison:
+    a strip-side vector of strip ``i`` gets the key ``2i``, plus 1 if it is
+    among the strip's ``l_i`` block columns, a band-side vector of band
+    ``b`` gets ``2b + 1`` and a bare one ``inf``, and an entry is a demanded
+    zero iff its band-side key exceeds its strip-side key.  A horizontal step
+    is keyed in the flipped frame :func:`linalg.staircase_reduce` works in,
+    shifted by a constant no comparison sees: strip ``i`` is ``-i`` there,
+    a strip lists its block vectors first, and the bare vectors come before
+    the bands.  The labels are built in walk order, then sorted stably by
+    vertex, which lists every vertex's positions in walk order as
+    :func:`_walk_layout` does.
+    """
+    t = shape.t
+    sizes = np.array(res.a_prime.dims if res.a_prime is not None else (), dtype=np.int64)
+    steps = stage.steps if stage is not None else ()
+    per_step = np.array([len(step.strip_sizes) for step in steps], dtype=np.int64)
+    first = np.cumsum(per_step) - per_step  # each step's first strip among all strips
+    k = np.array([x for step in steps for x in step.strip_sizes], dtype=np.int64)
+    l = np.array([x for step in steps for x in step.block_sizes], dtype=np.int64)
+    step_of = np.repeat(np.arange(len(steps)), per_step)
+    vertical = np.array([step.orientation == CLOCKWISE for step in steps], dtype=bool)
+    i = np.arange(len(k)) - first[step_of]
+    key = np.where(vertical[step_of], 2 * i, -2 * i)
+    # strip side, chain vertices 1..m-1: two runs per strip, its k - l other vectors
+    # keyed key and its l block vectors key + 1; the last vertex opens no step
+    runs = np.where(vertical[step_of], [k - l, l], [l, k - l]).T.ravel()
+    keys = np.where(vertical[step_of], [key, key + 1], [key + 1, key]).T.ravel()
+    last = sizes[-1] if len(sizes) else 0
+    strip = np.concatenate([np.repeat(keys, runs), np.zeros(last)])
+    # band side, chain vertices 2..m: a run of l vectors keyed key + 1 per strip, and
+    # each step's bare run after its bands, or before them for a horizontal step
+    bare = sizes[1:] - np.bincount(step_of, weights=l, minlength=len(steps)).astype(np.int64)
+    at = np.where(vertical, first + per_step, first)
+    band_runs = np.repeat(np.insert(key + 1.0, at, np.inf), np.insert(l, at, bare))
+    band = np.concatenate([np.zeros(sizes[0] if len(sizes) else 0), band_runs])
+
+    pos = np.repeat(np.arange(res.l + 1, res.l + 1 + len(sizes)), sizes).astype(np.float64)
+    vertex = np.repeat((np.arange(res.l, res.l + len(sizes))) % t, sizes)
+    cut = np.bincount(vertex, minlength=t)
+    rest = np.array(res.a.dims) - cut
+    order = np.argsort(np.concatenate([vertex, np.repeat(np.arange(t), rest)]), kind="stable")
+    cyc = int(rest.sum())
+    row = np.concatenate([pos, np.full(cyc, res.n + 1.5)])[order]
+    col = np.concatenate([pos + 1, np.full(cyc, np.inf)])[order]
+    strip = np.concatenate([strip, np.zeros(cyc)])[order]
+    band = np.concatenate([band, np.zeros(cyc)])[order]
+    bounds = np.cumsum([0, *res.a.dims])
+    return [
+        _PassLabels(int(c), row[b0:b1], col[b0:b1], strip[b0:b1], band[b0:b1])
+        for c, b0, b1 in zip(cut, bounds, bounds[1:])
+    ]
+
+
+def _glue_zeros(m: np.ndarray, head: _PassLabels, tail: _PassLabels, clockwise: bool):
+    """The entries of ``m``, one pass's arrow in its own frame, where that pass demands a zero.
+
+    These are the entries its glue pins outside its cycle part, except in a
+    chain block, which joins walk position ``q`` to ``q + 1``; there, the
+    entries where the chain step's staircase form demands a zero.
+    """
+    row = head.row[:, None]
+    if clockwise:  # position q at the tail, q + 1 at the head
+        kept = (row == tail.col) & (head.band[:, None] <= tail.strip)
+    else:  # position q at the head, q + 1 at the tail
+        kept = (row + 2 == tail.col) & (head.strip[:, None] >= tail.band)
+    zero = row <= tail.col
+    zero[kept] = False
+    zero[head.cut :, tail.cut :] = False
+    return m[zero]
+
+
+@dataclass
 class RegularizingDecomposition:
     """Walk summands plus regular part of a cycle representation.
 
     ``summands`` maps walk labels ``(l, r)`` (start vertex in ``1..t``, walk
     length ``r - l + 1``) to multiplicities; ``summands_by_pass`` splits the
     count by the shave pass that produced each label (direct pass,
-    transposed pass).  ``trace`` is the composed per-vertex unitary of both
-    passes, acting on the original spaces.  ``residual`` is the largest of
-    the two shaves' glue residuals and the two chain stages' pattern
-    residuals, each measured from that stage's input and returned unitaries.
+    transposed pass).  ``trace`` is the composed per-vertex unitary of the
+    whole reduction, acting on the original spaces: both shaves and both
+    chain stages (``chains``, ``None`` where a pass shaved nothing).  In its
+    bases the input takes the paper's form: the pushed-down staircase
+    patterns, then ``regular_part``.  ``a`` is the input.  ``residual`` is
+    :func:`reduction_residual` of ``a`` and this decomposition, measured when
+    first read (see :meth:`misfits`).
     """
 
     shape: QuiverShape
@@ -443,9 +546,14 @@ class RegularizingDecomposition:
     monodromy_matrix: np.ndarray
     monodromy_eigenvalues: np.ndarray
     trace: list[np.ndarray]
-    residual: float
     threshold: float
     shaves: tuple[ShaveResult, ShaveResult]
+    chains: tuple[ChainTrace | None, ChainTrace | None]
+    a: Representation = field(kw_only=True, repr=False)
+
+    @cached_property
+    def residual(self) -> float:
+        return reduction_residual(self.a, self)
 
     def summand_dims(self) -> tuple[int, ...]:
         return label_dims(self.shape.t, self.summands.items())
@@ -456,6 +564,43 @@ class RegularizingDecomposition:
     def dims(self) -> tuple[int, ...]:
         """Vertexwise dimensions of the direct sum the decomposition describes."""
         return tuple(d + self.regular_dim() for d in self.summand_dims())
+
+    def misfits(self, shape: QuiverShape, moved: list[np.ndarray]) -> list[float]:
+        """Per arrow, the Frobenius norm of ``moved`` where the composed form demands a zero,
+        together with its regular block minus ``regular_part``.
+
+        ``moved`` is the input taken into the bases of ``trace``, where each
+        vertex lists the first shave's walk positions, then the second's,
+        then the regular part.  Each shave demands the zeros its glue pins
+        (see :meth:`ShaveResult.misfits`; the second in its transposed
+        frame), and in each chain block the zeros of that chain step's
+        staircase form.  Each set is a union of blocks between walk
+        positions, which the block-diagonal chain rotations and the second
+        shave's rotation of the cycle part map to themselves, so its norm is
+        what the stage left.  Raises :class:`ValidationError` if the
+        decomposition does not fit ``moved``.
+        """
+        if shape != self.shape:
+            raise ValidationError("the decomposition lives on another quiver")
+        first, second = (_pass_labels(shape, res, ch) for res, ch in zip(self.shaves, self.chains))
+        out = []
+        for i, m in enumerate(moved, 1):
+            u, v = shape.arrow_ends(i)
+            head, tail = first[v - 1], first[u - 1]
+            rest = m[head.cut :, tail.cut :].T  # the second shave's arrow, in its frame
+            head2, tail2 = second[u - 1], second[v - 1]
+            regular = self.regular_part.matrices[i - 1]
+            layout = [(len(head.row), len(tail.row)), (len(head2.row), len(tail2.row))]
+            left = rest[head2.cut :, tail2.cut :].T  # the regular block
+            if [m.shape, rest.shape] != layout or left.shape != regular.shape:
+                raise ValidationError(f"the decomposition does not fit arrow {i}'s {m.shape} matrix")
+            clockwise = shape.is_clockwise(i)
+            out.append(_fro(np.concatenate([
+                _glue_zeros(m, head, tail, clockwise),
+                _glue_zeros(rest, head2, tail2, not clockwise),
+                (left - regular).ravel(),
+            ])))
+        return out
 
 
 def _chain_labels_to_walks(shape: QuiverShape, l: int, form_counts: Counter) -> Counter:
@@ -474,7 +619,9 @@ def regularize(
     Three stages: shave the input, shave the transpose of what remains, and
     decompose both shaved chains into intervals.  Each interval maps to the
     walk summand its push-down produces; what survives both shaves is the
-    regular part, whose monodromy eigenvalues are reported.
+    regular part, whose monodromy eigenvalues are reported.  The result's
+    ``trace`` composes every stage's unitaries; no stage measures a
+    residual, and the result's is measured from ``trace`` when first read.
 
     The first shave fixes the rank threshold from the whole input; every
     later decision (second shave, both chain stages, the regularity check)
@@ -494,15 +641,15 @@ def regularize(
     second = shave(transpose_rep(first.a_tilde), fixed)
     regular = transpose_rep(second.a_tilde)
 
-    by_pass = []
-    residual = max(first.residual, second.residual)
+    by_pass, chains = [], []
     for res in (first, second):
         if res.a_prime is None:
             by_pass.append(Counter())
+            chains.append(None)
         else:
             form, chain_trace = canon_chain(res.a_prime, fixed)
-            residual = max(residual, chain_trace.residual)
             by_pass.append(_chain_labels_to_walks(a.shape, res.l, form.counts))
+            chains.append(chain_trace)
     summands = by_pass[0] + by_pass[1]
 
     try:
@@ -511,9 +658,20 @@ def regularize(
         raise InconsistencyError(f"regular part: {exc}") from exc
 
     trace = [s.copy() for s in first.trace]
+    shaved1 = [d - e for d, e in zip(a.dims, first.a_tilde.dims)]
     for v in range(a.shape.t):
-        shaved1 = a.dims[v] - first.a_tilde.dims[v]
-        trace[v][shaved1:] = second.trace[v].conj() @ trace[v][shaved1:]
+        trace[v][shaved1[v] :] = second.trace[v].conj() @ trace[v][shaved1[v] :]
+    # a chain stage's transform of walk position q acts on q's rows at vertex [q]; the
+    # second pass's, like its shave's, conjugated back from the transposed frame
+    for res, chain_trace, start in ((first, chains[0], [0] * a.shape.t), (second, chains[1], shaved1)):
+        if chain_trace is None:
+            continue
+        offsets, _ = _walk_layout(a.shape, res.l + 1, res.a_prime.dims)
+        for q, off, s in zip(range(res.l + 1, res.n + 2), offsets, chain_trace.vertex_transforms):
+            v = a.shape.wrap(q) - 1
+            rows = slice(start[v] + off, start[v] + off + len(s))
+            if len(s):
+                trace[v][rows] = (s if res is first else s.conj()) @ trace[v][rows]
 
     return RegularizingDecomposition(
         shape=a.shape,
@@ -523,7 +681,8 @@ def regularize(
         monodromy_matrix=mono,
         monodromy_eigenvalues=eigs,
         trace=trace,
-        residual=residual,
         threshold=first.threshold,
         shaves=(first, second),
+        chains=(chains[0], chains[1]),
+        a=a,
     )

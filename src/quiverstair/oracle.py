@@ -46,7 +46,7 @@ INVERTIBLE = "invertible"
 # a transform this ill-conditioned has sigma_min <= DEFAULT_TOL's threshold of itself
 _MAX_CONDITION = 1 / DEFAULT_TOL.rel_factor
 
-REPORT_VERSION = 4  # of report(), and of the command line's JSON that carries it
+REPORT_VERSION = 5  # of report(), and of the command line's JSON that carries it
 
 
 @dataclass(frozen=True)
@@ -292,20 +292,21 @@ def verify(
 
     ``result`` is a :class:`ChainCanonicalForm`, which needs the matching
     :class:`ChainTrace` for the residual and unitarity checks, or a
-    :class:`RegularizingDecomposition`.  A chain's residual is measured here
-    by the one residual rule, :func:`reduction_residual` of ``a`` and the
-    trace, which raises :class:`ValidationError` if the trace does not fit
-    ``a``.  A cycle result's stored ``residual`` is still read as it is,
-    since the result does not yet carry every unitary its residual is
-    measured from.  Failures are report entries, not exceptions.
+    :class:`RegularizingDecomposition`.  The residual is measured here, by
+    the one residual rule: :func:`reduction_residual` of ``a`` and the trace
+    or the decomposition, whose composed ``trace`` carries every unitary of
+    the reduction.  Nothing stored is read, so a unitary swapped after the
+    run fails the ``residual`` check; :func:`reduction_residual` raises
+    :class:`ValidationError` if the result does not fit ``a``.  Failures are
+    report entries, not exceptions.
     """
     _check_truth(a, truth)
     is_chain = _is_chain_result(a, result, trace)
     if is_chain:
         counts, transforms = result.counts, trace.vertex_transforms
-        residual = reduction_residual(a, trace)
     else:
-        counts, residual, transforms = result.summands, result.residual, result.trace
+        counts, transforms = result.summands, result.trace
+    residual = reduction_residual(a, trace if is_chain else result)
     scale = representation_scale(a)
     truth_counts = truth.label_counts()
     got = Counter({lab: m for lab, m in counts.items() if m})

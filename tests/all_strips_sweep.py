@@ -12,7 +12,7 @@ from collections import Counter
 
 import numpy as np
 
-from quiverstair.chain import ChainStep, ChainTrace, reduction_residual
+from quiverstair.chain import ChainStep, ChainTrace
 from quiverstair.linalg import DEFAULT_TOL, HORIZONTAL, VERTICAL, staircase_reduce
 
 
@@ -21,7 +21,7 @@ def canon_chain_all_strips(a, tol=DEFAULT_TOL) -> tuple[Counter, ChainTrace]:
     t = a.shape.t
     counts: Counter = Counter()
     tau = tol.threshold(*a.matrices)
-    trace = ChainTrace([np.eye(d, dtype=np.complex128) for d in a.dims], tau)
+    trace = ChainTrace([np.eye(d, dtype=np.complex128) for d in a.dims], tau, a=a)
     s = trace.vertex_transforms
     strips = [(1, a.dims[0])]
     for r in range(1, t):
@@ -42,5 +42,4 @@ def canon_chain_all_strips(a, tol=DEFAULT_TOL) -> tuple[Counter, ChainTrace]:
     for p, k in strips:
         if k:
             counts[(p, t)] += k
-    trace.residual = reduction_residual(a, trace)
     return counts, trace

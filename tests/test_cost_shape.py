@@ -5,7 +5,9 @@ what one solve (``canon_chain`` or ``regularize``) does on planted families: LAP
 SVDs, their work ``sum min(m,n)^2 max(m,n)``, rank decisions and representation
 builds.  The counts are exact, so the pins carry no timing noise.  Per added
 vertex, the counts must not grow with ``t``; over a t = 4 cycle's dimension ``d``,
-the SVD work is pinned relative to the input's (one SVD of every arrow).
+the SVD work is pinned relative to the input's (one SVD of every arrow).  A
+counting wrapper on the results' ``misfits`` pins one residual measurement per
+checked or reported solve, and none per bare solve.
 """
 
 from collections import Counter
@@ -137,3 +139,70 @@ def test_svd_work_over_d_is_pinned(counted, d):
     cost = _solve(rep, counted)
     ratio = cost.work / _input_work(rep)
     assert ratio <= WORK_RATIO[d] * (1 + HEADROOM), ratio
+
+
+CHAIN_SPEC = qs.PlantSpec(
+    qs.chain_shape(5, "><>>"), (((1, 3), 2), ((2, 5), 1), ((4, 4), 1), ((1, 5), 1)), seed=4
+)
+CYCLE_SPEC = qs.PlantSpec(
+    qs.cycle_shape(4, ">><<"), (((1, 6), 1), ((3, 4), 2), ((2, 2), 1)),
+    regular_eigs=(2, -1j), seed=7,
+)
+
+
+@pytest.fixture
+def measurements(monkeypatch) -> list:
+    """The class of every result whose ``misfits`` runs: one residual measurement each."""
+    calls = []
+    for cls in (qs.ChainTrace, qs.ShaveResult, qs.RegularizingDecomposition):
+
+        def counted(self, *args, _misfits=cls.misfits, **kwargs):
+            calls.append(type(self).__name__)
+            return _misfits(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "misfits", counted)
+    return calls
+
+
+def _verify_chain(rep, truth):
+    form, trace = qs.canon_chain(rep)
+    assert qs.verify(rep, form, truth, trace=trace).passed
+
+
+def _verify_cycle(rep, truth):
+    assert qs.verify(rep, qs.regularize(rep), truth).passed
+
+
+def _report_cycle(rep, truth):
+    assert qs.report(rep, qs.regularize(rep))["residual"] < 1e-12
+
+
+SOLVES = {
+    "canon_chain+verify": (CHAIN_SPEC, _verify_chain, ["ChainTrace"]),
+    "regularize+verify": (CYCLE_SPEC, _verify_cycle, ["RegularizingDecomposition"]),
+    "regularize+report": (CYCLE_SPEC, _report_cycle, ["RegularizingDecomposition"]),
+    "canon_chain": (CHAIN_SPEC, lambda rep, truth: qs.canon_chain(rep), []),
+    "shave": (CYCLE_SPEC, lambda rep, truth: qs.shave(rep), []),
+    "regularize": (CYCLE_SPEC, lambda rep, truth: qs.regularize(rep), []),
+}
+
+
+@pytest.mark.parametrize("spec, solve, want", SOLVES.values(), ids=SOLVES.keys())
+def test_one_residual_measurement_per_checked_solve(measurements, spec, solve, want):
+    rep, truth = qs.plant(spec)
+    solve(rep, truth)
+    assert measurements == want
+
+
+@pytest.mark.parametrize("spec", [CHAIN_SPEC, CYCLE_SPEC], ids=["chain", "cycle"])
+def test_residual_is_measured_on_first_read_by_the_rule(measurements, spec):
+    rep, _ = qs.plant(spec)
+    if spec is CHAIN_SPEC:
+        results = [(rep, qs.canon_chain(rep)[1])]
+    else:
+        dec = qs.regularize(rep)
+        results = [(res.a, res) for res in dec.shaves] + [(rep, dec)]
+        results += [(ch.a, ch) for ch in dec.chains if ch is not None]
+    for a, res in results:
+        assert res.residual == res.residual == qs.reduction_residual(a, res)  # bit for bit
+    assert len(measurements) == 2 * len(results)  # each read once, then cached

@@ -9,7 +9,7 @@ import quiverstair as qs
 from conftest import (
     add_noise, is_regular, primed_chain_for_walk, random_cycle_spec, wide_cycle_spec,
 )
-from quiverstair import cli, cycle, files
+from quiverstair import cli, cycle, files, linalg
 from quiverstair.cycle import _walk_layout
 from quiverstair.linalg import _fro
 from quiverstair.errors import InconsistencyError, NumericError, ValidationError
@@ -413,10 +413,124 @@ class TestShaveReductionResidual:
         dec, big_dec = qs.regularize(rep), qs.regularize(big)
         assert (big_dec.summands, big_dec.regular_dim()) == (dec.summands, dec.regular_dim())
         assert big_dec.threshold == dec.threshold * 2.0**900
-        for res, big_res in zip(dec.shaves, big_dec.shaves):
+        for res, big_res in zip([*dec.shaves, dec], [*big_dec.shaves, big_dec]):
             assert np.isfinite(big_res.residual)
             assert big_res.residual == pytest.approx(res.residual * 2.0**900, rel=1e-12)
         assert qs.verify(big, big_dec, truth).passed
+
+
+def staircase_mask(step, shape):
+    """Where a chain step's staircase form demands a zero, read off ``staircase_residual``
+    one unit matrix at a time."""
+    axis = linalg.VERTICAL if step.orientation == ">" else linalg.HORIZONTAL
+    out = np.zeros(shape, dtype=bool)
+    for idx in np.ndindex(*shape):
+        unit = np.zeros(shape)
+        unit[idx] = 1.0
+        out[idx] = linalg.staircase_residual(unit, step.strip_sizes, step.block_sizes, axis) > 0
+    return out
+
+
+def composed_block_loop_misfits(dec, moved):
+    """Per arrow, the composed misfit of ``moved`` found by a loop over blocks: the reference
+    for ``RegularizingDecomposition.misfits``.  Each pass, in its own frame, pins the blocks
+    that ``block_loop_misfits`` pins, except that a chain block keeps only its staircase's
+    demanded zeros and the pass's cycle part is left to the next pass; what remains after
+    both is compared with ``regular_part``."""
+    inf = float("inf")
+    out = []
+    for i, m in enumerate(moved, 1):
+        frame, pieces = m, []
+        for res, chain in zip(dec.shaves, dec.chains):
+            shape = res.a.shape
+            u, v = shape.arrow_ends(i)
+            blocks = _glue_blocks(res, shape)
+            include = np.zeros(frame.shape, dtype=bool)
+            for qr, r0, dr in blocks[v]:
+                for qc, c0, dc in blocks[u]:
+                    rows, cols = slice(r0, r0 + dr), slice(c0, c0 + dc)
+                    if qr == qc == inf:
+                        continue
+                    if qr < inf and qc < inf and abs(qr - qc) == 1 and (qr > qc) == shape.is_clockwise(i):
+                        step = chain.steps[min(qr, qc) - res.l - 1]
+                        include[rows, cols] = staircase_mask(step, (dr, dc))
+                    elif qr <= qc + 1 or (qr == inf and qc == res.n + 1):
+                        include[rows, cols] = True
+            pieces.append(frame[include])
+            frame = frame[blocks[v][-1][1] :, blocks[u][-1][1] :].T
+        pieces.append((frame - dec.regular_part.matrices[i - 1]).ravel())
+        out.append(_fro(np.concatenate(pieces)))
+    return out
+
+
+class TestComposedResidual:
+    """``reduction_residual`` of a decomposition measures the composed reduction: both
+    shaves' glue zeros, both chain stages' staircase zeros and the regular part, in the
+    bases of ``dec.trace``, and ``verify`` reads nothing stored."""
+
+    SPEC = TestGlueMask.SPEC
+
+    @pytest.fixture(scope="class")
+    def solved(self):
+        rep, truth = qs.plant(self.SPEC)
+        dec = qs.regularize(rep)
+        assert qs.verify(rep, dec, truth).passed
+        return rep, truth, dec
+
+    # random cycles, and a t = 2 one with counterclockwise arrows, where a glue pins
+    # positions on both sides of a chain block
+    MASK_SPECS = [random_cycle_spec(seed) for seed in range(12)] + [
+        qs.PlantSpec(qs.cycle_shape(2, "<>"), (((1, 4), 1), ((2, 5), 2), ((1, 1), 1)),
+                     regular_eigs=(2.0,), seed=3),
+    ]
+
+    @pytest.mark.parametrize("k", range(len(MASK_SPECS)))
+    def test_mask_equals_the_block_loop(self, k):
+        # on random matrices every position counts, so a mask that differs anywhere shows
+        rep, _ = qs.plant(self.MASK_SPECS[k])
+        dec = qs.regularize(rep)
+        rng = np.random.default_rng([73, k])
+        moved = [rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape) for m in rep.matrices]
+        got = dec.misfits(rep.shape, moved)
+        assert got == pytest.approx(composed_block_loop_misfits(dec, moved), rel=1e-12)
+        assert dec.residual == max([0.0, *dec.misfits(rep.shape, _moved(rep, dec))])
+
+    def test_planted_residuals_are_small(self):
+        for seed in range(20):
+            rep, _ = qs.plant(random_cycle_spec(seed))
+            dec = qs.regularize(rep)
+            assert dec.residual <= 1e-12 * max(qs.representation_scale(rep), 1.0), seed
+
+    @pytest.mark.parametrize("v", range(2))
+    def test_one_swapped_trace_unitary_fails_verify(self, solved, v):
+        rep, truth, dec = solved
+        trace = list(dec.trace)
+        trace[v] = qs.random_unitary(rep.dims[v], [74, v])
+        report = qs.verify(rep, dataclasses.replace(dec, trace=trace), truth)
+        assert {c.name for c in report.checks if not c.passed} == {"residual"}
+
+    def test_perturbed_regular_part_fails_verify(self, solved):
+        rep, truth, dec = solved
+        mats = list(dec.regular_part.matrices)
+        mats[0] = mats[0] * 1.5
+        regular = qs.Representation(dec.regular_part.shape, dec.regular_part.dims, tuple(mats))
+        report = qs.verify(rep, dataclasses.replace(dec, regular_part=regular), truth)
+        assert {c.name for c in report.checks if not c.passed} == {"residual"}
+
+    def test_verify_measures_instead_of_reading(self, solved):
+        rep, truth, dec = solved
+        stale = dataclasses.replace(dec)
+        stale.residual = 1.0
+        report = qs.verify(rep, stale, truth)
+        assert report.passed and report.residual == dec.residual < 1e-12
+
+    def test_decomposition_that_does_not_fit_raises(self, solved):
+        rep, _, dec = solved
+        with pytest.raises(ValidationError, match="another quiver"):
+            dec.misfits(qs.cycle_shape(2, "><"), _moved(rep, dec))
+        short = dataclasses.replace(dec, regular_part=qs.assemble(self.SPEC.shape, ()))
+        with pytest.raises(ValidationError, match="does not fit arrow 1"):
+            qs.reduction_residual(rep, short)
 
 
 class TestWalkLayout:
@@ -786,8 +900,8 @@ class TestRegularize:
                 l=a.shape.t + 1,
                 n=a.shape.t,
                 trace=[np.eye(d, dtype=complex) for d in a.dims],
-                residual=0.0,
                 threshold=tol.threshold(*a.matrices),
+                a=a,
             )
 
         monkeypatch.setattr(cycle, "shave", no_shave)
@@ -796,21 +910,27 @@ class TestRegularize:
             qs.regularize(rep)
 
     def test_residual_covers_the_chain_stages(self, monkeypatch):
+        # a chain stage that hands back one vertex transform swapped for another unitary:
+        # the composed trace carries it, and verify measures the composed form
         from quiverstair import cycle
 
         canon_chain = cycle.canon_chain
 
         def bad_chain_stage(a, tol=qs.DEFAULT_TOL):
             form, trace = canon_chain(a, tol)
-            trace.residual = 1.0
+            v = next(c for c, d in enumerate(a.dims) if d >= 2)
+            trace.vertex_transforms[v] = qs.random_unitary(a.dims[v], [72, v])
             return form, trace
 
         monkeypatch.setattr(cycle, "canon_chain", bad_chain_stage)
         rep, truth = qs.plant(TestGlueMask.SPEC)
         dec = qs.regularize(rep)
-        assert dec.residual >= 1.0
+        assert dec.chains[0] is not None
         report = qs.verify(rep, dec, truth)
-        assert not next(c for c in report.checks if c.name == "residual").passed
+        assert report.labels_match
+        (check,) = [c for c in report.checks if c.name == "residual"]
+        assert not check.passed
+        assert check.measured == dec.residual == qs.reduction_residual(rep, dec)
 
     def test_regularity_decided_once(self, tmp_path, capsys):
         # Each arrow's sigma_min is 1e-3, above the input threshold, so the part

@@ -467,7 +467,7 @@ class TestCli:
         files.save_representation(path, rep)
         assert cli.main(["canon", str(path), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["report_version"] == 4
+        assert payload["report_version"] == 5
         got = {(row["low"], row["high"]): row["count"] for row in payload["labels"]}
         assert got == {(1, 2): 4, (3, 3): 4}
         assert payload["threshold"] == qs.DEFAULT_TOL.threshold(*rep.matrices)

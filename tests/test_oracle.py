@@ -450,7 +450,7 @@ class TestReport:
         out = qs.report(rep, form, trace=trace)
         assert list(out) == ["report_version", "t", "orientations", "labels",
                              "dimension_check", "residual", "threshold"]
-        assert out["report_version"] == qs.REPORT_VERSION == 4
+        assert out["report_version"] == qs.REPORT_VERSION == 5
         assert (out["t"], out["orientations"]) == (4, "><>")
         assert out["labels"] == [
             {"kind": "L", "low": 1, "high": 4, "count": 1},
@@ -479,7 +479,8 @@ class TestReport:
 
     def test_non_finite_floats_are_none(self):
         rep, _ = qs.plant(self.CYCLE)
-        dec = dataclasses.replace(qs.regularize(rep), residual=float("inf"), threshold=float("nan"))
+        dec = qs.regularize(rep)
+        dec.residual, dec.threshold = float("inf"), float("nan")
         out = qs.report(rep, dec)
         assert (out["residual"], out["threshold"]) == (None, None)
         json.dumps(out, allow_nan=False)
