@@ -175,13 +175,17 @@ def reduction_residual(a: Representation, result) -> float:
     """How far the input, taken into a result's unitary bases, is from the form it claims.
 
     ``result`` is a :class:`ChainTrace` (staircase patterns in the bases
-    ``vertex_transforms``), a ``ShaveResult`` (the glued split in the bases
-    ``trace``) or a ``RegularizingDecomposition`` (both shaves' splits, both
-    chain stages' staircase patterns and the regular part, in the composed
-    bases ``trace``).  Forms ``S_v A S_u^H`` on each arrow ``u -> v`` and
-    returns the largest of ``result.misfits`` on them; raises
-    :class:`ValidationError` if the result does not fit ``a``.
+    ``vertex_transforms``) or a ``RegularizingDecomposition`` (both shaves'
+    splits, both chain stages' staircase patterns and the regular part, in
+    the composed bases ``trace``).  Forms ``S_v A S_u^H`` on each arrow
+    ``u -> v`` and returns the largest of ``result.misfits`` on them; raises
+    :class:`ValidationError` for a result of another type or one that does
+    not fit ``a``.
     """
+    from .cycle import RegularizingDecomposition  # cycle imports this module
+
+    if not isinstance(result, (ChainTrace, RegularizingDecomposition)):
+        raise ValidationError(f"cannot measure a result of type {type(result).__name__}")
     s = result.vertex_transforms if isinstance(result, ChainTrace) else result.trace
     if [np.shape(q) for q in s] != [(d, d) for d in a.dims]:
         raise ValidationError(

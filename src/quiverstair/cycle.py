@@ -74,10 +74,9 @@ class ShaveResult:
     reduced cycle representation, whose clockwise arrows all have full row
     rank.  ``trace`` holds the accumulated unitary applied at each cycle
     vertex; its leading block at every vertex corresponds to the shaved
-    parts, in the order they were split off.  ``a`` is the input.
-    ``residual`` is :func:`reduction_residual` of ``a`` and this result,
-    measured when first read: how far the input, taken into the bases of
-    ``trace``, is from the glued split.
+    parts, in the order they were split off.  It carries no residual: a
+    decomposition measures both passes' splits (see
+    :meth:`RegularizingDecomposition.misfits`).
     """
 
     a_prime: Representation | None
@@ -86,46 +85,11 @@ class ShaveResult:
     n: int
     trace: list[np.ndarray]
     threshold: float
-    a: Representation = field(kw_only=True, repr=False)
-
-    @cached_property
-    def residual(self) -> float:
-        return reduction_residual(self.a, self)
 
     @property
     def steps(self) -> range:
         """The walk's steps ``l..n``; empty when nothing was shaved."""
         return range(self.l, self.n + 1)
-
-    def misfits(self, shape: QuiverShape, moved: list[np.ndarray]) -> list[float]:
-        """Per arrow, the Frobenius norm of ``moved`` minus the glued split, where pinned.
-
-        ``moved`` is the input taken into the bases of ``trace``, and the
-        split is ``push_down(a_prime) ⊕ a_tilde``.  Pinned are the chain and
-        cycle blocks themselves, the blocks zeroed by the compressions, and
-        the strip dropped by the stopping rule.  Positions below the block
-        diagonal are not; they carry couplings that the split removes exactly
-        but only by non-unitary (triangular) changes of basis.  Raises
-        :class:`ValidationError` if the split does not fit ``moved``.
-        """
-        _check_chain("misfits", self.a_prime, self.l, self.n, shape)
-        if self.a_tilde.shape != shape:
-            raise ValidationError("the glued split's cycle part lives on another quiver")
-        offsets, dims, glued = _glue(shape, self.l, self.a_prime, self.a_tilde)
-        if [g.shape for g in glued] != [m.shape for m in moved]:
-            raise ValidationError(f"the glued split of dims {dims} does not fit the input")
-        # the walk position of every basis vector; the cycle part's is inf
-        sizes = self.a_prime.dims if self.a_prime is not None else ()
-        pos = [np.full(d, np.inf) for d in dims]
-        for q, (off, size) in enumerate(zip(offsets, sizes), self.l + 1):
-            pos[shape.wrap(q) - 1][off : off + size] = q
-        out = []
-        for i, (m, g) in enumerate(zip(moved, glued), 1):
-            u, v = shape.arrow_ends(i)
-            qr, qc = pos[v - 1][:, None], pos[u - 1]
-            pinned = (qr <= qc + 1) | ((qr == np.inf) & (qc == self.n + 1))
-            out.append(_fro((m - g)[pinned]))
-        return out
 
 
 def shave(a: Representation, tol: TolerancePolicy = DEFAULT_TOL) -> ShaveResult:
@@ -181,7 +145,7 @@ def shave(a: Representation, tol: TolerancePolicy = DEFAULT_TOL) -> ShaveResult:
 
     if l == t + 1:  # nothing to shave
         trace = [np.eye(d, dtype=np.complex128) for d in a.dims]
-        return ShaveResult(None, a, l, t, trace, threshold=tau, a=a)
+        return ShaveResult(None, a, l, t, trace, threshold=tau)
 
     mats = list(a.matrices)  # read-only; each step replaces entries
     trace: list[np.ndarray | None] = [None] * t  # the identity until a step moves it
@@ -267,7 +231,7 @@ def shave(a: Representation, tol: TolerancePolicy = DEFAULT_TOL) -> ShaveResult:
     # vertex i's remaining dimension, read off arrow i, whose source or target it is
     dims = [m.shape[1 if shape.is_clockwise(i) else 0] for i, m in enumerate(mats, 1)]
     a_tilde = Representation(shape, dims, tuple(mats))
-    return ShaveResult(a_prime, a_tilde, l, n, trace, threshold=tau, a=a)
+    return ShaveResult(a_prime, a_tilde, l, n, trace, threshold=tau)
 
 
 def _walk_layout(shape: QuiverShape, start: int, sizes) -> tuple[list[int], tuple[int, ...]]:
@@ -293,58 +257,6 @@ def _walk_shape(shape: QuiverShape, l: int, n: int) -> QuiverShape:
     return QuiverShape(CHAIN, n + 1 - l, orientations)
 
 
-def _check_chain(
-    who: str, b: Representation | None, l: int, n: int, shape: QuiverShape
-) -> int:
-    """Check that ``b`` is a chain on the walk positions ``l+1..n+1`` of the cycle ``shape``.
-
-    Returns ``l`` as a Python ``int``.
-    """
-    _check_kind(who, shape, CYCLE)
-    l = _check_int(who, "l", l)
-    n = _check_int(who, "n", n, l - 1)
-    if b is None:
-        if n != l - 1:
-            raise ValidationError(f"{who} got no chain but n-l+1={n + 1 - l} vertices")
-    elif n == l - 1 or b.shape != _walk_shape(shape, l, n):
-        raise ValidationError(
-            f"{who} got a {b.shape.kind} of t={b.shape.t} with orientations "
-            f"{b.shape.orientations!r}, not the chain over walk positions {l + 1}..{n + 1}"
-        )
-    return l
-
-
-def _glue(
-    shape: QuiverShape, l: int, b: Representation | None, rest: Representation | None = None
-) -> tuple[list[int], tuple[int, ...], list[np.ndarray]]:
-    """The matrices of ``push_down(b, l, n, shape) ⊕ rest``, built without representations.
-
-    ``b`` and ``rest`` must already fit ``shape`` (see :func:`_check_chain`).
-    Returns the offset of each of ``b``'s walk positions ``l+1, l+2, ...``
-    within its vertex's basis (see :func:`_walk_layout`), the vertex
-    dimensions and the matrix of every arrow: zeros, with each chain block
-    at its walk positions and ``rest``'s matrix in the trailing corner.
-    """
-    sizes = b.dims if b is not None else ()
-    offsets, pushed = _walk_layout(shape, l + 1, sizes)
-    dims = pushed if rest is None else tuple(p + d for p, d in zip(pushed, rest.dims))
-    mats = []
-    for i in range(1, shape.t + 1):
-        u, v = shape.arrow_ends(i)
-        m = np.zeros((dims[v - 1], dims[u - 1]), dtype=np.complex128)
-        if rest is not None:
-            m[pushed[v - 1] :, pushed[u - 1] :] = rest.matrices[i - 1]
-        mats.append(m)
-    for j, blockm in enumerate(b.matrices if b is not None else (), start=1):
-        i = shape.wrap(l + j)  # chain matrix j joins positions l+j and l+j+1
-        if shape.is_clockwise(i):
-            r0, c0 = offsets[j], offsets[j - 1]
-        else:
-            r0, c0 = offsets[j - 1], offsets[j]
-        mats[i - 1][r0 : r0 + blockm.shape[0], c0 : c0 + blockm.shape[1]] = blockm
-    return offsets, dims, mats
-
-
 def push_down(
     b: Representation | None, l: int, n: int, shape: QuiverShape
 ) -> Representation:
@@ -355,8 +267,27 @@ def push_down(
     order, of the chain matrices lying over it, padded with the degenerate
     boundary blocks at the two chain ends.
     """
-    l = _check_chain("push_down", b, l, n, shape)
-    _, dims, mats = _glue(shape, l, b)
+    _check_kind("push_down", shape, CYCLE)
+    l = _check_int("push_down", "l", l)
+    n = _check_int("push_down", "n", n, l - 1)
+    if b is None:
+        if n != l - 1:
+            raise ValidationError(f"push_down got no chain but n-l+1={n + 1 - l} vertices")
+    elif n == l - 1 or b.shape != _walk_shape(shape, l, n):
+        raise ValidationError(
+            f"push_down got a {b.shape.kind} of t={b.shape.t} with orientations "
+            f"{b.shape.orientations!r}, not the chain over walk positions {l + 1}..{n + 1}"
+        )
+    offsets, dims = _walk_layout(shape, l + 1, b.dims if b is not None else ())
+    ends = [shape.arrow_ends(i) for i in range(1, shape.t + 1)]
+    mats = [np.zeros((dims[v - 1], dims[u - 1]), dtype=np.complex128) for u, v in ends]
+    for j, blockm in enumerate(b.matrices if b is not None else (), start=1):
+        i = shape.wrap(l + j)  # chain matrix j joins positions l+j and l+j+1
+        if shape.is_clockwise(i):
+            r0, c0 = offsets[j], offsets[j - 1]
+        else:
+            r0, c0 = offsets[j - 1], offsets[j]
+        mats[i - 1][r0 : r0 + blockm.shape[0], c0 : c0 + blockm.shape[1]] = blockm
     return Representation(shape, dims, tuple(mats))
 
 
@@ -436,8 +367,9 @@ class _PassLabels:
     rest are the pass's cycle part.  ``row`` is a vector's walk position
     ``q``, ``n + 1.5`` on the cycle part, and ``col`` is ``q + 1``, ``inf``
     on the cycle part: the glue pins an entry iff its row's ``row`` is at
-    most its column's ``col``, which is :meth:`ShaveResult.misfits`'s rule
-    (``qr <= qc + 1``, and cycle rows against position ``n + 1`` only).  ``strip`` keys a shaved vector within the
+    most its column's ``col``, so chain rows against chain columns with
+    ``q_row <= q_col + 1``, every row against cycle columns, and cycle rows
+    against position ``n + 1``.  ``strip`` keys a shaved vector within the
     chain step on its right, ``band`` within the one on its left (see
     :func:`_pass_labels`).
     """
@@ -450,7 +382,8 @@ class _PassLabels:
 
 
 def _pass_labels(shape: QuiverShape, res: ShaveResult, stage: ChainTrace | None) -> list:
-    """The :class:`_PassLabels` of every vertex of ``res.a``; ``stage`` is its chain stage.
+    """The :class:`_PassLabels` of every vertex of the cycle ``res`` shaved; ``stage`` is its
+    chain stage.  A vertex lists its shaved vectors, then those of ``res.a_tilde``.
 
     Inside chain step ``j``'s block, the staircase rule is one comparison:
     a strip-side vector of strip ``i`` gets the key ``2i``, plus 1 if it is
@@ -491,14 +424,15 @@ def _pass_labels(shape: QuiverShape, res: ShaveResult, stage: ChainTrace | None)
     pos = np.repeat(np.arange(res.l + 1, res.l + 1 + len(sizes)), sizes).astype(np.float64)
     vertex = np.repeat((np.arange(res.l, res.l + len(sizes))) % t, sizes)
     cut = np.bincount(vertex, minlength=t)
-    rest = np.array(res.a.dims) - cut
+    rest = np.array(res.a_tilde.dims)
+    dims = cut + rest
     order = np.argsort(np.concatenate([vertex, np.repeat(np.arange(t), rest)]), kind="stable")
     cyc = int(rest.sum())
     row = np.concatenate([pos, np.full(cyc, res.n + 1.5)])[order]
     col = np.concatenate([pos + 1, np.full(cyc, np.inf)])[order]
     strip = np.concatenate([strip, np.zeros(cyc)])[order]
     band = np.concatenate([band, np.zeros(cyc)])[order]
-    bounds = np.cumsum([0, *res.a.dims])
+    bounds = np.cumsum([0, *dims])
     return [
         _PassLabels(int(c), row[b0:b1], col[b0:b1], strip[b0:b1], band[b0:b1])
         for c, b0, b1 in zip(cut, bounds, bounds[1:])
@@ -572,13 +506,13 @@ class RegularizingDecomposition:
         ``moved`` is the input taken into the bases of ``trace``, where each
         vertex lists the first shave's walk positions, then the second's,
         then the regular part.  Each shave demands the zeros its glue pins
-        (see :meth:`ShaveResult.misfits`; the second in its transposed
-        frame), and in each chain block the zeros of that chain step's
-        staircase form.  Each set is a union of blocks between walk
-        positions, which the block-diagonal chain rotations and the second
-        shave's rotation of the cycle part map to themselves, so its norm is
-        what the stage left.  Raises :class:`ValidationError` if the
-        decomposition does not fit ``moved``.
+        (see :class:`_PassLabels`; the second in its transposed frame), and
+        in each chain block the zeros of that chain step's staircase form.
+        Each set is a union of blocks between walk positions, which the
+        block-diagonal chain rotations and the second shave's rotation of the
+        cycle part map to themselves, so its norm is what the stage left.
+        Raises :class:`ValidationError` if the decomposition does not fit
+        ``moved``.
         """
         if shape != self.shape:
             raise ValidationError("the decomposition lives on another quiver")

@@ -297,8 +297,10 @@ def verify(
     or the decomposition, whose composed ``trace`` carries every unitary of
     the reduction.  Nothing stored is read, so a unitary swapped after the
     run fails the ``residual`` check; :func:`reduction_residual` raises
-    :class:`ValidationError` if the result does not fit ``a``.  Failures are
-    report entries, not exceptions.
+    :class:`ValidationError` if the result does not fit ``a``.  When ``a``
+    is the measured result's own input, the value fills its ``residual``, so
+    a later :func:`report` measures nothing.  Failures are report entries,
+    not exceptions.
     """
     _check_truth(a, truth)
     is_chain = _is_chain_result(a, result, trace)
@@ -306,7 +308,10 @@ def verify(
         counts, transforms = result.counts, trace.vertex_transforms
     else:
         counts, transforms = result.summands, result.trace
-    residual = reduction_residual(a, trace if is_chain else result)
+    measured = trace if is_chain else result
+    residual = reduction_residual(a, measured)
+    if a is measured.a:
+        measured.residual = residual  # the value its cached property would measure
     scale = representation_scale(a)
     truth_counts = truth.label_counts()
     got = Counter({lab: m for lab, m in counts.items() if m})

@@ -54,6 +54,13 @@ def test_second_paths_are_not_in_the_package(name):
     assert [m for m in MODULES if hasattr(importlib.import_module(m), name)] == []
 
 
+@pytest.mark.parametrize("name", ["misfits", "residual"])
+def test_a_shave_result_has_no_residual_rule(name):
+    # a shave's glue is measured as part of the decomposition, by
+    # RegularizingDecomposition.misfits
+    assert not hasattr(qs.ShaveResult, name)
+
+
 VALUE_RULE_MODULES = {"numbers", "cmath", "math"}
 
 

@@ -154,7 +154,7 @@ CYCLE_SPEC = qs.PlantSpec(
 def measurements(monkeypatch) -> list:
     """The class of every result whose ``misfits`` runs: one residual measurement each."""
     calls = []
-    for cls in (qs.ChainTrace, qs.ShaveResult, qs.RegularizingDecomposition):
+    for cls in (qs.ChainTrace, qs.RegularizingDecomposition):
 
         def counted(self, *args, _misfits=cls.misfits, **kwargs):
             calls.append(type(self).__name__)
@@ -177,10 +177,25 @@ def _report_cycle(rep, truth):
     assert qs.report(rep, qs.regularize(rep))["residual"] < 1e-12
 
 
+def _verify_report_chain(rep, truth):
+    # verify fills the residual it measured, so report measures nothing
+    form, trace = qs.canon_chain(rep)
+    assert qs.verify(rep, form, truth, trace=trace).passed
+    assert qs.report(rep, form, trace=trace)["residual"] < 1e-12
+
+
+def _verify_report_cycle(rep, truth):
+    dec = qs.regularize(rep)
+    assert qs.verify(rep, dec, truth).passed
+    assert qs.report(rep, dec)["residual"] < 1e-12
+
+
 SOLVES = {
     "canon_chain+verify": (CHAIN_SPEC, _verify_chain, ["ChainTrace"]),
     "regularize+verify": (CYCLE_SPEC, _verify_cycle, ["RegularizingDecomposition"]),
     "regularize+report": (CYCLE_SPEC, _report_cycle, ["RegularizingDecomposition"]),
+    "canon_chain+verify+report": (CHAIN_SPEC, _verify_report_chain, ["ChainTrace"]),
+    "regularize+verify+report": (CYCLE_SPEC, _verify_report_cycle, ["RegularizingDecomposition"]),
     "canon_chain": (CHAIN_SPEC, lambda rep, truth: qs.canon_chain(rep), []),
     "shave": (CYCLE_SPEC, lambda rep, truth: qs.shave(rep), []),
     "regularize": (CYCLE_SPEC, lambda rep, truth: qs.regularize(rep), []),
@@ -201,7 +216,7 @@ def test_residual_is_measured_on_first_read_by_the_rule(measurements, spec):
         results = [(rep, qs.canon_chain(rep)[1])]
     else:
         dec = qs.regularize(rep)
-        results = [(res.a, res) for res in dec.shaves] + [(rep, dec)]
+        results = [(rep, dec)]
         results += [(ch.a, ch) for ch in dec.chains if ch is not None]
     for a, res in results:
         assert res.residual == res.residual == qs.reduction_residual(a, res)  # bit for bit

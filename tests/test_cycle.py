@@ -119,8 +119,7 @@ class TestShaveBasics:
             rep, _ = qs.plant(random_cycle_spec(seed))
             res = qs.shave(rep)
             scale = max(qs.representation_scale(rep), 1.0)
-            assert qs.reduction_residual(rep, res) <= 1e-8 * scale
-            assert res.residual <= 1e-8 * scale
+            assert max(block_loop_misfits(rep, res)) <= 1e-8 * scale
 
     @pytest.mark.parametrize(
         "shape, labels, count",
@@ -162,8 +161,8 @@ def _glue_blocks(res, shape):
 def block_loop_misfits(rep, res):
     """Per arrow, the norm of the input in the bases of ``res.trace`` minus
     ``push_down(a_prime) ⊕ a_tilde``, built by the public functions, over the
-    pinned blocks found by a loop: the reference for ``ShaveResult.misfits``,
-    in the same scaled norm."""
+    blocks the glue pins, found by a loop: the check of each shave's glue, in
+    the scaled norm of the composed residual."""
     shape, s, blocks = rep.shape, res.trace, _glue_blocks(res, rep.shape)
     glued = qs.direct_sum(qs.push_down(res.a_prime, res.l, res.n, shape), res.a_tilde)
     out = []
@@ -193,114 +192,54 @@ def _zero_maps(shape, dims):
     return qs.Representation(shape, dims, tuple(mats))
 
 
-class TestGlueMatrices:
-    """``ShaveResult.misfits`` builds the glued split as bare matrices; its misfits equal,
-    bit for bit, those measured against the representations ``push_down`` and
-    ``direct_sum`` build."""
-
-    def test_planted_cycles(self):
-        seen = Counter()
-        for seed in range(30):
-            rep, _ = qs.plant(random_cycle_spec(seed))
-            res = qs.shave(rep)
-            assert res.misfits(rep.shape, _moved(rep, res)) == block_loop_misfits(rep, res), seed
-            seen["t=2"] += rep.shape.t == 2
-            seen["zero-dimensional vertex"] += 0 in rep.dims
-            seen["nothing shaved"] += res.a_prime is None
-        assert min(seen.values()) > 0, seen
-
-    @pytest.mark.parametrize(
-        "shape, dims",
-        [(qs.cycle_shape(2, "><"), (2, 1)), (qs.cycle_shape(2, ">>"), (3, 0)),
-         (qs.cycle_shape(3, "<><"), (2, 0, 3)), (qs.cycle_shape(3, ">>>"), (0, 0, 0))],
-    )
-    def test_all_zero_maps(self, shape, dims):
-        rep = _zero_maps(shape, dims)
-        res = qs.shave(rep)
-        assert res.misfits(shape, _moved(rep, res)) == block_loop_misfits(rep, res)
-        assert res.residual == 0.0
-
-    def test_nothing_shaved(self):
-        shape = qs.cycle_shape(3, "><>")
-        rep = qs.Representation(shape, (2, 2, 2), tuple(np.eye(2) for _ in range(3)))
-        res = qs.shave(rep)
-        assert (res.l, res.a_prime) == (shape.t + 1, None)
-        assert res.misfits(shape, _moved(rep, res)) == block_loop_misfits(rep, res) == [0.0] * 3
-
-    def test_split_on_another_quiver_raises(self):
-        rep, _ = qs.plant(TestGlueMask.SPEC)
-        res = qs.shave(rep)
-        flipped = dataclasses.replace(res, a_tilde=qs.transpose_rep(res.a_tilde))
-        with pytest.raises(ValidationError, match="lives on another quiver"):
-            qs.reduction_residual(rep, flipped)
-        with pytest.raises(ValidationError, match="misfits got no chain"):
-            qs.reduction_residual(rep, dataclasses.replace(res, a_prime=None))
-
-    @pytest.mark.parametrize(
-        "edit",
-        [lambda r: dict(a_prime=qs.transpose_rep(r.a_prime)), lambda r: dict(n=r.n + 1)],
-        ids=["orientation", "length"],
-    )
-    def test_chain_off_the_walk_raises(self, edit):
-        rep, _ = qs.plant(TestGlueMask.SPEC)
-        res = qs.shave(rep)
-        assert res.a_prime.shape.t >= 2
-        off = dataclasses.replace(res, **edit(res))
-        want = "^misfits got a chain .*, not the chain over walk positions"
-        with pytest.raises(ValidationError, match=want):
-            off.misfits(rep.shape, _moved(rep, res))
-
-
 class TestGlueMask:
-    """``reduction_residual`` of a shave compares exactly the blocks the split pins down:
-    chain rows against chain columns on or above the block diagonal
-    (``qr <= qc + 1``), everything in cycle columns, and cycle rows only
-    against the last chain position ``n + 1`` and against cycle columns."""
+    """The composed residual sees exactly the entries the first shave's glue pins outside
+    its chain blocks and its cycle part: chain rows against chain columns above the block
+    diagonal, chain rows against cycle columns, and cycle rows only against the last chain
+    position ``n + 1``.  A chain block is the chain stage's to judge and the cycle part the
+    second pass's; ``TestComposedResidual.test_mask_equals_the_block_loop`` covers both."""
 
     SHAPE = qs.cycle_shape(2, ">>")
     SPEC = qs.PlantSpec(SHAPE, (((1, 4), 1), ((1, 1), 1)), regular_eigs=(2.0,), seed=1)
     INF = float("inf")
 
-    # (arrow, row position, column position, kept by the mask)
+    # (arrow, row position, column position, kept by the mask), in the first pass's frame
     CASES = [
-        (1, 4, 3, True),  # chain x chain, qr = qc + 1
         (1, 6, 3, False),  # chain x chain, qr > qc + 1
         (2, INF, 6, True),  # cycle rows x chain column at n + 1
         (2, INF, 4, False),  # cycle rows x another chain column
         (1, 4, INF, True),  # chain rows x cycle columns
-        (1, INF, INF, True),  # cycle x cycle
     ]
 
     @pytest.fixture(scope="class")
-    def shaved(self):
+    def solved(self):
         rep, _ = qs.plant(self.SPEC)
-        res = qs.shave(rep)
+        dec = qs.regularize(rep)
+        res = dec.shaves[0]
         assert (res.l, res.n, res.a_prime.dims) == (2, 5, (2, 1, 1, 1))
-        return rep, res, qs.reduction_residual(rep, res)
-
-    def test_result_residual_is_the_glue_residual(self, shaved):
-        _, res, base = shaved
-        assert res.residual == base
+        return rep, dec
 
     @pytest.mark.parametrize("arrow, qr, qc, kept", CASES)
-    def test_bump_in_block(self, shaved, arrow, qr, qc, kept):
-        rep, res, base = shaved
+    def test_bump_in_block(self, solved, arrow, qr, qc, kept):
+        # dec.trace lists the first pass's walk positions first at every vertex, then its
+        # cycle part, so the first pass's blocks sit at the offsets its glue gives them
+        rep, dec = solved
         u, v = self.SHAPE.arrow_ends(arrow)
-        blocks = _glue_blocks(res, self.SHAPE)
+        blocks = _glue_blocks(dec.shaves[0], self.SHAPE)
         r0 = next(off for q, off, size in blocks[v] if q == qr and size)
         c0 = next(off for q, off, size in blocks[u] if q == qc and size)
         bump = np.zeros(rep.matrices[arrow - 1].shape, dtype=complex)
         bump[r0, c0] = 1e-3
-        s = res.trace
+        s = dec.trace
         mats = list(rep.matrices)
         mats[arrow - 1] = mats[arrow - 1] + s[v - 1].conj().T @ bump @ s[u - 1]
         bumped = qs.Representation(self.SHAPE, rep.dims, tuple(mats))
-        got = qs.reduction_residual(bumped, res)
-        assert base <= 1e-14
+        got = dataclasses.replace(dec, a=bumped).residual
+        assert dec.residual <= 1e-14
         if kept:
             assert got == pytest.approx(1e-3, rel=1e-9)
         else:
-            assert got == pytest.approx(base, abs=1e-15)
+            assert got == pytest.approx(dec.residual, abs=1e-15)
 
 
 class TestShaveSteps:
@@ -356,53 +295,53 @@ class TestShaveSteps:
 
 
 class TestShaveReductionResidual:
-    """``reduction_residual`` of a shave result fits it to the input first, and
-    sees any returned unitary swapped after the run."""
+    """``reduction_residual`` of a decomposition, which measures both shaves' glue: exact
+    zeros on zero maps, a fit to the input first, and the input's scale."""
 
     SHAPE, SPEC = TestGlueMask.SHAPE, TestGlueMask.SPEC
 
     @pytest.fixture(scope="class")
-    def shaved(self):
+    def solved(self):
         rep, _ = qs.plant(self.SPEC)
-        return rep, qs.shave(rep)
+        return rep, qs.regularize(rep)
 
-    @pytest.mark.parametrize("v", range(2))
-    def test_one_swapped_vertex_unitary_shows(self, shaved, v):
-        rep, res = shaved
-        assert rep.dims[v] >= 2
-        trace = list(res.trace)
-        trace[v] = qs.random_unitary(rep.dims[v], [71, v])
-        swapped = dataclasses.replace(res, trace=trace)
-        assert qs.reduction_residual(rep, swapped) > 1e-8 * qs.representation_scale(rep)
+    @pytest.mark.parametrize(
+        "shape, dims",
+        [(qs.cycle_shape(2, "><"), (2, 1)), (qs.cycle_shape(2, ">>"), (3, 0)),
+         (qs.cycle_shape(3, "<><"), (2, 0, 3)), (qs.cycle_shape(3, ">>>"), (0, 0, 0))],
+    )
+    def test_all_zero_maps(self, shape, dims):
+        assert qs.regularize(_zero_maps(shape, dims)).residual == 0.0
 
-    @staticmethod
-    def block_loop_residual(rep, res):
-        """The glue residual as a loop over the pinned blocks, for reference."""
-        return max([0.0, *block_loop_misfits(rep, res)])
-
-    def test_equals_the_block_loop(self):
-        shaved = 0
-        for seed in range(20):
-            rep, _ = qs.plant(random_cycle_spec(seed))
-            res = qs.shave(rep)
-            if res.a_prime is not None:
-                shaved += 1
-                want = self.block_loop_residual(rep, res)
-                assert qs.reduction_residual(rep, res) == res.residual == want, seed
-        assert shaved >= 10
-
-    def test_cycle_of_other_dims_raises(self, shaved):
-        rep, res = shaved
+    def test_cycle_of_other_dims_raises(self, solved):
+        rep, dec = solved
         other, _ = qs.plant(dataclasses.replace(self.SPEC, regular_eigs=(2.0, 3.0)))
         assert other.shape == rep.shape and other.dims != rep.dims
         with pytest.raises(ValidationError, match="does not fit"):
-            qs.reduction_residual(other, res)
+            qs.reduction_residual(other, dec)
 
-    def test_split_that_does_not_fit_raises(self, shaved):
-        rep, res = shaved
-        short = dataclasses.replace(res, a_tilde=qs.assemble(self.SHAPE, ()))
+    def test_split_that_does_not_fit_raises(self, solved):
+        # a first shave that claims to have shaved nothing leaves more to the second
+        # shave than its bases hold
+        rep, dec = solved
+        first, second = dec.shaves
+        none = dataclasses.replace(first, a_prime=None, l=self.SHAPE.t + 1, n=self.SHAPE.t)
+        short = dataclasses.replace(dec, shaves=(none, second), chains=(None, dec.chains[1]))
         with pytest.raises(ValidationError, match="does not fit"):
             qs.reduction_residual(rep, short)
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda rep: qs.canon_chain(qs.assemble(qs.chain_shape(2, ">"), [((1, 2), 1)]))[0],
+         qs.shave, lambda rep: object()],
+        ids=["ChainCanonicalForm", "ShaveResult", "object"],
+    )
+    def test_result_without_a_rule_raises(self, solved, make):
+        rep, _ = solved
+        result = make(rep)
+        want = f"^cannot measure a result of type {type(result).__name__}$"
+        with pytest.raises(ValidationError, match=want):
+            qs.reduction_residual(rep, result)
 
     def test_scaled_input_has_the_scaled_residual(self):
         # scaling by 2^900 is exact, entries near 1e270 stay finite, and so does the
@@ -413,9 +352,8 @@ class TestShaveReductionResidual:
         dec, big_dec = qs.regularize(rep), qs.regularize(big)
         assert (big_dec.summands, big_dec.regular_dim()) == (dec.summands, dec.regular_dim())
         assert big_dec.threshold == dec.threshold * 2.0**900
-        for res, big_res in zip([*dec.shaves, dec], [*big_dec.shaves, big_dec]):
-            assert np.isfinite(big_res.residual)
-            assert big_res.residual == pytest.approx(res.residual * 2.0**900, rel=1e-12)
+        assert np.isfinite(big_dec.residual)
+        assert big_dec.residual == pytest.approx(dec.residual * 2.0**900, rel=1e-12)
         assert qs.verify(big, big_dec, truth).passed
 
 
@@ -442,7 +380,7 @@ def composed_block_loop_misfits(dec, moved):
     for i, m in enumerate(moved, 1):
         frame, pieces = m, []
         for res, chain in zip(dec.shaves, dec.chains):
-            shape = res.a.shape
+            shape = res.a_tilde.shape
             u, v = shape.arrow_ends(i)
             blocks = _glue_blocks(res, shape)
             include = np.zeros(frame.shape, dtype=bool)
@@ -901,7 +839,6 @@ class TestRegularize:
                 n=a.shape.t,
                 trace=[np.eye(d, dtype=complex) for d in a.dims],
                 threshold=tol.threshold(*a.matrices),
-                a=a,
             )
 
         monkeypatch.setattr(cycle, "shave", no_shave)
