@@ -35,8 +35,8 @@ from .linalg import (
     VERTICAL,
     TolerancePolicy,
     _check_tol,
+    _sizes,
     staircase_reduce,
-    staircase_residual,
 )
 from .quiver import (
     CHAIN,
@@ -99,22 +99,70 @@ class ChainTrace:
         return reduction_residual(self.a, self)
 
     def misfits(self, shape: QuiverShape, moved: list[np.ndarray]) -> list[float]:
-        """Each step's staircase residual on its arrow of ``moved``, the input in these bases.
-
-        Raises :class:`ValidationError` unless the steps are oriented as ``shape``'s arrows.
+        """Per step, the largest modulus of its arrow of ``moved``, the input in these bases,
+        where its staircase form demands a zero (see :func:`_staircase_keys`); raises
+        :class:`ValidationError` unless both fit a chain of ``shape`` and these transforms' dims.
         """
-        if [step.orientation for step in self.steps] != list(shape.orientations):
-            raise ValidationError(
-                f"trace does not fit a chain of orientations {shape.orientations!r}: "
-                "it needs a step per arrow, oriented as the arrow"
-            )
-        return [
-            staircase_residual(
-                m, step.strip_sizes, step.block_sizes,
-                VERTICAL if step.orientation == CLOCKWISE else HORIZONTAL,
-            )
-            for m, step in zip(moved, self.steps)
-        ]
+        dims = [len(q) for q in self.vertex_transforms]
+        keys = _staircase_keys(self.steps, shape.orientations, dims)
+        strip, band = (np.split(x, np.cumsum(dims)[:-1]) for x in keys)  # per vertex
+        out = []
+        for j, (m, o, s, b) in enumerate(zip(moved, shape.orientations, strip, band[1:]), 1):
+            zero = b[:, None] > s if o == CLOCKWISE else s[:, None] < b
+            if zero.shape != np.shape(m):
+                raise ValidationError(f"trace does not fit arrow {j}'s {np.shape(m)} matrix")
+            out.append(float(np.abs(m[zero]).max(initial=0.0)))
+        return out
+
+
+def _staircase_keys(steps, orientations: str, dims) -> tuple[np.ndarray, np.ndarray]:
+    """Keys on a chain's basis vectors that place the zeros its steps' staircase forms demand.
+
+    ``strip`` and ``band`` key every vertex's vectors, vertex after vertex,
+    on a chain of ``dims`` with arrows oriented as ``orientations``.  A
+    vector of strip ``i`` gets ``2i``, plus 1 among the strip's ``l_i``
+    block vectors, one of band ``b`` gets ``2b + 1`` and a bare one ``inf``;
+    on arrow ``j``, an entry is a demanded zero iff its vector's ``band``
+    key at vertex ``j + 1`` exceeds its vector's ``strip`` key at vertex
+    ``j``.  A horizontal step is keyed in the flipped frame of
+    :func:`linalg.staircase_reduce`, shifted by a constant no comparison
+    sees: strip ``i`` is ``-i``, a strip lists its block vectors first, and
+    the bare vectors come before the bands.
+
+    Raises :class:`ValidationError` unless there is a step per arrow, oriented as it, with
+    integer sizes, strips summing to its vertex and a block per strip, ``0 <= l_i <= k_i``,
+    the blocks summing to at most the next vertex.
+    """
+    fit = f"trace does not fit a chain of orientations {orientations!r}, dims {list(map(int, dims))}"
+    per_step = [len(step.strip_sizes) for step in steps]
+    layout = [(step.orientation, len(step.block_sizes)) for step in steps]
+    if not len(dims) - 1 == len(orientations) == len(steps) or layout != [*zip(orientations, per_step)]:
+        raise ValidationError(f"{fit}: it needs a step per arrow, oriented as it, a block per strip")
+    k = np.array(_sizes(f"{fit}: strip_sizes", [x for s in steps for x in s.strip_sizes]), np.int64)
+    l = np.array(_sizes(f"{fit}: block_sizes", [x for s in steps for x in s.block_sizes]), np.int64)
+    dims, per_step = np.asarray(dims, dtype=np.int64), np.array(per_step, dtype=np.int64)
+    first = np.cumsum(per_step) - per_step  # each step's first strip among all strips
+    step_of = np.repeat(np.arange(len(steps)), per_step)
+    bare = dims[1:] - np.bincount(step_of, weights=l, minlength=len(steps)).astype(np.int64)
+    misfit = (np.bincount(step_of, weights=k, minlength=len(steps)) != dims[:-1]) | (bare < 0)
+    misfit[step_of[(l < 0) | (l > k)]] = True
+    if misfit.any():
+        j = int(np.flatnonzero(misfit)[0])
+        ks, ls = k[step_of == j].tolist(), l[step_of == j].tolist()
+        raise ValidationError(f"{fit}: step {j + 1} has strips {ks} and blocks {ls}")
+    vertical = np.array([o == CLOCKWISE for o in orientations], dtype=bool)
+    i = np.arange(len(k)) - first[step_of]
+    key = np.where(vertical[step_of], 2 * i, -2 * i)
+    # strip side, vertices 1..t-1: two runs per strip, its k - l other vectors keyed
+    # key and its l block vectors key + 1; the last vertex opens no step
+    runs = np.where(vertical[step_of], [k - l, l], [l, k - l]).T.ravel()
+    keys = np.where(vertical[step_of], [key, key + 1], [key + 1, key]).T.ravel()
+    strip = np.concatenate([np.repeat(keys, runs), np.zeros(dims[-1])])
+    # band side, vertices 2..t: a run of l vectors keyed key + 1 per strip, and each
+    # step's bare run after its bands, or before them for a horizontal step
+    at = np.where(vertical, first + per_step, first)
+    band_runs = np.repeat(np.insert(key + 1.0, at, np.inf), np.insert(l, at, bare))
+    return strip, np.concatenate([np.zeros(dims[0]), band_runs])
 
 
 def canon_chain(
@@ -177,10 +225,10 @@ def reduction_residual(a: Representation, result) -> float:
     ``result`` is a :class:`ChainTrace` (staircase patterns in the bases
     ``vertex_transforms``) or a ``RegularizingDecomposition`` (both shaves'
     splits, both chain stages' staircase patterns and the regular part, in
-    the composed bases ``trace``).  Forms ``S_v A S_u^H`` on each arrow
-    ``u -> v`` and returns the largest of ``result.misfits`` on them; raises
-    :class:`ValidationError` for a result of another type or one that does
-    not fit ``a``.
+    the composed bases ``trace``); :func:`_staircase_keys` places the zeros of
+    both.  Forms ``S_v A S_u^H`` on each arrow ``u -> v`` and returns the
+    largest of ``result.misfits``; raises :class:`ValidationError` for a result
+    of another type or one that does not fit ``a``, its chain steps included.
     """
     from .cycle import RegularizingDecomposition  # cycle imports this module
 

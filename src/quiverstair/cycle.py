@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .chain import ChainTrace, canon_chain, reduction_residual
+from .chain import ChainTrace, _staircase_keys, canon_chain, reduction_residual
 from .errors import InconsistencyError, NumericError, ValidationError
 from .linalg import (
     DEFAULT_TOL,
@@ -44,7 +44,6 @@ from .linalg import (
 )
 from .quiver import (
     CHAIN,
-    CLOCKWISE,
     CYCLE,
     QuiverShape,
     Representation,
@@ -371,7 +370,7 @@ class _PassLabels:
     ``q_row <= q_col + 1``, every row against cycle columns, and cycle rows
     against position ``n + 1``.  ``strip`` keys a shaved vector within the
     chain step on its right, ``band`` within the one on its left (see
-    :func:`_pass_labels`).
+    :func:`chain._staircase_keys`).
     """
 
     cut: int
@@ -385,41 +384,15 @@ def _pass_labels(shape: QuiverShape, res: ShaveResult, stage: ChainTrace | None)
     """The :class:`_PassLabels` of every vertex of the cycle ``res`` shaved; ``stage`` is its
     chain stage.  A vertex lists its shaved vectors, then those of ``res.a_tilde``.
 
-    Inside chain step ``j``'s block, the staircase rule is one comparison:
-    a strip-side vector of strip ``i`` gets the key ``2i``, plus 1 if it is
-    among the strip's ``l_i`` block columns, a band-side vector of band
-    ``b`` gets ``2b + 1`` and a bare one ``inf``, and an entry is a demanded
-    zero iff its band-side key exceeds its strip-side key.  A horizontal step
-    is keyed in the flipped frame :func:`linalg.staircase_reduce` works in,
-    shifted by a constant no comparison sees: strip ``i`` is ``-i`` there,
-    a strip lists its block vectors first, and the bare vectors come before
-    the bands.  The labels are built in walk order, then sorted stably by
-    vertex, which lists every vertex's positions in walk order as
-    :func:`_walk_layout` does.
+    The staircase keys come from :func:`chain._staircase_keys`, which raises
+    :class:`ValidationError` unless ``stage`` fits the pass's shaved chain.
+    The labels are built in walk order, then sorted stably by vertex, which
+    lists every vertex's positions in walk order as :func:`_walk_layout` does.
     """
     t = shape.t
-    sizes = np.array(res.a_prime.dims if res.a_prime is not None else (), dtype=np.int64)
-    steps = stage.steps if stage is not None else ()
-    per_step = np.array([len(step.strip_sizes) for step in steps], dtype=np.int64)
-    first = np.cumsum(per_step) - per_step  # each step's first strip among all strips
-    k = np.array([x for step in steps for x in step.strip_sizes], dtype=np.int64)
-    l = np.array([x for step in steps for x in step.block_sizes], dtype=np.int64)
-    step_of = np.repeat(np.arange(len(steps)), per_step)
-    vertical = np.array([step.orientation == CLOCKWISE for step in steps], dtype=bool)
-    i = np.arange(len(k)) - first[step_of]
-    key = np.where(vertical[step_of], 2 * i, -2 * i)
-    # strip side, chain vertices 1..m-1: two runs per strip, its k - l other vectors
-    # keyed key and its l block vectors key + 1; the last vertex opens no step
-    runs = np.where(vertical[step_of], [k - l, l], [l, k - l]).T.ravel()
-    keys = np.where(vertical[step_of], [key, key + 1], [key + 1, key]).T.ravel()
-    last = sizes[-1] if len(sizes) else 0
-    strip = np.concatenate([np.repeat(keys, runs), np.zeros(last)])
-    # band side, chain vertices 2..m: a run of l vectors keyed key + 1 per strip, and
-    # each step's bare run after its bands, or before them for a horizontal step
-    bare = sizes[1:] - np.bincount(step_of, weights=l, minlength=len(steps)).astype(np.int64)
-    at = np.where(vertical, first + per_step, first)
-    band_runs = np.repeat(np.insert(key + 1.0, at, np.inf), np.insert(l, at, bare))
-    band = np.concatenate([np.zeros(sizes[0] if len(sizes) else 0), band_runs])
+    chain = res.a_prime  # no chain is a one-vertex chain of dimension 0
+    sizes, orientations = (chain.dims, chain.shape.orientations) if chain is not None else ((0,), "")
+    strip, band = _staircase_keys(stage.steps if stage is not None else (), orientations, sizes)
 
     pos = np.repeat(np.arange(res.l + 1, res.l + 1 + len(sizes)), sizes).astype(np.float64)
     vertex = np.repeat((np.arange(res.l, res.l + len(sizes))) % t, sizes)

@@ -37,7 +37,6 @@ __all__ = [
     "col_compress",
     "two_sided_reduce",
     "staircase_reduce",
-    "staircase_residual",
     "unitarity_defect",
 ]
 
@@ -99,6 +98,8 @@ def _rank(s: np.ndarray, threshold: float) -> int:
 def _sizes(name: str, xs) -> list[int]:
     """``xs`` as a list of ints; only integers are accepted, numpy's included."""
     xs = list(xs)
+    if set(map(type, xs)) <= {int}:
+        return xs  # the common case, decided without a call per entry
     if not all(map(_is_int, xs)):
         raise ValidationError(f"{name} must be integers, got {xs!r}")
     return [int(x) for x in xs]
@@ -601,8 +602,8 @@ def staircase_reduce(
     claim rows from the top; horizontal strips are processed bottom-up and
     claim columns from the right.  Each strip ``i`` receives a nonsingular
     ``l_i x l_i`` block positioned rightmost in the strip (vertical) or at
-    the top of the strip (horizontal); zeros fill the rest of the pattern,
-    see :func:`staircase_residual`.  A horizontal call runs the vertical
+    the top of the strip (horizontal), and is zero past and beside it, as
+    ``ChainTrace.misfits`` measures.  A horizontal call runs the vertical
     reduction on ``J a^T J`` (``J`` reverses order) with the strips reversed,
     and flips the results back.
 
@@ -658,29 +659,6 @@ def staircase_reduce(
     if strip_axis == HORIZONTAL:
         return _flip(right), _flip(left), ls[::-1]
     return left, right, ls
-
-
-def staircase_residual(a, strip_sizes, block_sizes, strip_axis: str) -> float:
-    """Largest modulus in ``a`` where the staircase form demands a zero.
-
-    The pattern is the one :func:`staircase_reduce` produces for the given
-    strip and block sizes; 0.0 when it demands no zero.  Each block must fit
-    its strip (``0 <= l_i <= k_i``), and all of them the orthogonal axis.
-    """
-    m, bounds = _strip_frame(a, strip_sizes, strip_axis)
-    ls = _sizes("block_sizes", block_sizes)
-    if len(ls) != len(bounds) - 1:
-        raise ValidationError("strip_sizes and block_sizes must have equal length")
-    if strip_axis == HORIZONTAL:
-        ls = ls[::-1]
-    band = np.concatenate([[0], np.cumsum(ls)]).astype(int)
-    if any(not 0 <= l <= k for l, k in zip(ls, np.diff(bounds))) or band[-1] > m.shape[0]:
-        raise ValidationError(f"block sizes must fit their strips and sum to at most {m.shape[0]}")
-    mask = np.zeros(m.shape, dtype=bool)
-    for l, c0, c1, b0, b1 in zip(ls, bounds, bounds[1:], band, band[1:]):
-        mask[b1:, c0:c1] = True
-        mask[b0:b1, c0 : c1 - l] = True
-    return float(np.abs(m[mask]).max(initial=0.0))
 
 
 def unitarity_defect(q) -> float:

@@ -45,13 +45,22 @@ def test_kernel_internals_live_in_linalg_only():
 
 
 @pytest.mark.parametrize(
-    "name", ["make_L", "is_regular", "zero_representation", "assemble_canonical"]
+    "name",
+    ["make_L", "is_regular", "zero_representation", "assemble_canonical", "staircase_residual"],
 )
 def test_second_paths_are_not_in_the_package(name):
     # sums of interval and walk summands come from quiver.assemble, regularity from
-    # quiver.regularity_defect
+    # quiver.regularity_defect, and the staircase's demanded zeros from chain._staircase_keys
     assert name not in qs.__all__
     assert [m for m in MODULES if hasattr(importlib.import_module(m), name)] == []
+
+
+def test_the_demanded_zero_rule_is_private():
+    # both residual rules call it; no user does
+    from quiverstair import chain
+
+    assert callable(chain._staircase_keys)
+    assert [m for m in MODULES if "_staircase_keys" in importlib.import_module(m).__all__] == []
 
 
 @pytest.mark.parametrize("name", ["misfits", "residual"])

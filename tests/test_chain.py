@@ -151,6 +151,14 @@ class TestResidualFromReturnedBases:
             qs.reduction_residual(flipped, trace)
 
 
+    def test_trace_short_of_a_vertex_raises(self):
+        # misfits takes the chain's dims from the trace's transforms
+        rep, _ = qs.plant(self.SPEC)
+        _, trace = qs.canon_chain(rep)
+        trace.vertex_transforms.pop()
+        with pytest.raises(ValidationError, match="does not fit"):
+            trace.misfits(rep.shape, list(rep.matrices))
+
 class TestAssembleCanonical:
     def test_full_intervals(self):
         shape = qs.chain_shape(3, "><")

@@ -14,6 +14,7 @@ from quiverstair.cycle import _walk_layout
 from quiverstair.linalg import _fro
 from quiverstair.errors import InconsistencyError, NumericError, ValidationError
 from quiverstair.quiver import assemble, regularity_defect
+from strip_mask_loop import staircase_residual
 
 
 def assemble_cycle(spec):
@@ -365,7 +366,7 @@ def staircase_mask(step, shape):
     for idx in np.ndindex(*shape):
         unit = np.zeros(shape)
         unit[idx] = 1.0
-        out[idx] = linalg.staircase_residual(unit, step.strip_sizes, step.block_sizes, axis) > 0
+        out[idx] = staircase_residual(unit, step.strip_sizes, step.block_sizes, axis) > 0
     return out
 
 
@@ -461,6 +462,39 @@ class TestComposedResidual:
         stale.residual = 1.0
         report = qs.verify(rep, stale, truth)
         assert report.passed and report.residual == dec.residual < 1e-12
+
+    def test_chain_stages_of_the_other_pass_raise(self, solved):
+        # each pass's chain stage must fit that pass's shaved chain
+        rep, _, dec = solved
+        with pytest.raises(ValidationError, match="does not fit"):
+            qs.reduction_residual(rep, dataclasses.replace(dec, chains=dec.chains[::-1]))
+
+    # hand edits of a step that no staircase form fits; the first two read the
+    # residual of the real stage unless the stage is checked
+    STAGE_EDITS = {
+        "float strip sizes": lambda step: dataclasses.replace(
+            step, strip_sizes=[float(k) for k in step.strip_sizes]
+        ),
+        "flipped orientations": lambda step: dataclasses.replace(
+            step, orientation="<" if step.orientation == ">" else ">"
+        ),
+        "strips that overfill their vertex": lambda step: dataclasses.replace(
+            step, strip_sizes=[*step.strip_sizes, 1], block_sizes=[*step.block_sizes, 0]
+        ),
+    }
+
+    @pytest.mark.parametrize("edit", STAGE_EDITS.values(), ids=STAGE_EDITS.keys())
+    def test_hand_edited_chain_stage_raises(self, edit):
+        spec = qs.PlantSpec(
+            qs.cycle_shape(3, ">><"), (((1, 4), 2), ((2, 3), 1)), regular_eigs=(2, 3), seed=1
+        )
+        rep, _ = qs.plant(spec)
+        dec = qs.regularize(rep)
+        stage = dec.chains[0]
+        assert stage.steps and qs.reduction_residual(rep, dec) < 1e-12
+        edited = dataclasses.replace(stage, steps=[edit(step) for step in stage.steps])
+        with pytest.raises(ValidationError, match="does not fit"):
+            qs.reduction_residual(rep, dataclasses.replace(dec, chains=(edited, dec.chains[1])))
 
     def test_decomposition_that_does_not_fit_raises(self, solved):
         rep, _, dec = solved

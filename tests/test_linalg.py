@@ -7,6 +7,7 @@ import quiverstair as qs
 from conftest import bareiss_rank, random_complex
 from quiverstair import chain, cycle, linalg, oracle, quiver
 from quiverstair.errors import NumericError, ValidationError
+from strip_mask_loop import staircase_residual
 
 TOL = linalg.DEFAULT_TOL
 
@@ -371,7 +372,7 @@ class TestStaircase:
         _, _, k = linalg.two_sided_reduce(a, TOL.threshold(a))
         assert ls == [k]
         red = left @ a @ right
-        assert linalg.staircase_residual(red, [3], ls, linalg.VERTICAL) <= TOL.threshold(a)
+        assert staircase_residual(red, [3], ls, linalg.VERTICAL) <= TOL.threshold(a)
 
     def test_zero_width_strips_are_carried(self):
         rng = np.random.default_rng(4)
@@ -398,7 +399,7 @@ class TestStaircase:
         left, right, ls = linalg.staircase_reduce(a, [3, 2], linalg.VERTICAL, TOL.threshold(a))
         assert ls == [2, 1]
         red = left @ a @ right
-        assert linalg.staircase_residual(red, [3, 2], ls, linalg.VERTICAL) <= TOL.threshold(a)
+        assert staircase_residual(red, [3, 2], ls, linalg.VERTICAL) <= TOL.threshold(a)
 
     @pytest.mark.parametrize("axis", [linalg.VERTICAL, linalg.HORIZONTAL])
     def test_random_pattern_rank_and_unitarity(self, axis):
@@ -414,7 +415,7 @@ class TestStaircase:
             assert sum(ls) == linalg.numerical_rank(a, TOL.threshold(a))
             assert linalg.unitarity_defect(left) <= 1e-12 * max(1, max(a.shape))
             assert linalg.unitarity_defect(right) <= 1e-12 * max(1, max(a.shape))
-            assert linalg.staircase_residual(left @ a @ right, sizes, ls, axis) <= TOL.threshold(a)
+            assert staircase_residual(left @ a @ right, sizes, ls, axis) <= TOL.threshold(a)
             # the strip-axis unitary acts within each strip
             strip_unitary = right if axis == linalg.VERTICAL else left
             inside = np.zeros(strip_unitary.shape, dtype=bool)
@@ -439,12 +440,12 @@ class TestStaircase:
         a = np.full((3, 3), 100.0, dtype=complex)
         for k, (i, j) in enumerate(zeros):
             a[i, j] = (k + 1) * 1j
-        assert linalg.staircase_residual(a, sizes, [1, 1], axis) == len(zeros)
+        assert staircase_residual(a, sizes, [1, 1], axis) == len(zeros)
         a[zeros[-1]] = 0.0
-        assert linalg.staircase_residual(a, sizes, [1, 1], axis) == len(zeros) - 1
+        assert staircase_residual(a, sizes, [1, 1], axis) == len(zeros) - 1
         for i, j in zeros:
             a[i, j] = 0.0
-        assert linalg.staircase_residual(a, sizes, [1, 1], axis) == 0.0
+        assert staircase_residual(a, sizes, [1, 1], axis) == 0.0
 
     @pytest.mark.parametrize(
         "strips, blocks, axis",
@@ -470,7 +471,7 @@ class TestStaircase:
     def test_residual_rejects_patterns_that_do_not_fit(self, strips, blocks, axis):
         a = np.arange(1.0, 7.0).reshape(2, 3)
         with pytest.raises(ValidationError):
-            linalg.staircase_residual(a, strips, blocks, axis)
+            staircase_residual(a, strips, blocks, axis)
 
     def test_strip_size_mismatch_raises(self):
         with pytest.raises(ValidationError):
@@ -668,7 +669,7 @@ class TestEmptyStripsTakeNoSvd:
         else:
             assert ls == [0, 2]
             assert np.array_equal(left[:2, :2], np.eye(2))
-        assert linalg.staircase_residual(left @ a @ right, [2, 2], ls, axis) <= TOL.threshold(a)
+        assert staircase_residual(left @ a @ right, [2, 2], ls, axis) <= TOL.threshold(a)
 
     def test_chain_sweep_passes_no_empty_matrix(self, calls):
         t = 32
@@ -786,6 +787,9 @@ class TestThresholdCheck:
         fn(good)
 
 
+_EYE2 = qs.Representation(qs.chain_shape(2, ">"), (2, 2), (np.eye(2),))
+
+
 class TestSizeCheck:
     @pytest.mark.parametrize(
         "bad", [[1.9, 1.1], [True, True], ["1", "1"], [1.0, 1.0], [np.bool_(True)] * 2]
@@ -798,7 +802,7 @@ class TestSizeCheck:
         for dtype in (np.int64, np.uint8):
             sizes = np.array([1, 1], dtype=dtype)
             assert linalg.staircase_reduce(np.eye(2), sizes, linalg.VERTICAL, 1e-12)[2] == [1, 1]
-            assert linalg.staircase_residual(np.eye(2), sizes, sizes, linalg.VERTICAL) == 0.0
+            assert staircase_residual(np.eye(2), sizes, sizes, linalg.VERTICAL) == 0.0
 
     @pytest.mark.parametrize("name", ["strip_sizes", "block_sizes"])
     @pytest.mark.parametrize("bad", [1.9, True, "1", np.bool_(True)])
@@ -806,7 +810,12 @@ class TestSizeCheck:
         sizes = {"strip_sizes": [1, 1], "block_sizes": [1, 1]}
         sizes[name] = [bad, 1]
         with pytest.raises(ValidationError, match=f"{name} must be integers"):
-            linalg.staircase_residual(np.eye(2), sizes["strip_sizes"], sizes["block_sizes"], linalg.VERTICAL)
+            staircase_residual(np.eye(2), sizes["strip_sizes"], sizes["block_sizes"], linalg.VERTICAL)
+        # the chain rule names the same list
+        step = chain.ChainStep(">", sizes["strip_sizes"], sizes["block_sizes"])
+        trace = chain.ChainTrace([np.eye(2), np.eye(2)], 0.0, [step], a=_EYE2)
+        with pytest.raises(ValidationError, match=f"does not fit .*: {name} must be integers"):
+            trace.misfits(_EYE2.shape, [np.eye(2)])
 
 
 _CYCLE2 = qs.cycle_shape(2, "><")

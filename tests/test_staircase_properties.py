@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+import quiverstair as qs
 from conftest import random_complex
 from quiverstair import linalg
+from quiverstair.chain import ChainStep, ChainTrace
 from quiverstair.errors import ValidationError
+from strip_mask_loop import staircase_residual
 from svd_strip_loop import staircase_reduce_by_svd
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -40,7 +43,7 @@ def test_reduction_reaches_the_pattern(case):
     a, sizes, axis = case
     tau = TOL.threshold(a)
     left, right, ls = linalg.staircase_reduce(a, sizes, axis, tau)
-    assert linalg.staircase_residual(left @ a @ right, sizes, ls, axis) <= tau
+    assert staircase_residual(left @ a @ right, sizes, ls, axis) <= tau
     for q in (left, right):
         assert linalg.unitarity_defect(q) <= 1e-12 * max(1, *a.shape)
     strip_unitary = right if axis == linalg.VERTICAL else left
@@ -66,7 +69,7 @@ def test_zero_width_strips_change_nothing(case, data):
     kept = iter(ls)
     assert p_ls == [0 if new else next(kept) for new in inserted]
     reduced = left @ a @ right
-    assert linalg.staircase_residual(reduced, padded, p_ls, axis) == linalg.staircase_residual(
+    assert staircase_residual(reduced, padded, p_ls, axis) == staircase_residual(
         reduced, sizes, ls, axis
     )
 
@@ -91,10 +94,30 @@ def test_residual_raises_exactly_when_the_pattern_does_not_fit(strips, slack, ot
     shape = (other, along) if axis == linalg.VERTICAL else (along, other)
     a = np.ones(shape)
     if fits:
-        assert linalg.staircase_residual(a, strips, blocks, axis) >= 0.0
+        assert staircase_residual(a, strips, blocks, axis) >= 0.0
     else:
         with pytest.raises(ValidationError):
-            linalg.staircase_residual(a, strips, blocks, axis)
+            staircase_residual(a, strips, blocks, axis)
+
+
+@hypothesis.given(staircase_cases(), st.data())
+def test_chain_misfit_equals_the_strip_mask_loop(case, data):
+    # a one-step chain: the strips at vertex 1, the blocks claiming vertex 2, whose
+    # arrow is clockwise for vertical strips; blocks are drawn to fit or not
+    a, sizes, axis = case
+    blocks = [data.draw(st.integers(-1, k + 1), label="block") for k in sizes]
+    vertical = axis == linalg.VERTICAL
+    shape = qs.chain_shape(2, ">" if vertical else "<")
+    dims = a.shape[::-1] if vertical else a.shape
+    step = ChainStep(shape.orientations, sizes, blocks)
+    trace = ChainTrace([np.eye(d) for d in dims], 0.0, [step], a=qs.Representation(shape, dims, (a,)))
+    try:
+        want = staircase_residual(a, sizes, blocks, axis)
+    except ValidationError:
+        with pytest.raises(ValidationError, match="does not fit"):
+            trace.misfits(shape, [a])
+    else:
+        assert trace.misfits(shape, [a]) == [want]
 
 
 @st.composite
