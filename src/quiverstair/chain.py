@@ -103,6 +103,11 @@ class ChainTrace:
         where its staircase form demands a zero (see :func:`_staircase_keys`); raises
         :class:`ValidationError` unless both fit a chain of ``shape`` and these transforms' dims.
         """
+        if len(moved) != len(shape.orientations):
+            raise ValidationError(
+                f"trace does not fit {len(moved)} matrices: it needs one per arrow, "
+                f"{len(shape.orientations)}"
+            )
         dims = [len(q) for q in self.vertex_transforms]
         keys = _staircase_keys(self.steps, shape.orientations, dims)
         strip, band = (np.split(x, np.cumsum(dims)[:-1]) for x in keys)  # per vertex
@@ -138,8 +143,13 @@ def _staircase_keys(steps, orientations: str, dims) -> tuple[np.ndarray, np.ndar
     layout = [(step.orientation, len(step.block_sizes)) for step in steps]
     if not len(dims) - 1 == len(orientations) == len(steps) or layout != [*zip(orientations, per_step)]:
         raise ValidationError(f"{fit}: it needs a step per arrow, oriented as it, a block per strip")
-    k = np.array(_sizes(f"{fit}: strip_sizes", [x for s in steps for x in s.strip_sizes]), np.int64)
-    l = np.array(_sizes(f"{fit}: block_sizes", [x for s in steps for x in s.block_sizes]), np.int64)
+    ks = _sizes(f"{fit}: strip_sizes", [x for s in steps for x in s.strip_sizes])
+    ls = _sizes(f"{fit}: block_sizes", [x for s in steps for x in s.block_sizes])
+    # a size beyond every vertex's dimension fits nowhere, and clipped it stays so: no
+    # int64 conversion below overflows
+    cap = max(dims, default=0) + 1
+    k, l = (np.array(xs if -cap <= min(xs, default=0) and max(xs, default=0) <= cap
+                     else [min(max(x, -cap), cap) for x in xs], np.int64) for xs in (ks, ls))
     dims, per_step = np.asarray(dims, dtype=np.int64), np.array(per_step, dtype=np.int64)
     first = np.cumsum(per_step) - per_step  # each step's first strip among all strips
     step_of = np.repeat(np.arange(len(steps)), per_step)
@@ -148,8 +158,8 @@ def _staircase_keys(steps, orientations: str, dims) -> tuple[np.ndarray, np.ndar
     misfit[step_of[(l < 0) | (l > k)]] = True
     if misfit.any():
         j = int(np.flatnonzero(misfit)[0])
-        ks, ls = k[step_of == j].tolist(), l[step_of == j].tolist()
-        raise ValidationError(f"{fit}: step {j + 1} has strips {ks} and blocks {ls}")
+        at = slice(first[j], first[j] + per_step[j])
+        raise ValidationError(f"{fit}: step {j + 1} has strips {ks[at]} and blocks {ls[at]}")
     vertical = np.array([o == CLOCKWISE for o in orientations], dtype=bool)
     i = np.arange(len(k)) - first[step_of]
     key = np.where(vertical[step_of], 2 * i, -2 * i)

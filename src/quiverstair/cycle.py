@@ -489,6 +489,11 @@ class RegularizingDecomposition:
         """
         if shape != self.shape:
             raise ValidationError("the decomposition lives on another quiver")
+        if len(moved) != shape.t:
+            raise ValidationError(
+                f"the decomposition does not fit {len(moved)} matrices: it needs one per arrow, "
+                f"{shape.t}"
+            )
         first, second = (_pass_labels(shape, res, ch) for res, ch in zip(self.shaves, self.chains))
         out = []
         for i, m in enumerate(moved, 1):

@@ -335,12 +335,7 @@ def _decide(m: np.ndarray, threshold, uv: bool = False, known: np.ndarray | None
     u = vh = None
     sigma = math.inf
     if cols == 1 and rows and known is None:
-        parts = m.view(np.float64)  # rows x 2: the real and imaginary parts
-        amax = float(np.abs(parts).max())
-        if math.isfinite(amax):
-            y = (parts / (amax or 1.0)).ravel()
-            nu = math.sqrt(float(np.dot(y, y)))
-            sigma = amax * nu
+        sigma, y, nu = _column_norm(m)
     if known is not None:
         s = known
     elif math.isfinite(sigma):
@@ -356,15 +351,42 @@ def _decide(m: np.ndarray, threshold, uv: bool = False, known: np.ndarray | None
         if not k:
             u = np.eye(rows, dtype=np.complex128)
         else:
-            # I - v v^H / (nu (nu + |y_0|)) takes y = m / amax to -nu phase e_1; v is built in y
-            v = y.view(np.complex128)
-            y0 = abs(v[0])
-            phase = v[0] / y0 if y0 else 1.0
-            v[0] += nu * phase  # the sign that cannot cancel
-            u = v[:, None] * (v.conj() / -(nu * (nu + y0)))
+            v, d, phase = _reflector(y, nu)
+            u = v[:, None] * (v.conj() / -d)
             u.ravel()[:: rows + 1] += 1
             u[:, 0] *= -phase  # now u^H @ m = sigma e_1
     return s, k, tau, u, vh
+
+
+def _column_norm(m: np.ndarray) -> tuple[float, np.ndarray | None, float]:
+    """The one-column rule's norm of the nonempty ``n x 1`` ``m``: ``(sigma, y, nu)``.
+
+    ``y`` is ``m / amax`` as ``2n`` real parts, ``amax`` the largest modulus
+    among them, and ``sigma = amax * nu`` with ``nu`` the norm of ``y``, so no
+    square overflows or underflows.  ``sigma`` is ``inf`` (and ``y`` ``None``)
+    when ``m`` has an inf or nan entry, or a norm beyond float64.
+    """
+    parts = m.view(np.float64)  # n x 2: the real and imaginary parts
+    amax = float(np.abs(parts).max())
+    if not math.isfinite(amax):
+        return math.inf, None, math.nan
+    y = (parts / (amax or 1.0)).ravel()
+    nu = math.sqrt(float(np.dot(y, y)))
+    return amax * nu, y, nu
+
+
+def _reflector(y: np.ndarray, nu: float) -> tuple[np.ndarray, float, complex]:
+    """The one-column rule's reflector of a nonzero scaled column ``y`` of norm ``nu``.
+
+    Returns ``(v, d, phase)``: ``I - v v^H / d`` takes ``y`` to ``-nu phase
+    e_1``, so ``u = (I - v v^H / d) diag(-phase, 1, ..., 1)`` is unitary with
+    ``u^H @ y = nu e_1``.  ``v`` is built in ``y``'s memory.
+    """
+    v = y.view(np.complex128)
+    y0 = abs(v[0])
+    phase = v[0] / y0 if y0 else 1.0
+    v[0] += nu * phase  # the sign that cannot cancel
+    return v, nu * (nu + y0), phase
 
 
 _BOUND_SAFETY = 1e-12  # relative margin that rounding in either bound cannot cross
@@ -592,6 +614,89 @@ def _strip_frame(a, strip_sizes, strip_axis: str) -> tuple[np.ndarray, list[int]
     return m, list(accumulate(sizes, initial=0))
 
 
+# What one step of a Householder QR can move a later column's norm by, in units of
+# rows * eps * the run's Frobenius norm: a step's rounding, as either the one-column
+# rule or LAPACK's geqrf commits it, with room to spare.
+_RUN_ROUNDING = 8.0
+# Fewest consecutive one-column strips taken as one QR.  Measured with one BLAS thread
+# on 3 to 8 free rows, QR over one reflector per strip: about 1.0x for a run of 2,
+# 0.45-0.7x for a run of 3.
+_RUN_MIN = 3
+
+
+def _qr_run(x: np.ndarray, threshold: float) -> tuple[np.ndarray | None, int]:
+    """A Householder QR of the run of one-column strips ``x``, and how many it certifies.
+
+    ``x`` is the run's columns on the free rows, ``n x r``.  The one-column
+    rule takes them one at a time: column ``j`` is rank 1 when its norm on
+    the rows the ones before it left free, ``|R_jj|`` of ``x = q R`` in
+    exact arithmetic, exceeds ``threshold``, and then pins the next row.
+    Returns ``q`` of ``np.linalg.qr(x, "complete")`` and the longest prefix
+    of columns on which that rule decides rank 1 each time, certified as
+    ``_is_zero`` certifies: ``|R_jj| - delta_j`` must exceed ``threshold``,
+    with ``delta_j`` a first-order bound on how far the rule's rounding and
+    ``geqrf``'s can set the two computed norms apart.  Each step adds
+    ``_RUN_ROUNDING * n * eps * ||x||_F``, and a step's reflector, off by
+    an angle of at most ``delta_j / |R_jj|``, moves every later column's
+    norm by at most that angle times ``||x||_F``.  Past the prefix, the
+    rows ``q`` leaves free span what the rule's would, so its later
+    decisions read the same norms.  An inf or nan in ``x`` certifies
+    nothing.  The count goes through :func:`_decide`.  A first column
+    whose norm does not exceed ``threshold`` takes no QR: ``q`` is ``None``.
+    """
+    if not _fro(x[:, :1]) > threshold:  # a first column of rank 0: no QR can certify any
+        return None, 0
+    q, r = np.linalg.qr(x, mode="complete")
+    size = _fro(x)
+    step = _RUN_ROUNDING * x.shape[0] * _EPS * size
+    delta, lower = step, []
+    for rjj in np.abs(r.diagonal()).tolist():
+        lower.append(rjj - delta)
+        if not lower[-1] > threshold:
+            break
+        delta += delta * size / rjj + step
+    return q, _decide(x, threshold, known=np.array(lower))[1]
+
+
+def _apply_rows(left: np.ndarray | None, pinned: int, ph: np.ndarray) -> np.ndarray:
+    """``left`` with the unitary ``ph`` applied to its rows from ``pinned`` on.
+
+    ``None`` stands for the identity (``pinned`` is then 0): ``ph`` itself becomes ``left``.
+    """
+    if left is None:
+        return np.ascontiguousarray(ph)
+    left[pinned:, :] = ph @ left[pinned:, :]
+    return left
+
+
+def _reflect_rows(left: np.ndarray | None, pinned: int, x: np.ndarray, threshold: float):
+    """Decide the one-column strip ``x`` by the one-column rule; apply its reflector to ``left``.
+
+    ``x`` is the strip on ``left``'s rows from ``pinned`` on, ``None``
+    standing for the identity.  At rank 1 those rows become ``u^H`` times
+    themselves, in place, ``u`` the unitary :func:`_decide` builds densely
+    for ``x``: a rank-1 update, then the rephasing of the first row.
+    Returns ``(left, k)``; at rank 0 ``left`` is not touched.  A column
+    whose norm is not finite goes to :func:`two_sided_reduce`, whose SVD
+    names an inf or nan entry.
+    """
+    sigma, y, nu = _column_norm(x)
+    if not math.isfinite(sigma):
+        p, _, k = two_sided_reduce(x, threshold)
+        return (_apply_rows(left, pinned, p.conj().T) if k else left), k
+    if not _decide(x, threshold, known=np.array([sigma]))[1]:
+        return left, 0
+    v, d, phase = _reflector(y, nu)
+    if left is None:  # I - v v^H / d itself
+        left = rest = v[:, None] * (v.conj() / -d)
+        rest.ravel()[:: len(v) + 1] += 1
+    else:
+        rest = left[pinned:, :]
+        rest -= v[:, None] * ((v.conj() / d) @ rest)
+    rest[0] *= -np.conj(phase)
+    return left, 1
+
+
 def staircase_reduce(
     a, strip_sizes, strip_axis: str, threshold: float
 ) -> tuple[np.ndarray, np.ndarray, list[int]]:
@@ -616,11 +721,26 @@ def staircase_reduce(
     A strip with no columns, or one that meets no free row because the
     strips before it pinned them all, takes no SVD and no update: it gets
     block size 0 and the identity, exactly what the SVD of its empty
-    matrix would give.  A one-column strip is reduced by its norm and one
-    reflector (see :func:`_decide`); at rank 0 it too gets the
-    identity and no update.  Until a strip moves ``left``, it is the
-    identity, so a strip is read from ``a`` itself and its ``p^H`` becomes
-    ``left`` without a product.
+    matrix would give.  A strip at least two columns wide is one
+    :func:`two_sided_reduce`.  A one-column strip takes neither: it is
+    decided by its norm (see :func:`_decide`) and, at rank 1, its
+    reflector goes into ``left`` in place, as a rank-1 update and a
+    rephased row; at rank 0 ``left`` stays as it is.  A run of at least
+    ``_RUN_MIN`` consecutive one-column strips (zero-width ones do not
+    break it) is first taken as one Householder QR of its columns on the
+    free rows (:func:`_qr_run`): the leading columns whose ``|R_jj|``
+    clears ``threshold`` by a margin that covers the rounding gap between
+    LAPACK's ``geqrf`` and the strip-by-strip rule get rank 1 and pin the
+    next rows, and the whole ``q^H`` goes into ``left``; past them, its
+    rows are just another orthonormal basis of the free rows.  The first
+    column it does not certify takes the one-column path, and the rest of
+    the run after it is met again as a run.  A run whose first column is
+    not certified passes that column to the one-column path too, and
+    takes no QR when its norm is at most ``threshold``.  So every block size is the strip-by-strip rule's;
+    ``left`` may differ from that rule's by a unitary on the rows of each
+    one-column block's phase and of the free rows.  Until a strip moves
+    ``left``, it is the identity, so a strip is read from ``a`` itself and
+    its unitary becomes ``left`` without a product.
 
     A non-finite entry in ``a`` raises :class:`NumericError` up front, with
     ``a``'s shape and Frobenius norm, wherever it sits in the strips.
@@ -629,33 +749,49 @@ def staircase_reduce(
     _check_real("threshold", threshold, 0)
     if not np.isfinite(m).all():
         raise _numeric_error(m if strip_axis == VERTICAL else m.T, "non-finite entry in")
+    rows = m.shape[0]
     left = None  # the identity until a strip moves it
     right = np.eye(m.shape[1], dtype=np.complex128)
-    ls = []
-    pinned = 0
+    ls = [0] * (len(bounds) - 1)
+    run = [0] * len(bounds)  # one-column strips from each strip on; zero-width ones do not count
+    for i in reversed(range(len(ls))):
+        width = bounds[i + 1] - bounds[i]
+        run[i] = run[i + 1] + 1 if width == 1 else 0 if width else run[i + 1]
+    pinned = i = 0
+    no_qr = -1  # the column of a run's first uncertified strip: it takes the one-column rule
     # An entry that overflows in a strip product is left to the SVD, which names it
     # in a NumericError.
     with np.errstate(invalid="ignore", over="ignore"):
-        for c0, c1 in zip(bounds, bounds[1:]):
-            if c0 == c1 or pinned == m.shape[0]:
-                # nothing to reduce: the SVD of an empty matrix gives identities and rank 0
-                ls.append(0)
+        while i < len(ls) and pinned < rows:
+            c0, c1 = bounds[i], bounds[i + 1]
+            if c0 == c1:
+                i += 1
                 continue
+            if run[i] >= _RUN_MIN and c0 != no_qr:
+                # zero-width strips take no columns: the run's columns are consecutive
+                cols = m[:, c0 : c0 + run[i]]
+                q, c = _qr_run(cols if left is None else left[pinned:, :] @ cols, threshold)
+                if c:
+                    left = _apply_rows(left, pinned, q.conj().T)
+                    pinned += c
+                    while c:
+                        if bounds[i + 1] > bounds[i]:
+                            ls[i] = 1
+                            c -= 1
+                        i += 1
+                    no_qr = bounds[i]  # where the rest of the run, if any, goes on
+                    continue
             # ``right`` is still the identity here: this is the strip of ``left @ m @ right``.
             strip = m[:, c0:c1] if left is None else left[pinned:, :] @ m[:, c0:c1]
-            p, s_mat, k = two_sided_reduce(strip, threshold)
-            ls.append(k)
-            if c1 - c0 > 1:
-                right[c0:c1, c0:c1] = s_mat
-            elif not k:
-                continue  # the one-column rule gave both identities
-            if left is None:
-                left = np.ascontiguousarray(p.conj().T)  # pinned is 0: p^H @ I is p^H
+            if c1 - c0 == 1:
+                left, ls[i] = _reflect_rows(left, pinned, strip, threshold)
             else:
-                left[pinned:, :] = p.conj().T @ left[pinned:, :]
-            pinned += k
+                p, right[c0:c1, c0:c1], ls[i] = two_sided_reduce(strip, threshold)
+                left = _apply_rows(left, pinned, p.conj().T)
+            pinned += ls[i]
+            i += 1
     if left is None:
-        left = np.eye(m.shape[0], dtype=np.complex128)
+        left = np.eye(rows, dtype=np.complex128)
     if strip_axis == HORIZONTAL:
         return _flip(right), _flip(left), ls[::-1]
     return left, right, ls

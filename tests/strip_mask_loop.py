@@ -22,6 +22,12 @@ def staircase_residual(a, strip_sizes, block_sizes, strip_axis: str) -> float:
     and block sizes; 0.0 when it demands no zero.  Each block must fit its
     strip (``0 <= l_i <= k_i``), and all of them the orthogonal axis.
     """
+    return float(np.abs(demanded_zeros(a, strip_sizes, block_sizes, strip_axis)).max(initial=0.0))
+
+
+def demanded_zeros(a, strip_sizes, block_sizes, strip_axis: str) -> np.ndarray:
+    """The entries of ``a`` where the staircase form demands a zero, as for
+    :func:`staircase_residual`, which raises as this does."""
     m, bounds = _strip_frame(a, strip_sizes, strip_axis)
     ls = _sizes("block_sizes", block_sizes)
     if len(ls) != len(bounds) - 1:
@@ -35,4 +41,4 @@ def staircase_residual(a, strip_sizes, block_sizes, strip_axis: str) -> float:
     for l, c0, c1, b0, b1 in zip(ls, bounds, bounds[1:], band, band[1:]):
         mask[b1:, c0:c1] = True
         mask[b0:b1, c0 : c1 - l] = True
-    return float(np.abs(m[mask]).max(initial=0.0))
+    return m[mask]

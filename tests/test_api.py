@@ -137,28 +137,33 @@ def test_rank_decisions_go_through_one_function():
 LAPACK_SVD = {"svd", "svdvals", "matrix_rank", "pinv", "lstsq", "cond"}
 
 
-def _names_svd(dotted: str) -> bool:
-    """Whether a dotted import path is numpy's or scipy's ``linalg`` or an SVD routine."""
+# numpy's and scipy's QR: only the reflector block, the staircase's one-column runs and
+# the Haar sampler may reach it
+QR = {"qr"}
+
+
+def _names_routine(dotted: str, routines: set[str]) -> bool:
+    """Whether a dotted import path is numpy's or scipy's ``linalg`` or one of ``routines``."""
     top, *rest = dotted.split(".")
-    return top in ("numpy", "scipy") and bool(set(rest) & (LAPACK_SVD | {"linalg"}))
+    return top in ("numpy", "scipy") and bool(set(rest) & (routines | {"linalg"}))
 
 
-def _lapack_svd_reaches(source: str) -> set[str]:
-    """The functions in ``source`` that reach a :data:`LAPACK_SVD` routine: by an
-    attribute ``<x>.linalg.<routine>``, or by importing a routine or a ``linalg``
-    module of numpy or scipy."""
+def _lapack_reaches(source: str, routines: set[str] = LAPACK_SVD) -> set[str]:
+    """The functions in ``source`` that reach one of ``routines`` (the
+    :data:`LAPACK_SVD` ones unless given): by an attribute ``<x>.linalg.<routine>``, or
+    by importing a routine or a ``linalg`` module of numpy or scipy."""
     out = set()
 
     def visit(node, where):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Attribute):
-                if child.attr in LAPACK_SVD and getattr(child.value, "attr", None) == "linalg":
+                if child.attr in routines and getattr(child.value, "attr", None) == "linalg":
                     out.add(where)
             elif isinstance(child, ast.Import):
-                if any(_names_svd(alias.name) for alias in child.names):
+                if any(_names_routine(alias.name, routines) for alias in child.names):
                     out.add(where)
             elif isinstance(child, ast.ImportFrom) and child.module:
-                if any(_names_svd(f"{child.module}.{alias.name}") for alias in child.names):
+                if any(_names_routine(f"{child.module}.{a.name}", routines) for a in child.names):
                     out.add(where)
             inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, child.name if inner else where)
@@ -174,9 +179,30 @@ def test_only_linalg_reaches_numpys_svd():
     reached = {
         f"{path.name}:{where}"
         for path in sorted(package.glob("*.py"))
-        for where in _lapack_svd_reaches(path.read_text(encoding="utf-8"))
+        for where in _lapack_reaches(path.read_text(encoding="utf-8"))
     }
     assert reached == {"linalg.py:_lapack_svd"}
+
+
+def test_only_the_reflector_block_the_runs_and_the_sampler_reach_numpys_qr():
+    package = Path(qs.__file__).parent
+    reached = {
+        f"{path.name}:{where}"
+        for path in sorted(package.glob("*.py"))
+        for where in _lapack_reaches(path.read_text(encoding="utf-8"), QR)
+    }
+    assert reached == {"linalg.py:_reflector_block", "linalg.py:_qr_run", "oracle.py:random_unitary"}
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "def f(a):\n    return np.linalg.qr(a)\n",
+        "def f(a):\n    from numpy.linalg import qr\n",
+    ],
+)
+def test_the_qr_guard_sees_a_direct_call(source):
+    assert _lapack_reaches(source, QR) == {"f"}
 
 
 @pytest.mark.parametrize(
@@ -190,12 +216,12 @@ def test_only_linalg_reaches_numpys_svd():
     ],
 )
 def test_the_svd_guard_sees_a_direct_call(source):
-    assert _lapack_svd_reaches(source) == {"f"}
+    assert _lapack_reaches(source) == {"f"}
 
 
 def test_the_svd_guard_passes_other_numpy_linalg():
     source = "def f(a):\n    np.linalg.norm(a), np.linalg.eigvals(a), np.linalg.qr(a)\n"
-    assert _lapack_svd_reaches(source) == set()
+    assert _lapack_reaches(source) == set()
 
 
 def _keys(value) -> set:

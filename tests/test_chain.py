@@ -159,6 +159,28 @@ class TestResidualFromReturnedBases:
         with pytest.raises(ValidationError, match="does not fit"):
             trace.misfits(rep.shape, list(rep.matrices))
 
+    # the benchmark's t = 4 chain: L(1,2) + 2 L(2,4) + L(3,3)
+    BENCH = qs.PlantSpec(qs.chain_shape(4, "><>"), (((1, 2), 1), ((2, 4), 2), ((3, 3), 1)), seed=5)
+
+    @pytest.mark.parametrize("size", [2**70, -(2**70), 2**63, -(2**63) - 1])
+    def test_size_beyond_int64_raises_validation_error(self, size):
+        # a size no vertex holds is a misfit, however large: not numpy's OverflowError
+        rep, _ = qs.plant(self.BENCH)
+        _, trace = qs.canon_chain(rep)
+        moved = [np.asarray(m) for m in rep.matrices]
+        trace.steps[0].strip_sizes = [size]
+        with pytest.raises(ValidationError, match=rf"trace does not fit.*strips \[{size}\]"):
+            trace.misfits(rep.shape, moved)
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 4])
+    def test_a_matrix_per_arrow_or_raises(self, count):
+        rep, _ = qs.plant(self.BENCH)
+        _, trace = qs.canon_chain(rep)
+        moved = [*rep.matrices, rep.matrices[0]][:count]
+        with pytest.raises(ValidationError, match="does not fit .* one per arrow, 3"):
+            trace.misfits(rep.shape, moved)
+
+
 class TestAssembleCanonical:
     def test_full_intervals(self):
         shape = qs.chain_shape(3, "><")

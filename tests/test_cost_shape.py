@@ -150,6 +150,25 @@ CYCLE_SPEC = qs.PlantSpec(
 )
 
 
+# one interval or walk from every vertex, so most strips are one column wide and come in runs
+RUN_CHAIN = qs.PlantSpec(
+    qs.chain_shape(10, "><>>><<>>"), tuple(((v, min(v + 5, 10)), 1) for v in range(1, 11)), seed=2
+)
+RUN_CYCLE = qs.PlantSpec(
+    qs.cycle_shape(4, "><>>"), tuple(((v, v + 9), 1) for v in range(1, 5)),
+    regular_eigs=(2, -1j), seed=3,
+)
+# rank decisions per solve, as counted.  A run of at least three one-column strips is
+# one QR and one decision; deciding its columns one by one took 39 and 66.
+DECISIONS = {"chain": (RUN_CHAIN, 19), "cycle": (RUN_CYCLE, 54)}
+
+
+@pytest.mark.parametrize("spec, want", DECISIONS.values(), ids=DECISIONS.keys())
+def test_decisions_per_solve_are_pinned(counted, spec, want):
+    rep, _ = qs.plant(spec)
+    assert _solve(rep, counted).decides == want
+
+
 @pytest.fixture
 def measurements(monkeypatch) -> list:
     """The class of every result whose ``misfits`` runs: one residual measurement each."""

@@ -463,6 +463,14 @@ class TestComposedResidual:
         report = qs.verify(rep, stale, truth)
         assert report.passed and report.residual == dec.residual < 1e-12
 
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_a_matrix_per_arrow_or_raises(self, solved, count):
+        rep, _, dec = solved
+        moved = [*_moved(rep, dec), rep.matrices[0]][:count]
+        assert len(moved) != rep.shape.t
+        with pytest.raises(ValidationError, match="does not fit .* one per arrow"):
+            dec.misfits(rep.shape, moved)
+
     def test_chain_stages_of_the_other_pass_raise(self, solved):
         # each pass's chain stage must fit that pass's shaved chain
         rep, _, dec = solved

@@ -7,6 +7,7 @@ import quiverstair as qs
 from conftest import bareiss_rank, random_complex
 from quiverstair import chain, cycle, linalg, oracle, quiver
 from quiverstair.errors import NumericError, ValidationError
+from strip_by_strip_loop import staircase_reduce_strip_by_strip
 from strip_mask_loop import staircase_residual
 
 TOL = linalg.DEFAULT_TOL
@@ -681,12 +682,90 @@ class TestEmptyStripsTakeNoSvd:
         assert calls and all(min(shape) > 0 for shape in calls)
 
 
+class TestOneColumnRuns:
+    """A run of at least three one-column strips is one Householder QR, whose certified
+    prefix gets rank 1; the first column it does not certify takes the one-column rule."""
+
+    @staticmethod
+    def planted(offs, n=6, seed=0):
+        """Columns in the basis of a random unitary, the ``j``-th off the span of the ones
+        before it by ``offs[j]`` (0: in it), with a part in that span of norm ``1``."""
+        rng = np.random.default_rng(seed)
+        q = oracle.random_unitary(n, rng)
+        c, p = np.zeros((n, len(offs)), dtype=complex), 0
+        for j, off in enumerate(offs):
+            if p:
+                c[:p, j] = random_complex(rng, p, 1)[:, 0]
+                c[:p, j] /= np.linalg.norm(c[:p, j])
+            if off:
+                c[p, j] = off
+                p += 1
+        return q @ c
+
+    @pytest.fixture
+    def qrs(self, monkeypatch):
+        """The shapes of the runs taken as one QR, and what each certified."""
+        runs, qr_run = [], linalg._qr_run
+
+        def counted(x, threshold):
+            q, c = qr_run(x, threshold)
+            if q is not None:
+                runs.append((x.shape, c))
+            return q, c
+
+        monkeypatch.setattr(linalg, "_qr_run", counted)
+        return runs
+
+    @pytest.mark.parametrize("axis", [linalg.VERTICAL, linalg.HORIZONTAL])
+    def test_a_run_is_one_qr(self, qrs, axis):
+        a = self.planted([1, 2, 0.5, 1, 3])
+        sizes = [1, 0, 1, 1, 1, 1]  # a zero-width strip does not break the run
+        if axis == linalg.HORIZONTAL:
+            a, sizes = linalg._flip(a), sizes[::-1]
+        left, right, ls = linalg.staircase_reduce(a, sizes, axis, 1e-8)
+        assert qrs == [((6, 5), 5)]
+        assert ls == staircase_reduce_strip_by_strip(a, sizes, axis, 1e-8)[2]
+        assert staircase_residual(left @ a @ right, sizes, ls, axis) <= 1e-14
+
+    def test_runs_of_two_take_no_qr(self, qrs):
+        a = self.planted([1, 2, 1, 1])
+        _, _, ls = linalg.staircase_reduce(a, [1, 1, 2], linalg.VERTICAL, 1e-8)
+        assert qrs == [] and ls == [1, 1, 2]
+
+    def test_a_rank_0_column_stops_the_prefix(self, qrs):
+        # the rank-0 column takes the one-column rule, with no QR, since its norm on the
+        # free rows is below tau; the three after it are a new run
+        a = self.planted([1, 1, 0, 1, 1, 1])
+        _, _, ls = linalg.staircase_reduce(a, [1] * 6, linalg.VERTICAL, 1e-8)
+        assert ls == [1, 1, 0, 1, 1, 1]
+        assert qrs == [((6, 6), 2), ((4, 3), 3)]
+
+    @pytest.mark.parametrize("off", [1 + 1e-10, 1 - 1e-10])
+    def test_a_column_at_tau_is_not_certified(self, off):
+        # its part in the span is 1e6 tau long: rounding may move the rule's norm by
+        # more than the 1e-10 tau that sets it apart from tau
+        tau = 1e-6
+        x = self.planted([1, 1, off * tau, 1])
+        assert linalg._qr_run(x, tau)[1] == 2
+
+    def test_a_non_finite_run_certifies_nothing(self):
+        x = self.planted([1, 1, 1])
+        x[0, 1] = np.nan
+        assert linalg._qr_run(x, 1e-8)[1] == 0
+
+    def test_a_norm_beyond_float64_goes_to_the_svd(self):
+        # the run certifies nothing, and its first column's norm overflows
+        with pytest.raises(NumericError, match="non-finite singular value on a 3x1 matrix"):
+            linalg.staircase_reduce(np.full((3, 3), 1.5e308), [1, 1, 1], linalg.VERTICAL, 1.0)
+
+
 class TestStripCalls:
-    """Every live strip is one traced ``two_sided_reduce`` call; a one-column one takes no SVD."""
+    """Every live strip at least two columns wide is one traced ``two_sided_reduce`` call;
+    a one-column one takes neither that call nor an SVD."""
 
     def test_planted_chain(self, monkeypatch):
         reduce, lapack, stair = linalg.two_sided_reduce, np.linalg.svd, linalg.staircase_reduce
-        strips, svd_shapes, live, inside = [], [], [], []
+        strips, svd_shapes, live, inside, outside = [], [], [], [], []
 
         def counted_reduce(a, threshold):
             strips.append(np.shape(a))
@@ -698,8 +777,7 @@ class TestStripCalls:
                 inside.pop()
 
         def counted_svd(a, *args, **kwargs):
-            if inside:
-                svd_shapes[-1].append(np.shape(a))
+            (svd_shapes[-1] if inside else outside).append(np.shape(a))
             return lapack(a, *args, **kwargs)
 
         def live_strips(a, strip_sizes, strip_axis, threshold):
@@ -720,13 +798,13 @@ class TestStripCalls:
         labels = tuple(((i, min(t, i + i % 5)), 1 + i % 2) for i in range(1, t + 1))
         spec = qs.PlantSpec(shape=qs.chain_shape(t, "><" * (t // 2 - 1) + ">"), labels=labels, seed=3)
         rep, _ = qs.plant(spec)
+        outside.clear()
         form, _ = qs.canon_chain(rep)
         assert dict(form.counts) == {lab: m for lab, m in labels}
-        assert strips == live
-        widths = {shape[1] for shape in strips}
-        assert 1 in widths and max(widths) > 1
-        for shape, svds in zip(strips, svd_shapes):
-            assert svds == ([] if shape[1] == 1 else [shape])
+        assert strips == [shape for shape in live if shape[1] > 1]
+        assert 1 in {shape[1] for shape in live} and strips
+        assert outside == [m.shape for m in rep.matrices]  # canon_chain's threshold alone
+        assert svd_shapes == [[shape] for shape in strips]
 
 
 class TestInverse:

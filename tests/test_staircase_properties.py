@@ -8,7 +8,8 @@ from conftest import random_complex
 from quiverstair import linalg
 from quiverstair.chain import ChainStep, ChainTrace
 from quiverstair.errors import ValidationError
-from strip_mask_loop import staircase_residual
+from strip_by_strip_loop import staircase_reduce_strip_by_strip
+from strip_mask_loop import demanded_zeros, staircase_residual
 from svd_strip_loop import staircase_reduce_by_svd
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -197,3 +198,74 @@ def test_wide_strips_match_the_svd_loop_bit_for_bit(case):
     ref_left, ref_right, ref_ls = staircase_reduce_by_svd(a, sizes, axis, tau)
     assert ls == ref_ls
     assert np.array_equal(left, ref_left) and np.array_equal(right, ref_right)
+
+
+# how a drawn one-column strip's column sits against the columns before it, in units of
+# tau for its part off their span; "zero" is the zero column, "span" has no such part
+COLUMN_KINDS = {
+    "zero": None, "span": 0.0, "wide": None,
+    "just below": 1 - 1e-10, "just above": 1 + 1e-10, "tenth": 0.1, "tenfold": 10.0,
+}
+
+
+@st.composite
+def one_column_runs(draw):
+    """A matrix, strips rich in runs of one-column strips, an axis and a threshold.
+
+    Built in the vertical frame in the basis ``q`` of a random unitary: once
+    ``p`` columns are rank 1, a column's part off their span lies along
+    ``q[:, p]``.  A one-column strip is the zero column, in the span, off it
+    by far ("wide"), or off it by tau times ``1 -+ 1e-10``, ``0.1`` or ``10``
+    with a part in the span of at most tau; a planted column at tau's margin
+    thus keeps that margin beyond rounding.  Zero-width strips and strips two
+    columns wide, generic on two new directions, break in.
+    """
+    n = draw(st.integers(1, 8), label="rows")
+    tau = 10.0 ** draw(st.integers(-7, -2), label="exponent of tau")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    q = qs.random_unitary(n, rng)
+    widths = draw(st.lists(st.sampled_from([1, 1, 1, 1, 0, 2]), max_size=12), label="strips")
+    cols, p = [], 0
+    for w in widths:
+        if w == 2:
+            c = random_complex(rng, n, 2)
+            c[p + 2 :] = 0
+            c[p : p + 2] = [[1.0, 0.5], [0.0, 1.0]] if p + 2 <= n else c[p : p + 2]
+            p = min(p + 2, n)
+        elif w == 1:
+            kind = draw(st.sampled_from(sorted(COLUMN_KINDS)), label="kind")
+            c = random_complex(rng, n, 1)
+            off = COLUMN_KINDS[kind]
+            if kind == "zero":
+                c[:] = 0
+            elif kind != "wide":
+                c[p:] = 0
+                if off and p < n:
+                    c *= tau / max(1.0, linalg._fro(c))  # the part in the span: at most tau
+                    c[p] = off * tau * np.exp(2j * np.pi * rng.random())
+            if p < n and (kind == "wide" or (off or 0) > 1):
+                p += 1
+        else:
+            c = np.zeros((n, 0))
+        cols.append(c)
+    a = q @ np.concatenate(cols, axis=1) if cols else np.zeros((n, 0))
+    axis = draw(AXES, label="axis")
+    if axis == linalg.HORIZONTAL:  # the same strips, read in the flipped frame
+        return linalg._flip(a), widths[::-1], axis, tau
+    return a, widths, axis, tau
+
+
+@hypothesis.given(one_column_runs())
+def test_one_column_runs_decide_as_the_strip_by_strip_loop(case):
+    a, sizes, axis, tau = case
+    left, right, ls = linalg.staircase_reduce(a, sizes, axis, tau)
+    ref_left, ref_right, ref_ls = staircase_reduce_strip_by_strip(a, sizes, axis, tau)
+    assert ls == ref_ls
+    for u in (left, right):
+        assert linalg.unitarity_defect(u) <= 1e-13 * max(1, len(u))
+    zeros = demanded_zeros(left @ a @ right, sizes, ls, axis)
+    ref_zeros = demanded_zeros(ref_left @ a @ ref_right, sizes, ls, axis)
+    # the zeros of a rank-1 column are rounding; the norm the others leave on the free
+    # rows does not depend on those rows' basis
+    assert abs(linalg._fro(zeros) - linalg._fro(ref_zeros)) <= 1e-13 * max(1.0, linalg._fro(a))
+    assert np.abs(zeros).max(initial=0.0) <= tau
